@@ -2,8 +2,10 @@
 verify against oracles, and aggregate report tables.
 
 Exit codes: 0 ok, 2 iteration/time budget exceeded (partial artifacts are
-kept), 3 verification failed, 4 bad input.  The default solver backend can
-be overridden with the MPROBUST_BACKEND environment variable or --backend.
+kept), 3 verification failed, 4 bad input, 5 the loop stalled on a repeated
+entry above epsilon (artifacts are kept; the residual is the last q value).
+The default solver backend can be overridden with the MPROBUST_BACKEND
+environment variable or --backend.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from math import comb
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +27,8 @@ from .generators import (
 )
 from .milp import SolverConfig, write_mps
 from .oracle import (
-    MAX_ENUM, PiEnumerationOracle, enumerate_x, robustness_matrix, toy_instance,
+    MAX_ENUM, PiEnumerationOracle, enumerate_x, has_structural_nominal, robustness_matrix,
+    toy_instance,
 )
 from .robust import build_robust_milp, build_robust_variant_milp, solve_robust
 from .serialize import (
@@ -42,6 +44,10 @@ EXIT_OK = 0
 EXIT_BUDGET = 2
 EXIT_VERIFY = 3
 EXIT_BAD_INPUT = 4
+EXIT_STALLED = 5
+
+_RUN_EXIT = {"epsilon_met": EXIT_OK, "budget_exceeded": EXIT_BUDGET,
+             "stalled": EXIT_STALLED}
 
 
 class CliError(Exception):
@@ -57,10 +63,7 @@ def _reference_fn(inst: Instance, mode: str, config):
     variant = mode == "variant"
     if not variant and inst.num_groups <= 12:
         try:
-            if inst.kind in ("SP", "TOY") or \
-               (inst.kind == "PLM" and comb(int(inst.metadata["l"]),
-                                            int(inst.metadata["p"])) <= 200_000) or \
-               inst.n <= 24:
+            if has_structural_nominal(inst) or inst.n <= 24:
                 oracle = PiEnumerationOracle(inst)
                 return oracle.robust_value, "pattern-oracle"
         except ValueError:
@@ -214,7 +217,7 @@ def cmd_run(args) -> int:
     print(f"stop={res.stop_reason} iterations={res.iterations} "
           f"distinct={res.num_distinct} first_bound_pct={res.first_bound_pct:.1f} "
           f"elapsed={res.elapsed:.2f}s -> {args.out}")
-    return EXIT_BUDGET if res.stop_reason == "budget_exceeded" else EXIT_OK
+    return _RUN_EXIT[res.stop_reason]
 
 
 def _load_result(args) -> tuple:

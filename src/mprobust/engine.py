@@ -11,7 +11,13 @@ stops once the certified worst-case gap drops to epsilon.
 Master variants: one generic build that embeds the domain linearly, plus
 the specialized forms (pure 0-1 master for interval domains, scalar-alpha
 master for segments, slack-budget master for budgeted domains, and the
-selector-variable master for the fractional uncertainty variant).
+selector-variable master for the fractional uncertainty variant).  On an
+interval domain with few enough groups (see ``uses_pattern_master``) the
+0-1 master is replaced by the pattern master: once the activation pattern
+pi is fixed, the interval master's optimum is ``min_e [const_e + pi_e .
+gamma(pi)] - L . pi - nom(c(pi))``, and ``nom(c(pi))`` does not depend on
+the history, so 2^K nominal solves per run turn every master into a numpy
+argmax.
 """
 
 from __future__ import annotations
@@ -22,14 +28,27 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import oracle
 from .milp import MilpModel, ModelBuilder, SolverConfig, relax_binaries, solve_milp
-from .robust import RobustSolution, TuIntegralityError, _repair_rho, solve_robust
+from .robust import (
+    RobustSolution, TuIntegralityError, _check_certificate, _declares_tu, _repair_rho,
+    cost_for_pi, solve_robust,
+)
 from .uncertainty import (
     Instance, OmegaSpec, robustness_value, robustness_value_variant,
     solution_signature,
 )
 
 STOP_TOL = 1e-9
+
+# Largest group counts served by the pattern master, which pays 2^K nominal
+# solves up front; above them the interval master stays a MILP.  Measured
+# against the MILP master (CHANGES.md): with a structural nominal solver
+# (Dijkstra, median scan) the pattern master still won at K = 16, the
+# pattern oracle's own limit; with one MILP per nominal solve the two
+# tied at K = 5.
+PATTERN_MAX_K = 16
+PATTERN_MAX_K_MILP = 4
 
 
 @dataclass
@@ -57,7 +76,7 @@ class MprsResult:
     history: list
     q_values: list
     epsilon: float
-    stop_reason: str                  # epsilon_met | budget_exceeded
+    stop_reason: str                  # epsilon_met | stalled | budget_exceeded
     mode: str
     omega: OmegaSpec
     gamma_init: np.ndarray
@@ -347,6 +366,99 @@ _STANDARD_BUILDERS = {
 
 
 # ---------------------------------------------------------------------------
+# pattern master (interval domains)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class PatternTable:
+    """The 2^K activation patterns of an interval domain and their nominal optima.
+
+    Row i holds pattern ``patterns[i]`` (the ordering of
+    ``itertools.product((0, 1), repeat=K)``), its domain vertex
+    ``gammas[i] = L*pi + U*(1-pi)``, the nominal optimum ``nominal[i]`` of
+    ``c(pi)`` with its solution ``solutions[i]``, and ``own[i] = L.pi +
+    nominal[i]``, the robust optimum at that vertex.
+    """
+
+    patterns: np.ndarray        # (P, K) 0-1 floats
+    gammas: np.ndarray          # (P, K)
+    nominal: np.ndarray         # (P,)
+    solutions: np.ndarray       # (P, n) uint8
+    own: np.ndarray             # (P,)
+    build_s: float
+
+    @property
+    def size(self) -> int:
+        return self.patterns.shape[0]
+
+
+def _nominal_solver(inst: Instance, config: Optional[SolverConfig]):
+    """min c'x over X: structural oracle where one exists, else one MILP."""
+    if oracle.has_structural_nominal(inst):
+        # resolved at call time, so a wrapper installed on the module sees every solve
+        return lambda c: oracle.nominal_minimize(inst, c)
+
+    def by_milp(c):
+        sol = solve_milp(inst.feasible_model(c), config)
+        if sol.status != "optimal":
+            raise RuntimeError(f"nominal solve failed with status {sol.status}")
+        return float(sol.objective), sol.values
+    return by_milp
+
+
+def build_pattern_table(inst: Instance, omega: OmegaSpec,
+                        config: Optional[SolverConfig] = None) -> PatternTable:
+    """One nominal solve per activation pattern of an interval domain."""
+    if omega.kind != "interval":
+        raise ValueError("pattern table needs an interval domain")
+    t0 = time.monotonic()
+    K = inst.num_groups
+    P = 1 << K
+    bits = np.arange(K - 1, -1, -1)
+    patterns = ((np.arange(P)[:, None] >> bits) & 1).astype(float)
+    gammas = omega.lower * patterns + omega.upper * (1.0 - patterns)
+    nominal = np.empty(P)
+    solutions = np.empty((P, inst.n), dtype=np.uint8)
+    solve = _nominal_solver(inst, config)
+    for i in range(P):
+        nominal[i], x = solve(cost_for_pi(inst, patterns[i]))
+        solutions[i] = np.round(x)
+    own = patterns @ omega.lower + nominal
+    return PatternTable(patterns=patterns, gammas=gammas, nominal=nominal,
+                        solutions=solutions, own=own, build_s=time.monotonic() - t0)
+
+
+class PatternMaster:
+    """Interval master over a pattern table: Q(pi) = best(pi) - own(pi).
+
+    ``best[i]`` is the smallest certified value any stored entry reaches at
+    vertex i; each new entry lowers it in O(2^K K).
+    """
+
+    def __init__(self, inst: Instance, table: PatternTable):
+        self.inst = inst
+        self.table = table
+        self.best = np.full(table.size, np.inf)
+
+    def add(self, e: HistoryEntry) -> None:
+        np.minimum(self.best, _entry_const(self.inst, e) + self.table.gammas @ e.pi,
+                   out=self.best)
+
+    def solve(self) -> tuple:
+        """(pattern index, master value); ties go to the first index."""
+        q = self.best - self.table.own
+        i = int(np.argmax(q))
+        return i, float(q[i])
+
+
+def uses_pattern_master(inst: Instance, omega: OmegaSpec, mode: str) -> bool:
+    """Whether ``run_aq`` serves this domain and mode with the pattern master."""
+    max_k = PATTERN_MAX_K if oracle.has_structural_nominal(inst) else PATTERN_MAX_K_MILP
+    return (omega.kind == "interval" and mode in ("standard", "tu_relaxed")
+            and inst.num_groups <= max_k)
+
+
+# ---------------------------------------------------------------------------
 # the loop
 # ---------------------------------------------------------------------------
 
@@ -361,6 +473,16 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     ``tu_relaxed`` (rho and x relaxed inside both solves; network instances
     only), or ``variant`` (fractional uncertainty).  The returned history
     always starts with the robust optimum at the domain's start vector.
+    Interval domains with few enough groups use the pattern master (outside
+    ``variant`` mode, see ``uses_pattern_master``); every other case solves
+    MILP masters.
+
+    The loop stops with ``epsilon_met`` once the master value is at most
+    epsilon, with ``stalled`` when the master returns an entry already
+    stored while its value is still above epsilon (the residual stays in
+    ``q_values``), and with ``budget_exceeded`` at the iteration or time
+    limit.  ``trace`` receives one header record, then one record per
+    iteration.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -368,64 +490,119 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         raise ValueError("omega dimension does not match the instance groups")
     if mode not in ("standard", "tu_relaxed", "variant"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "tu_relaxed" and not _declares_tu(inst):
+        raise ValueError("tu_relaxed requires an instance declared totally unimodular")
     budget = budget or Budget()
-    variant = mode == "variant"
     t0 = time.monotonic()
 
-    gamma_init = omega.start_gamma
-    seed = solve_robust(inst, gamma_init, mode=mode, config=config)
+    gamma_init = np.asarray(omega.start_gamma, dtype=float)
+    master = None
+    if uses_pattern_master(inst, omega, mode):
+        table = build_pattern_table(inst, omega, config)
+        master = PatternMaster(inst, table)
+        seed = _pattern_seed(inst, table, gamma_init, mode)
+    else:
+        seed = solve_robust(inst, gamma_init, mode=mode, config=config)
     init_value = seed.value
     history = [HistoryEntry(pi=seed.pi.copy(), rho=seed.rho.copy(),
-                            x=seed.x.copy(), gamma=np.asarray(gamma_init, float),
+                            x=seed.x.copy(), gamma=gamma_init,
                             q_value=None, w=None if seed.w is None else seed.w.copy())]
+    if master is not None:
+        master.add(history[0])
     q_values: list = []
     rel_bounds: list = []
     stop_reason = "budget_exceeded"
     seen = {_triple_key(history[0])}
+    seen_x = {_x_key(history[0].x)}
+    if trace is not None:
+        trace({"record": "header", "mode": mode, "omega": omega.kind,
+               "master": "milp" if master is None else "pattern",
+               "pattern_solves": 0 if master is None else master.table.size,
+               "pattern_build_s": 0.0 if master is None else master.table.build_s})
 
     while True:
         if len(q_values) >= budget.max_iters:
             break
         if time.monotonic() - t0 > budget.time_limit:
             break
-        model, kind = _build_master(inst, omega, history, mode)
-        if mode == "tu_relaxed":
-            model = relax_binaries(model, _relaxable_indices(model))
-        sol = solve_milp(model, config)
-        if sol.status == "unbounded":
-            raise RuntimeError("master problem unbounded: construction bug")
-        if sol.status != "optimal":
-            raise RuntimeError(f"master solve failed with status {sol.status}")
-        vq = float(sol.objective)
+        t_master = time.monotonic()
+        if master is not None:
+            i, vq = master.solve()
+            gamma_star = master.table.gammas[i]
+        else:
+            sol, kind = _solve_milp_master(inst, omega, history, mode, config)
+            vq = float(sol.objective)
+            gamma_star = _extract_gamma(inst, omega, kind, mode, sol.values)
+        master_s = time.monotonic() - t_master
         q_values.append(vq)
         rel_bounds.append(vq / init_value if abs(init_value) > 1e-12 else np.inf)
         if trace is not None:
-            gam_star = _extract_gamma(inst, omega, kind, mode, sol.values)
             trace({"iteration": len(q_values), "q_value": vq,
-                   "gamma": [float(v) for v in gam_star],
-                   "distinct": len(_distinct(inst, history)[0]),
+                   "gamma": [float(v) for v in gamma_star],
+                   "distinct": len(seen_x),
+                   "master": "milp" if master is None else "pattern",
+                   "master_s": master_s,
                    "elapsed": time.monotonic() - t0})
         if vq <= epsilon + STOP_TOL:
             stop_reason = "epsilon_met"
             break
-        entry = _extract_entry(inst, omega, kind, mode, sol.values, vq)
+        if master is not None:
+            entry = _pattern_entry(inst, master.table, i, vq)
+        else:
+            entry = _extract_entry(inst, omega, kind, mode, sol.values, vq)
         key = _triple_key(entry)
         if key in seen:
-            # exact arithmetic forbids a repeat with a positive gap; a repeat
-            # here means the residual is solver noise, so stop with it recorded
-            stop_reason = "epsilon_met"
+            # exact arithmetic forbids a repeat with a positive gap: the
+            # residual is solver noise or a faulty master, so stop on it
+            stop_reason = "stalled"
             break
         seen.add(key)
+        seen_x.add(_x_key(entry.x))
         history.append(entry)
+        if master is not None:
+            master.add(entry)
 
     dx, dsig = _distinct(inst, history)
     return MprsResult(
         history=history, q_values=q_values, epsilon=epsilon,
         stop_reason=stop_reason, mode=mode, omega=omega,
-        gamma_init=np.asarray(gamma_init, dtype=float), init_value=init_value,
+        gamma_init=gamma_init, init_value=init_value,
         relative_error_bounds=rel_bounds,
         distinct_x=dx, distinct_signatures=dsig,
         elapsed=time.monotonic() - t0, instance=inst)
+
+
+def _pattern_seed(inst: Instance, table: PatternTable, gamma_init: np.ndarray,
+                  mode: str) -> RobustSolution:
+    """Robust optimum at the start vector: the pattern minimizing gamma.pi + N[pi]."""
+    i = int(np.argmin(table.patterns @ gamma_init + table.nominal))
+    pi = table.patterns[i].copy()
+    x = table.solutions[i].astype(float)
+    seed = RobustSolution(x=x, pi=pi, rho=_repair_rho(inst, pi, x),
+                          value=float(gamma_init @ pi + table.nominal[i]),
+                          formulation=mode)
+    _check_certificate(inst, gamma_init, seed, robustness_value)
+    return seed
+
+
+def _pattern_entry(inst: Instance, table: PatternTable, i: int, vq: float) -> HistoryEntry:
+    """Entry for pattern i at its vertex, with rho rebuilt from (pi, x)."""
+    pi = table.patterns[i].copy()
+    x = table.solutions[i].astype(float)
+    return HistoryEntry(pi=pi, rho=_repair_rho(inst, pi, x), x=x,
+                        gamma=table.gammas[i].copy(), q_value=vq)
+
+
+def _solve_milp_master(inst, omega, history, mode, config):
+    model, kind = _build_master(inst, omega, history, mode)
+    if mode == "tu_relaxed":
+        model = relax_binaries(model, _relaxable_indices(model))
+    sol = solve_milp(model, config)
+    if sol.status == "unbounded":
+        raise RuntimeError("master problem unbounded: construction bug")
+    if sol.status != "optimal":
+        raise RuntimeError(f"master solve failed with status {sol.status}")
+    return sol, kind
 
 
 def _build_master(inst, omega, history, mode):
@@ -474,17 +651,21 @@ def _extract_entry(inst, omega, kind, mode, values, vq) -> HistoryEntry:
                         q_value=vq)
 
 
+def _x_key(x) -> tuple:
+    return tuple(int(round(v)) for v in x)
+
+
 def _triple_key(e: HistoryEntry) -> tuple:
     return (tuple(np.round(np.asarray(e.pi, float), 9)),
             tuple(np.round(np.asarray(e.rho, float), 9)),
-            tuple(int(round(v)) for v in e.x))
+            _x_key(e.x))
 
 
 def _distinct(inst: Instance, history) -> tuple:
     xs, sigs = [], []
     seen_x, seen_s = set(), set()
     for e in history:
-        tx = tuple(int(round(v)) for v in e.x)
+        tx = _x_key(e.x)
         if tx not in seen_x:
             seen_x.add(tx)
             xs.append(tx)
@@ -624,7 +805,7 @@ def run_multiparametric_nominal(x_model: MilpModel, lower, upper, epsilon: float
             break
         x = np.round(sol.values[-x_model.num_vars:])
         if any(np.array_equal(x, h) for h in history):
-            stop_reason = "epsilon_met"
+            stop_reason = "stalled"
             break
         history.append(x)
     dx = []

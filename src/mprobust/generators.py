@@ -290,8 +290,3 @@ def build_omega(inst: Instance, kind: str, delta: float = 0.0,
         return OmegaSpec.budgeted(base, spread, delta * float(spread.max()))
     raise ValueError(f"unknown omega kind {kind!r}")
 
-
-def make_toy(n: int):
-    """Convenience re-export of the toy family (kept with the oracles)."""
-    from .oracle import toy_instance
-    return toy_instance(n)

@@ -551,7 +551,6 @@ def _bundled_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
         status, x, obj = core.solve(mmin.lower, mmin.upper)
         if status != OPTIMAL:
             return MilpSolution(None, None, status)
-        _check_primal(mmin, x, cfg.feas_tol)
         return MilpSolution(x, sign * obj, OPTIMAL)
     sol = _branch_and_bound(mmin, cfg)
     if sol.objective is not None:
@@ -625,7 +624,6 @@ def _branch_and_bound(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
         status, x, obj = core.solve(lo_f, up_f)
         if status == OPTIMAL:
             x[bin_idx] = np.round(x[bin_idx])
-            _check_primal(model, x, cfg.feas_tol)
             inc_x, inc_val = x, obj
 
     if hit_limit:
@@ -654,19 +652,35 @@ def _scipy_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
     constraints = optimize.LinearConstraint(sparse.csr_matrix(A), lb, ub) if mmin.num_rows else ()
     integrality = mmin.is_binary.astype(int)
     bounds = optimize.Bounds(mmin.lower, mmin.upper)
+    options = {}
+    if cfg.time_limit is not None:
+        options["time_limit"] = float(cfg.time_limit)
+    if cfg.node_limit is not None:
+        options["node_limit"] = int(cfg.node_limit)
     res = optimize.milp(mmin.objective, constraints=constraints,
-                        integrality=integrality, bounds=bounds)
-    if res.status == 0:
-        x = np.asarray(res.x, dtype=float)
-        bad = np.abs(x[mmin.is_binary] - np.round(x[mmin.is_binary])) > cfg.int_tol
-        if np.any(bad):
-            raise SolverNumericalError("backend returned non-integral binaries")
-        x[mmin.is_binary] = np.round(x[mmin.is_binary])
-        return MilpSolution(x, sign * float(res.fun), OPTIMAL)
+                        integrality=integrality, bounds=bounds, options=options)
+    nodes = int(res.get("mip_node_count") or 0)
+    # HiGHS ends a node limit with "Solution limit reached", which scipy
+    # passes on as an unrecognized status (4) instead of its limit status 1
+    hit_limit = res.status == 1 or (res.status == 4
+                                    and "Solution limit reached" in res.message)
+    if res.status == 0 or hit_limit:
+        x = None if res.x is None else np.asarray(res.x, dtype=float)
+        if x is not None:
+            bad = np.abs(x[mmin.is_binary] - np.round(x[mmin.is_binary])) > cfg.int_tol
+            if np.any(bad):
+                raise SolverNumericalError("backend returned non-integral binaries")
+            x[mmin.is_binary] = np.round(x[mmin.is_binary])
+        obj = None if x is None else sign * float(res.fun)
+        if res.status == 0:
+            return MilpSolution(x, obj, OPTIMAL, best_bound=obj, nodes=nodes)
+        bound = res.get("mip_dual_bound")
+        return MilpSolution(x, obj, INCUMBENT_ONLY, nodes=nodes,
+                            best_bound=None if bound is None else sign * float(bound))
     if res.status == 2:
-        return MilpSolution(None, None, INFEASIBLE)
+        return MilpSolution(None, None, INFEASIBLE, nodes=nodes)
     if res.status == 3:
-        return MilpSolution(None, None, UNBOUNDED)
+        return MilpSolution(None, None, UNBOUNDED, nodes=nodes)
     raise SolverNumericalError(f"scipy backend failed: {res.message}")
 
 
@@ -684,12 +698,20 @@ def register_backend(name: str, fn: BackendFn) -> None:
 
 
 def submit(model: MilpModel, config: Optional[SolverConfig] = None) -> MilpSolution:
+    """Solve through the configured backend; every returned point is row-checked.
+
+    Raises SolverNumericalError when a backend's point violates a row by
+    more than the feasibility tolerance.
+    """
     cfg = config or SolverConfig()
     try:
         fn = _BACKENDS[cfg.backend]
     except KeyError:
         raise ModelError(f"unknown solver backend {cfg.backend!r}") from None
-    return fn(model, cfg)
+    sol = fn(model, cfg)
+    if sol.values is not None:
+        _check_primal(model, np.asarray(sol.values, dtype=float), cfg.feas_tol)
+    return sol
 
 
 def solve_milp(model: MilpModel, config: Optional[SolverConfig] = None) -> MilpSolution:

@@ -20,6 +20,7 @@ from .uncertainty import Instance, OmegaSpec, robustness_value, robustness_value
 MAX_PATH_NODES = 12
 MAX_GENERIC_VARS = 24
 MAX_ENUM = 2_000_000
+MAX_MEDIAN_SUBSETS = 200_000    # median subsets the facility scan may visit
 
 
 def toy_instance(n: int):
@@ -137,6 +138,13 @@ def brute_robust(inst: Instance, gamma, variant: bool = False,
     vals = robustness_matrix(inst, X, gamma, variant=variant)
     i = int(np.argmin(vals))
     return float(vals[i]), X[i].copy()
+
+
+def has_structural_nominal(inst: Instance) -> bool:
+    """Whether ``nominal_minimize`` solves this instance without enumerating X."""
+    return inst.kind in ("SP", "TOY") or (
+        inst.kind == "PLM"
+        and comb(int(inst.metadata["l"]), int(inst.metadata["p"])) <= MAX_MEDIAN_SUBSETS)
 
 
 def nominal_minimize(inst: Instance, c, X: Optional[np.ndarray] = None):

@@ -69,8 +69,9 @@ def test_run_toy_domains(tmp_path):
     d2 = load_json(res2)
     assert d2["distinct_count"] == 2
     lines = [json.loads(ln) for ln in trace.read_text().splitlines()]
-    assert len(lines) == len(d2["q_values"])
-    assert lines[0]["iteration"] == 1
+    assert lines[0]["record"] == "header"
+    assert len(lines) == 1 + len(d2["q_values"])
+    assert lines[1]["iteration"] == 1
 
     toy4 = tmp_path / "toy4.json"
     run_cli("generate", "toy", "--n", 4, "--out", toy4)
@@ -225,3 +226,68 @@ def test_mps_export_flag(tmp_path):
     q = (mpsdir / "q_final.mps").read_text()
     assert r.startswith("NAME") and r.rstrip().endswith("ENDATA")
     assert "'INTORG'" in q
+
+    # an interval run that the pattern master serves still exports the MILP
+    # master over its final history: one <= row per stored entry
+    res2 = tmp_path / "res2.json"
+    assert run_cli("run", "--instance", toy, "--omega", "interval", "--delta", 0.5,
+                   "--epsilon", 0, "--mps-dir", mpsdir, "--out", res2) == 0
+    q = (mpsdir / "q_final.mps").read_text()
+    assert q.startswith("NAME          Q_INTERV")
+    rows = q.split("ROWS\n", 1)[1].split("COLUMNS\n", 1)[0].splitlines()
+    assert sum(ln.startswith(" L ") for ln in rows) == load_json(res2)["iterations"]
+
+
+def test_run_trace_names_master(tmp_path):
+    toy = tmp_path / "toy.json"
+    run_cli("generate", "toy", "--n", 2, "--out", toy)
+    for omega, master in (("toy2", "pattern"), ("segment", "milp")):
+        trace, out = tmp_path / f"{omega}.jsonl", tmp_path / f"{omega}.json"
+        assert run_cli("run", "--instance", toy, "--omega", omega, "--epsilon", 0,
+                       "--trace", trace, "--out", out) == 0
+        header, *iters = [json.loads(ln) for ln in trace.read_text().splitlines()]
+        assert header["record"] == "header" and header["master"] == master
+        assert header["pattern_solves"] == (2 ** 3 if master == "pattern" else 0)
+        assert header["pattern_build_s"] >= 0.0
+        assert len(iters) == len(load_json(out)["q_values"])
+        for rec in iters:
+            assert rec["master"] == master and rec["master_s"] >= 0.0
+
+
+def test_run_stalled_exit_code(tmp_path):
+    """A master that replays its previous optimum stops the loop as stalled."""
+    from mprobust.milp import _BACKENDS, MilpSolution, SolverConfig, register_backend
+
+    inner = _BACKENDS[SolverConfig().backend]
+    masters = []
+
+    def replay(model, cfg):
+        if not model.name.startswith("q_"):
+            return inner(model, cfg)
+        if not masters:
+            masters.append(inner(model, cfg))
+            return masters[0]
+        # the previous optimum with sigma (variable 0) lowered onto the new
+        # history row, so that it passes the row check, and its old value
+        prev = masters[0]
+        v = prev.values.copy()
+        on_sigma = model.row_coeffs[:, 0] > 0
+        slack = (model.row_rhs - model.row_coeffs @ v)[on_sigma] / model.row_coeffs[on_sigma, 0]
+        v[0] += min(0.0, float(slack.min()))
+        return MilpSolution(v, prev.objective, "optimal")
+
+    register_backend("replay", replay)
+    try:
+        toy = tmp_path / "toy.json"
+        run_cli("generate", "toy", "--n", 2, "--out", toy)
+        out, trace = tmp_path / "res.json", tmp_path / "trace.jsonl"
+        code = run_cli("run", "--instance", toy, "--omega", "segment", "--epsilon", 0,
+                       "--backend", "replay", "--trace", trace, "--out", out)
+    finally:
+        _BACKENDS.pop("replay", None)
+    assert code == 5
+    d = load_json(out)
+    assert d["stop_reason"] == "stalled"
+    assert len(d["q_values"]) == 2 and d["q_values"][-1] > 0
+    assert d["q_values"][-1] == d["q_values"][0]
+    assert len(trace.read_text().splitlines()) == 3

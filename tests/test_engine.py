@@ -329,6 +329,49 @@ def test_tu_mode_matches_standard_on_sp():
         assert _max_gap(inst, std, omega) <= 1e-6
 
 
+def _agreement_cases():
+    """(instance, interval domain, epsilon, mode) runs the pattern master serves."""
+    # the shapes of the acceptance SP batch
+    sizes = [8, 10, 12, 8, 10, 12, 8, 10, 12, 10]
+    deltas = [0.0, 0.5, 1.0] * 3 + [0.0]
+    for seed, (nv, delta) in enumerate(zip(sizes, deltas)):
+        inst = apply_partition(gen_sp(SpParams(nv, seed=seed)),
+                               PartitionScheme("d", 3), seed=seed)
+        omega = build_omega(inst, "interval", delta=delta)
+        eps = 0.01 * solve_robust(inst, omega.start_gamma).value
+        for mode in ("standard", "tu_relaxed"):
+            yield inst, omega, eps, mode
+    for n in (2, 3, 4, 5):
+        inst, omega1, omega2 = toy_instance(n)
+        yield inst, omega1, 0.0, "standard"
+        yield inst, omega2, 0.0, "standard"
+    rng = np.random.default_rng(41)
+    for trial in range(8):
+        inst = random_instance(rng, n=6, K=2 + trial % 2)
+        M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.3
+        yield inst, OmegaSpec.interval(0.1 * M, 1.1 * M), 0.0, "standard"
+
+
+def test_pattern_master_agrees_with_milp_master():
+    from mprobust.engine import _relaxable_indices, uses_pattern_master
+    from mprobust.milp import relax_binaries
+
+    runs = 0
+    for inst, omega, eps, mode in _agreement_cases():
+        assert uses_pattern_master(inst, omega, mode)
+        res = run_aq(inst, omega, epsilon=eps, mode=mode)
+        assert res.stop_reason == "epsilon_met"
+        for r, vq in enumerate(res.q_values, start=1):
+            model = build_q_interval(inst, omega, res.history[:r])
+            if mode == "tu_relaxed":
+                model = relax_binaries(model, _relaxable_indices(model))
+            sol = solve_milp(model)
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(vq, abs=1e-6)
+        runs += 1
+    assert runs == 20 + 8 + 8
+
+
 def test_relative_bounds_and_inf_sentinel():
     inst, omega1, _ = toy_instance(2)
     res = run_aq(inst, omega1, epsilon=0.0)
@@ -351,12 +394,20 @@ def test_relative_bounds_and_inf_sentinel():
 def test_trace_records():
     inst, _, omega2 = toy_instance(2)
     records = []
-    run_aq(inst, omega2, epsilon=0.0, trace=records.append)
-    assert len(records) >= 2
-    assert records[0]["iteration"] == 1
-    assert {"iteration", "q_value", "gamma", "distinct", "elapsed"} <= set(records[0])
-    assert len(records[0]["gamma"]) == inst.num_groups
-    assert contains(omega2, np.array(records[0]["gamma"]))
+    res = run_aq(inst, omega2, epsilon=0.0, trace=records.append)
+    header, iters = records[0], records[1:]
+    assert header["record"] == "header"
+    assert header["master"] == "pattern"
+    assert header["pattern_solves"] == 2 ** inst.num_groups
+    assert len(iters) == len(res.q_values) >= 2
+    assert iters[0]["iteration"] == 1
+    assert {"iteration", "q_value", "gamma", "distinct", "elapsed",
+            "master", "master_s"} <= set(iters[0])
+    assert len(iters[0]["gamma"]) == inst.num_groups
+    assert contains(omega2, np.array(iters[0]["gamma"]))
+    # the running distinct count matches a recount of the history so far
+    assert [r["distinct"] for r in iters] == [
+        len({tuple(e.x) for e in res.history[:i + 1]}) for i in range(len(iters))]
 
 
 def test_pick_best():

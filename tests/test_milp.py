@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mprobust.milp import (
-    GE, LE, EQ, MilpModel, ModelBuilder, ModelError, SolverConfig,
+    GE, LE, EQ, MilpModel, ModelBuilder, ModelError, SolverConfig, SolverNumericalError,
     mps_string, relax_binaries, solve_lp, solve_milp, submit,
 )
 
@@ -187,6 +187,31 @@ def test_node_limit_incumbent_only():
         assert sol.status in ("optimal", "infeasible")
 
 
+def test_node_limit_incumbent_only_scipy():
+    rng = np.random.default_rng(97)
+    model = random_milp(rng, n_bin=10, n_cont=2, m=6)
+    sol = solve_milp(model, SolverConfig(node_limit=1, backend="scipy"))
+    if sol.status == "incumbent_only":
+        assert sol.best_bound is not None
+    else:
+        assert sol.status in ("optimal", "infeasible")
+
+    # a knapsack HiGHS cannot close at the root: the limit keeps the
+    # incumbent and the dual bound brackets the optimum
+    rng = np.random.default_rng(2)
+    A = rng.integers(1, 100, size=(8, 30)).astype(float)
+    b = ModelBuilder("knapsack")
+    xs = [b.add_binary(obj=float(v)) for v in rng.integers(1, 100, size=30)]
+    for row in A:
+        b.add_row(dict(zip(xs, row)), "<=", float(row.sum() / 3))
+    model = b.build(maximize=True)
+    full = solve_milp(model, SolverConfig(backend="scipy"))
+    cut = solve_milp(model, SolverConfig(node_limit=1, backend="scipy"))
+    assert full.status == "optimal" and full.nodes > 1
+    assert cut.status == "incumbent_only" and cut.nodes == 1
+    assert cut.objective <= full.objective + 1e-9 <= cut.best_bound + 2e-9
+
+
 def test_scipy_backend_agrees():
     rng = np.random.default_rng(59)
     for _ in range(20):
@@ -263,6 +288,23 @@ def test_register_custom_backend():
         assert calls == [1]
     finally:
         _BACKENDS.pop("fake", None)
+
+
+def test_registered_backend_point_is_row_checked():
+    from mprobust.milp import MilpSolution, register_backend, _BACKENDS
+
+    def noisy(model, cfg):
+        return MilpSolution(np.ones(model.num_vars), 2.0, "optimal")
+
+    register_backend("noisy", noisy)
+    try:
+        b = ModelBuilder()
+        y = [b.add_binary(obj=1.0), b.add_binary(obj=1.0)]
+        b.add_row({y[0]: 1.0, y[1]: 1.0}, "<=", 1.0)
+        with pytest.raises(SolverNumericalError):
+            submit(b.build(), SolverConfig(backend="noisy"))
+    finally:
+        _BACKENDS.pop("noisy", None)
 
 
 def test_backend_env_var_default(monkeypatch):
