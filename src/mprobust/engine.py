@@ -41,14 +41,19 @@ from .uncertainty import (
 
 STOP_TOL = 1e-9
 
-# Largest group counts served by the pattern master, which pays 2^K nominal
-# solves up front; above them the interval master stays a MILP.  Measured
-# against the MILP master (CHANGES.md): with a structural nominal solver
-# (Dijkstra, median scan) the pattern master still won at K = 16, the
-# pattern oracle's own limit; with one MILP per nominal solve the two
-# tied at K = 5.
+# Largest group count served by the pattern master, which pays 2^K nominal
+# solves up front; above it the interval master stays a MILP.  Measured
+# against the MILP master on shortest-path instances (CHANGES.md): with
+# Dijkstra as the nominal solver the pattern master still won at K = 16,
+# the pattern oracle's own limit.
 PATTERN_MAX_K = 16
-PATTERN_MAX_K_MILP = 4
+
+# Instance kinds whose nominal problem the pattern table solves with
+# ``oracle.nominal_minimize`` at a measured cost: Dijkstra on shortest-path
+# instances, enumeration on the toy family.  The p-median scan costs
+# comb(l, p) passes per pattern and has no measured crossover yet, so those
+# instances stay on the MILP master.
+PATTERN_KINDS = ("SP", "TOY")
 
 
 @dataclass
@@ -392,23 +397,13 @@ class PatternTable:
         return self.patterns.shape[0]
 
 
-def _nominal_solver(inst: Instance, config: Optional[SolverConfig]):
-    """min c'x over X: structural oracle where one exists, else one MILP."""
-    if oracle.has_structural_nominal(inst):
-        # resolved at call time, so a wrapper installed on the module sees every solve
-        return lambda c: oracle.nominal_minimize(inst, c)
-
-    def by_milp(c):
-        sol = solve_milp(inst.feasible_model(c), config)
-        if sol.status != "optimal":
-            raise RuntimeError(f"nominal solve failed with status {sol.status}")
-        return float(sol.objective), sol.values
-    return by_milp
-
-
 def build_pattern_table(inst: Instance, omega: OmegaSpec,
-                        config: Optional[SolverConfig] = None) -> PatternTable:
-    """One nominal solve per activation pattern of an interval domain."""
+                        deadline: Optional[float] = None) -> Optional[PatternTable]:
+    """One nominal solve per activation pattern of an interval domain.
+
+    Returns None once ``time.monotonic()`` passes ``deadline`` before the
+    table is complete.
+    """
     if omega.kind != "interval":
         raise ValueError("pattern table needs an interval domain")
     t0 = time.monotonic()
@@ -419,9 +414,10 @@ def build_pattern_table(inst: Instance, omega: OmegaSpec,
     gammas = omega.lower * patterns + omega.upper * (1.0 - patterns)
     nominal = np.empty(P)
     solutions = np.empty((P, inst.n), dtype=np.uint8)
-    solve = _nominal_solver(inst, config)
     for i in range(P):
-        nominal[i], x = solve(cost_for_pi(inst, patterns[i]))
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        nominal[i], x = oracle.nominal_minimize(inst, cost_for_pi(inst, patterns[i]))
         solutions[i] = np.round(x)
     own = patterns @ omega.lower + nominal
     return PatternTable(patterns=patterns, gammas=gammas, nominal=nominal,
@@ -453,9 +449,8 @@ class PatternMaster:
 
 def uses_pattern_master(inst: Instance, omega: OmegaSpec, mode: str) -> bool:
     """Whether ``run_aq`` serves this domain and mode with the pattern master."""
-    max_k = PATTERN_MAX_K if oracle.has_structural_nominal(inst) else PATTERN_MAX_K_MILP
     return (omega.kind == "interval" and mode in ("standard", "tu_relaxed")
-            and inst.num_groups <= max_k)
+            and inst.kind in PATTERN_KINDS and inst.num_groups <= PATTERN_MAX_K)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +493,13 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     gamma_init = np.asarray(omega.start_gamma, dtype=float)
     master = None
     if uses_pattern_master(inst, omega, mode):
-        table = build_pattern_table(inst, omega, config)
-        master = PatternMaster(inst, table)
-        seed = _pattern_seed(inst, table, gamma_init, mode)
+        # a table left unfinished at the time limit falls back to the MILP
+        # seed, after which the loop stops on the limit
+        table = build_pattern_table(inst, omega, deadline=t0 + budget.time_limit)
+        if table is not None:
+            master = PatternMaster(inst, table)
+    if master is not None:
+        seed = _pattern_seed(inst, master.table, gamma_init, mode)
     else:
         seed = solve_robust(inst, gamma_init, mode=mode, config=config)
     init_value = seed.value

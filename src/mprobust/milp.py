@@ -660,10 +660,14 @@ def _scipy_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
     res = optimize.milp(mmin.objective, constraints=constraints,
                         integrality=integrality, bounds=bounds, options=options)
     nodes = int(res.get("mip_node_count") or 0)
-    # HiGHS ends a node limit with "Solution limit reached", which scipy
-    # passes on as an unrecognized status (4) instead of its limit status 1
-    hit_limit = res.status == 1 or (res.status == 4
-                                    and "Solution limit reached" in res.message)
+    # HiGHS ends a node limit with model status 16 ("Solution limit
+    # reached"), which scipy passes on as its catch-all status 4 instead of
+    # the limit status 1 (seen with scipy 1.17.1 and its bundled HiGHS).
+    # The wording may change between versions, so a status 4 that carries
+    # a point under a node limit counts as that limit; submit still checks
+    # the point against the rows.
+    hit_limit = res.status == 1 or (res.status == 4 and res.x is not None
+                                    and cfg.node_limit is not None)
     if res.status == 0 or hit_limit:
         x = None if res.x is None else np.asarray(res.x, dtype=float)
         if x is not None:

@@ -345,11 +345,12 @@ def _agreement_cases():
         inst, omega1, omega2 = toy_instance(n)
         yield inst, omega1, 0.0, "standard"
         yield inst, omega2, 0.0, "standard"
-    rng = np.random.default_rng(41)
-    for trial in range(8):
-        inst = random_instance(rng, n=6, K=2 + trial % 2)
-        M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.3
-        yield inst, OmegaSpec.interval(0.1 * M, 1.1 * M), 0.0, "standard"
+    # the other shortest-path partitions, zero tolerance
+    for seed, (kind, K) in enumerate([("r", 2), ("r", 4), ("p", 2), ("p", 3)]):
+        inst = apply_partition(gen_sp(SpParams(8, seed=50 + seed)),
+                               PartitionScheme(kind, K), seed=seed)
+        for delta in (0.0, 1.0):
+            yield inst, build_omega(inst, "interval", delta=delta), 0.0, "standard"
 
 
 def test_pattern_master_agrees_with_milp_master():
@@ -370,6 +371,53 @@ def test_pattern_master_agrees_with_milp_master():
             assert sol.objective == pytest.approx(vq, abs=1e-6)
         runs += 1
     assert runs == 20 + 8 + 8
+
+
+def test_pattern_master_routing():
+    from mprobust.engine import PATTERN_MAX_K, uses_pattern_master
+    from mprobust.generators import PlmParams, gen_plm
+
+    sp = apply_partition(gen_sp(SpParams(8, seed=0)), PartitionScheme("d", 3), seed=0)
+    box = build_omega(sp, "interval", delta=0.5)
+    assert uses_pattern_master(sp, box, "standard")
+    assert uses_pattern_master(sp, box, "tu_relaxed")
+    assert not uses_pattern_master(sp, box, "variant")
+    assert not uses_pattern_master(sp, build_omega(sp, "segment"), "standard")
+    big = apply_partition(gen_sp(SpParams(20, seed=0)),
+                          PartitionScheme("r", PATTERN_MAX_K + 1), seed=0)
+    assert not uses_pattern_master(big, build_omega(big, "interval", delta=0.5), "standard")
+    # p-median and generic instances keep the MILP master
+    plm = apply_partition(gen_plm(PlmParams(4, 2, seed=0)), PartitionScheme("lo", 2), seed=0)
+    assert not uses_pattern_master(plm, build_omega(plm, "interval", delta=0.5), "standard")
+    inst = random_instance(np.random.default_rng(0), n=6, K=2)
+    M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.3
+    assert not uses_pattern_master(inst, OmegaSpec.interval(0.1 * M, 1.1 * M), "standard")
+
+
+def test_pattern_table_stops_at_time_limit(monkeypatch):
+    """A table left unfinished at the time limit ends the run on the limit."""
+    from mprobust import oracle
+    from mprobust.engine import Budget
+
+    inst = apply_partition(gen_sp(SpParams(12, seed=0)), PartitionScheme("r", 12), seed=0)
+    omega = build_omega(inst, "interval", delta=0.5)
+    calls = []
+    inner = oracle.nominal_minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "nominal_minimize", counted)
+    records = []
+    res = run_aq(inst, omega, epsilon=0.0, budget=Budget(time_limit=0.05),
+                 trace=records.append)
+    assert res.stop_reason == "budget_exceeded"
+    assert res.q_values == [] and res.iterations == 1
+    assert 0 < len(calls) < 2 ** 12
+    assert records[0]["master"] == "milp" and records[0]["pattern_solves"] == 0
+    # the seed still is the robust optimum at the start vector
+    assert res.init_value == pytest.approx(solve_robust(inst, omega.start_gamma).value)
 
 
 def test_relative_bounds_and_inf_sentinel():
