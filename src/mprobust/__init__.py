@@ -12,14 +12,14 @@ brute-force verification oracles, and a CLI harness.
 from .milp import (
     LE, EQ, GE,
     MilpModel, ModelBuilder, MilpSolution, SolverConfig,
-    ModelError, SolverNumericalError,
+    ModelError, SolverLimitError, SolverNumericalError,
     solve_lp, solve_milp, relax_binaries, register_backend, submit,
     write_mps, mps_string,
 )
 from .uncertainty import (
     Instance, OmegaSpec,
-    robustness_value, robustness_value_variant, worst_case_cost_vector,
-    contains, sample_gamma, solution_signature, verify_feasible,
+    robustness_value, robustness_value_variant, robustness_values,
+    worst_case_cost_vector, contains, sample_gamma, solution_signature, verify_feasible,
     build_w_lp, build_dw_lp,
 )
 from .robust import (
@@ -46,11 +46,12 @@ from .oracle import (
 __all__ = [
     "LE", "EQ", "GE",
     "MilpModel", "ModelBuilder", "MilpSolution", "SolverConfig",
-    "ModelError", "SolverNumericalError",
+    "ModelError", "SolverLimitError", "SolverNumericalError",
     "solve_lp", "solve_milp", "relax_binaries", "register_backend", "submit",
     "write_mps", "mps_string",
     "Instance", "OmegaSpec",
-    "robustness_value", "robustness_value_variant", "worst_case_cost_vector",
+    "robustness_value", "robustness_value_variant", "robustness_values",
+    "worst_case_cost_vector",
     "contains", "sample_gamma", "solution_signature", "verify_feasible",
     "build_w_lp", "build_dw_lp",
     "RobustSolution", "TuIntegralityError",

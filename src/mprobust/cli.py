@@ -1,9 +1,11 @@
 """Command-line harness: generate instances, run the loop, evaluate,
 verify against oracles, and aggregate report tables.
 
-Exit codes: 0 ok, 2 iteration/time budget exceeded (partial artifacts are
-kept), 3 verification failed, 4 bad input, 5 the loop stalled on a repeated
-entry above epsilon (artifacts are kept; the residual is the last q value).
+Exit codes: 0 ok, 2 iteration/time budget or solver limit reached (a
+master stopped at a limit keeps the partial artifacts, its bound is the last
+q value; a seed solve stopped at a limit leaves no result), 3 verification
+failed, 4 bad input, 5 the loop stalled on a repeated entry above epsilon
+(artifacts are kept; the residual is the last q value).
 The default solver backend can be overridden with the MPROBUST_BACKEND
 environment variable or --backend.
 """
@@ -25,7 +27,7 @@ from .generators import (
     PartitionScheme, PlmParams, SpParams, apply_partition, build_omega,
     gen_plm, gen_sp,
 )
-from .milp import SolverConfig, write_mps
+from .milp import SolverConfig, SolverLimitError, write_mps
 from .oracle import (
     MAX_ENUM, PiEnumerationOracle, enumerate_x, has_structural_nominal, robustness_matrix,
     toy_instance,
@@ -35,9 +37,11 @@ from .serialize import (
     dumps_canonical, instance_from_dict, instance_to_dict, load_json,
     omega_from_dict, omega_to_dict, result_from_dict, result_to_dict, save_json,
 )
+# robustness_value stays bound here for perfbench, which hooks it by name
 from .uncertainty import (
-    Instance, OmegaSpec, robustness_value, robustness_value_variant,
-    sample_gamma, solution_signature, verify_feasible,
+    Instance, OmegaSpec, capped_values, group_deviations, robustness_value,
+    robustness_value_variant, robustness_values, row_chunks, sample_gamma,
+    solution_signature, verify_feasible,
 )
 
 EXIT_OK = 0
@@ -59,27 +63,37 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 def _reference_fn(inst: Instance, mode: str, config):
-    """Robust-value reference: oracle when small, solver otherwise."""
+    """Batched robust-value reference ``ref(G) -> (S,)``: oracle when small,
+    solver otherwise; returns (ref, route)."""
     variant = mode == "variant"
     if not variant and inst.num_groups <= 12:
         try:
             if has_structural_nominal(inst) or inst.n <= 24:
-                oracle = PiEnumerationOracle(inst)
-                return oracle.robust_value, "pattern-oracle"
+                return PiEnumerationOracle(inst).robust_values, "pattern-oracle"
         except ValueError:
             pass
     try:
         X = enumerate_x(inst)
         if X.shape[0] <= MAX_ENUM:
-            def by_enum(gamma):
-                return float(np.min(robustness_matrix(inst, X, gamma, variant=variant)))
+            if variant:
+                def by_enum(G):
+                    return np.array([np.min(robustness_matrix(inst, X, g, variant=True))
+                                     for g in G])
+            else:
+                base, room = X @ inst.c_lower, X @ group_deviations(inst)
+
+                def by_enum(G):
+                    out = np.empty(G.shape[0])
+                    for rows in row_chunks(G.shape[0], X.shape[0]):
+                        out[rows] = capped_values(base, room, G[rows]).min(axis=1)
+                    return out
             return by_enum, "enumeration"
     except ValueError:
         pass
 
-    def by_solver(gamma):
-        return solve_robust(inst, gamma, mode="variant" if variant else "standard",
-                            config=config).value
+    def by_solver(G):
+        return np.array([solve_robust(inst, g, mode="variant" if variant else "standard",
+                                      config=config).value for g in G])
     return by_solver, "solver"
 
 
@@ -88,40 +102,48 @@ def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
                         uniform: int = 100, config: Optional[SolverConfig] = None) -> dict:
     """Sample the domain and check min-over-set robustness against the optimum.
 
-    Returns max absolute/relative gaps, the witness gamma, and the pass flag
-    (gap <= epsilon + 1e-6).  Only the solution vectors are consulted.
+    Returns max absolute/relative gaps, the witness gamma (the first point
+    with the largest gap), the pass flag (gap <= epsilon + 1e-6), and
+    ``exact``: whether the check is a proof rather than a sample.  On an
+    interval domain the gap is largest at a vertex (with the optimal pattern
+    pi fixed, it falls in gamma_k where pi_k = 1 and rises where pi_k = 0),
+    so checking every vertex against an exact reference proves the
+    guarantee.  Only the solution vectors are consulted.
     """
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    if not xs:
+    X = np.array([np.asarray(x, dtype=float) for x in xs])
+    if X.shape[0] == 0:
         raise CliError("empty solution set")
     variant = mode == "variant"
-    evaluate = robustness_value_variant if variant else robustness_value
     ref, route = _reference_fn(inst, mode, config)
     samples = [sample_gamma(omega, "grid", m=grid_m)]
-    if omega.kind != "segment" and omega.num_groups <= 20:
+    vertices = omega.kind != "segment" and omega.num_groups <= 20
+    if vertices:
         samples.append(sample_gamma(omega, "vertices"))
     if uniform > 0:
         samples.append(sample_gamma(omega, "uniform", seed=0, count=uniform))
-    worst = -np.inf
-    worst_rel = 0.0
-    witness = None
-    checked = 0
-    for gamma in np.vstack(samples):
-        best = min(evaluate(inst, x, gamma) for x in xs)
-        opt = ref(gamma)
-        gap = best - opt
-        checked += 1
-        if gap > worst:
-            worst = gap
-            witness = gamma
-        if opt > 1e-12:
-            worst_rel = max(worst_rel, gap / opt)
+    G = np.vstack(samples)
+    gap = np.empty(G.shape[0])
+    opt = np.empty(G.shape[0])
+    for rows in row_chunks(G.shape[0], X.shape[0]):
+        if variant:
+            best = np.array([min(robustness_value_variant(inst, x, g) for x in X)
+                             for g in G[rows]])
+        else:
+            best = robustness_values(inst, X, G[rows]).min(axis=1)
+        opt[rows] = ref(G[rows])
+        gap[rows] = best - opt[rows]
+    i = int(np.argmax(gap))
+    scaled = opt > 1e-12
+    worst_rel = max(0.0, float(np.max(gap[scaled] / opt[scaled]))) if scaled.any() else 0.0
+    worst = float(gap[i])
     return {
-        "max_gap": float(worst),
-        "max_relative_gap": float(worst_rel),
-        "witness_gamma": [float(v) for v in witness],
-        "checked": checked,
+        "max_gap": worst,
+        "max_relative_gap": worst_rel,
+        "witness_gamma": [float(v) for v in G[i]],
+        "checked": int(G.shape[0]),
         "reference": route,
+        "exact": bool(omega.kind == "interval" and vertices and not variant
+                      and route in ("pattern-oracle", "enumeration")),
         "epsilon": float(epsilon),
         "ok": bool(worst <= epsilon + 1e-6),
     }
@@ -386,6 +408,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_INPUT
     try:
         return args.fn(args)
+    except SolverLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

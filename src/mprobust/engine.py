@@ -23,13 +23,15 @@ argmax.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import oracle
-from .milp import MilpModel, ModelBuilder, SolverConfig, relax_binaries, solve_milp
+from .milp import (
+    INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, relax_binaries, solve_milp,
+)
 from .robust import (
     RobustSolution, TuIntegralityError, _check_certificate, _declares_tu, _repair_rho,
     cost_for_pi, solve_robust,
@@ -476,8 +478,14 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     epsilon, with ``stalled`` when the master returns an entry already
     stored while its value is still above epsilon (the residual stays in
     ``q_values``), and with ``budget_exceeded`` at the iteration or time
-    limit.  ``trace`` receives one header record, then one record per
-    iteration.
+    limit.  Every master solve gets the run's remaining time as its solver
+    time limit, and the seed solve the whole limit (or the config's own
+    limit, if smaller).  A MILP master stopped at a solver limit ends the
+    loop with its best bound, an upper bound on the remaining gap, as the
+    last q value: ``budget_exceeded``, or ``epsilon_met`` if even that bound
+    is at most epsilon.  A seed solve stopped at a limit raises
+    ``SolverLimitError``.  ``trace`` receives one header record, then one
+    record per iteration.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -488,7 +496,15 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     if mode == "tu_relaxed" and not _declares_tu(inst):
         raise ValueError("tu_relaxed requires an instance declared totally unimodular")
     budget = budget or Budget()
+    config = config or SolverConfig()
     t0 = time.monotonic()
+
+    def solver_config(start: float) -> SolverConfig:
+        """``config`` with the time left after ``start`` as its limit, if smaller."""
+        left = max(0.0, budget.time_limit - (time.monotonic() - start))
+        if config.time_limit is not None:
+            left = min(left, config.time_limit)
+        return replace(config, time_limit=left)
 
     gamma_init = np.asarray(omega.start_gamma, dtype=float)
     master = None
@@ -501,7 +517,10 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     if master is not None:
         seed = _pattern_seed(inst, master.table, gamma_init, mode)
     else:
-        seed = solve_robust(inst, gamma_init, mode=mode, config=config)
+        # every artifact needs the seed, so it gets the whole limit even
+        # after an unfinished pattern table
+        seed = solve_robust(inst, gamma_init, mode=mode,
+                            config=solver_config(time.monotonic()))
     init_value = seed.value
     history = [HistoryEntry(pi=seed.pi.copy(), rho=seed.rho.copy(),
                             x=seed.x.copy(), gamma=gamma_init,
@@ -525,25 +544,36 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         if time.monotonic() - t0 > budget.time_limit:
             break
         t_master = time.monotonic()
+        status = "optimal"
         if master is not None:
             i, vq = master.solve()
             gamma_star = master.table.gammas[i]
         else:
-            sol, kind = _solve_milp_master(inst, omega, history, mode, config)
-            vq = float(sol.objective)
-            gamma_star = _extract_gamma(inst, omega, kind, mode, sol.values)
+            sol, kind = _solve_milp_master(inst, omega, history, mode, solver_config(t0))
+            status = sol.status
+            gamma_star = (None if sol.values is None
+                          else _extract_gamma(inst, omega, kind, mode, sol.values))
+            if status == INCUMBENT_ONLY:
+                # the maximizing master's bound: no gamma in the domain has
+                # a larger gap
+                vq = np.inf if sol.best_bound is None else float(sol.best_bound)
+            else:
+                vq = float(sol.objective)
         master_s = time.monotonic() - t_master
         q_values.append(vq)
         rel_bounds.append(vq / init_value if abs(init_value) > 1e-12 else np.inf)
         if trace is not None:
             trace({"iteration": len(q_values), "q_value": vq,
-                   "gamma": [float(v) for v in gamma_star],
+                   "gamma": [] if gamma_star is None else [float(v) for v in gamma_star],
                    "distinct": len(seen_x),
                    "master": "milp" if master is None else "pattern",
+                   "status": status,
                    "master_s": master_s,
                    "elapsed": time.monotonic() - t0})
         if vq <= epsilon + STOP_TOL:
             stop_reason = "epsilon_met"
+            break
+        if status == INCUMBENT_ONLY:
             break
         if master is not None:
             entry = _pattern_entry(inst, master.table, i, vq)
@@ -599,7 +629,7 @@ def _solve_milp_master(inst, omega, history, mode, config):
     sol = solve_milp(model, config)
     if sol.status == "unbounded":
         raise RuntimeError("master problem unbounded: construction bug")
-    if sol.status != "optimal":
+    if sol.status not in ("optimal", INCUMBENT_ONLY):
         raise RuntimeError(f"master solve failed with status {sol.status}")
     return sol, kind
 

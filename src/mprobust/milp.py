@@ -44,6 +44,10 @@ class SolverNumericalError(RuntimeError):
     """Pivot breakdown or iteration blow-up; distinct from infeasible/unbounded."""
 
 
+class SolverLimitError(RuntimeError):
+    """A solve that needs a proven optimum stopped at a node or time limit."""
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -627,8 +631,9 @@ def _branch_and_bound(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
             inc_x, inc_val = x, obj
 
     if hit_limit:
-        open_bounds = [h[0] for h in heap]
-        bb = min(open_bounds) if open_bounds else inc_val
+        # the optimum is at most the incumbent, even where every open node's
+        # parent bound is above it
+        bb = min([h[0] for h in heap] + [inc_val])
         return MilpSolution(inc_x, inc_val if inc_x is not None else None,
                             INCUMBENT_ONLY, best_bound=float(bb), nodes=nodes)
     if inc_x is None:

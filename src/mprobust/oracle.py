@@ -9,13 +9,16 @@ robust values come from the closed-form evaluators.
 from __future__ import annotations
 
 import itertools
+import weakref
 from math import comb
 from typing import Optional
 
 import networkx as nx
 import numpy as np
 
-from .uncertainty import Instance, OmegaSpec, robustness_value, robustness_value_variant
+from .uncertainty import (
+    Instance, OmegaSpec, robustness_value, robustness_value_variant, row_chunks,
+)
 
 MAX_PATH_NODES = 12
 MAX_GENERIC_VARS = 24
@@ -58,6 +61,17 @@ def _sp_graph(inst: Instance) -> nx.DiGraph:
     return g
 
 
+# one arc graph per shortest-path instance; readers never write to it
+_SP_GRAPHS: "weakref.WeakKeyDictionary[Instance, nx.DiGraph]" = weakref.WeakKeyDictionary()
+
+
+def _shared_sp_graph(inst: Instance) -> nx.DiGraph:
+    g = _SP_GRAPHS.get(inst)
+    if g is None:
+        g = _SP_GRAPHS[inst] = _sp_graph(inst)
+    return g
+
+
 def enumerate_x(inst: Instance) -> np.ndarray:
     """The feasible set as a (num, n) 0-1 matrix.
 
@@ -72,7 +86,7 @@ def enumerate_x(inst: Instance) -> np.ndarray:
     if kind == "SP":
         if int(inst.metadata["num_nodes"]) > MAX_PATH_NODES:
             raise ValueError("path enumeration limited to graphs with <= 12 nodes")
-        g = _sp_graph(inst)
+        g = _shared_sp_graph(inst)
         v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
         rows = []
         for path in nx.all_simple_paths(g, v0, w0):
@@ -159,14 +173,13 @@ def nominal_minimize(inst: Instance, c, X: Optional[np.ndarray] = None):
     if kind == "SP":
         if np.any(c < 0):
             raise ValueError("Dijkstra needs nonnegative costs")
-        g = _sp_graph(inst)
-        for u, v, data in g.edges(data=True):
-            data["w"] = float(c[data["index"]])
+        g = _shared_sp_graph(inst)
+        cost = c.tolist()
         v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
-        path = nx.dijkstra_path(g, v0, w0, weight="w")
+        path = nx.dijkstra_path(g, v0, w0, weight=lambda u, v, d: cost[d["index"]])
         x = np.zeros(inst.n)
         for a, b in zip(path[:-1], path[1:]):
-            x[g.edges[a, b]["index"]] = 1.0
+            x[g[a][b]["index"]] = 1.0
         return float(c @ x), x
     if kind == "PLM":
         l = int(inst.metadata["l"])
@@ -230,6 +243,14 @@ class PiEnumerationOracle:
     def robust_value(self, gamma) -> float:
         gamma = np.asarray(gamma, dtype=float)
         return float(np.min(self.patterns @ gamma + self.nominal_values))
+
+    def robust_values(self, G) -> np.ndarray:
+        """Robust optimum at every budget row of G (S, K), in row chunks."""
+        G = np.asarray(G, dtype=float)
+        out = np.empty(G.shape[0])
+        for rows in row_chunks(G.shape[0], self.patterns.shape[0]):
+            out[rows] = np.min(G[rows] @ self.patterns.T + self.nominal_values, axis=1)
+        return out
 
     def best_solution(self, gamma):
         gamma = np.asarray(gamma, dtype=float)

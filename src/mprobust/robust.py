@@ -19,7 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .milp import MilpModel, ModelBuilder, SolverConfig, relax_binaries, solve_milp
+from .milp import (
+    INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, SolverLimitError,
+    relax_binaries, solve_milp,
+)
 from .uncertainty import (
     Instance, _check_gamma, robustness_value, robustness_value_variant,
 )
@@ -198,6 +201,9 @@ def _repair_rho(inst: Instance, pi: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _solve_or_raise(model: MilpModel, config):
     sol = solve_milp(model, config)
+    if sol.status == INCUMBENT_ONLY:
+        raise SolverLimitError("robust solve stopped at a solver limit before proving "
+                               f"optimality (best bound {sol.best_bound})")
     if sol.status != "optimal":
         raise RuntimeError(f"robust solve failed with status {sol.status}")
     return sol

@@ -9,7 +9,9 @@ vector ``gamma`` (one entry per group) the uncertain cost vector ranges over
     variant:   c_j = c_nom_j + lam_j * dev_j,  lam in [0,1]^n, sum_{P_k} lam_j <= gamma_k
 
 Worst-case cost of a fixed solution has a closed form in both cases (group
-cap / fractional knapsack); the LP forms are kept only as cross-checks.
+cap / fractional knapsack); ``robustness_values`` evaluates the standard
+form for a batch of solutions at a batch of budget vectors.  The LP forms
+are kept only as cross-checks.
 
 Budget vectors are plain numpy arrays of length K (no wrapper class).
 """
@@ -25,6 +27,7 @@ import numpy as np
 from .milp import EQ, GE, LE, MilpModel, ModelBuilder, SolverConfig, solve_milp
 
 MEMBERSHIP_TOL = 1e-9
+CHUNK_ELEMS = 1 << 18       # float64 entries per temporary of the batched evaluators
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +235,48 @@ def robustness_value(inst: Instance, x, gamma) -> float:
         room = float(inst.deviations[idx] @ x[idx])
         total += min(gamma[k], room)
     return total
+
+
+def group_deviations(inst: Instance) -> np.ndarray:
+    """(n, K) matrix whose column k holds the deviations of group k's indices."""
+    M = np.zeros((inst.n, inst.num_groups))
+    for k, g in enumerate(inst.groups):
+        idx = list(g)
+        M[idx, k] = inst.deviations[idx]
+    return M
+
+
+def capped_values(base: np.ndarray, room: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``base[h] + sum_k min(G[s, k], room[h, k])`` as an (S, H) array.
+
+    ``base`` (H,) and ``room`` (H, K) describe H solutions; summing group by
+    group keeps every temporary at the output's size.
+    """
+    out = np.broadcast_to(base, (G.shape[0], base.shape[0])).copy()
+    for k in range(G.shape[1]):
+        out += np.minimum(G[:, k, None], room[None, :, k])
+    return out
+
+
+def row_chunks(rows: int, width: int):
+    """Slices of ``range(rows)`` whose (chunk, width) float arrays stay near 2 MB."""
+    step = max(1, CHUNK_ELEMS // max(1, width))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def robustness_values(inst: Instance, X, G) -> np.ndarray:
+    """Worst-case cost of every row of X (H, n) at every budget row of G (S, K).
+
+    Returns an (S, H) array; entry (s, h) equals
+    ``robustness_value(inst, X[h], G[s])`` up to summation order.
+    """
+    X = np.asarray(X, dtype=float)
+    G = np.asarray(G, dtype=float)
+    if X.ndim != 2 or X.shape[1] != inst.n:
+        raise ValueError(f"X has shape {X.shape}, expected (H, {inst.n})")
+    if G.ndim != 2 or G.shape[1] != inst.num_groups:
+        raise ValueError(f"G has shape {G.shape}, expected (S, {inst.num_groups})")
+    return capped_values(X @ inst.c_lower, X @ group_deviations(inst), G)
 
 
 def robustness_value_variant(inst: Instance, x, gamma) -> float:

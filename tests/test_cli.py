@@ -141,6 +141,8 @@ def test_verify_pass_and_negative_control(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert report["max_gap"] <= 1e-6
+    # an interval domain with every vertex against the pattern oracle: a proof
+    assert report["exact"] is True
 
     # tampering: drop one needed solution, keep only the expensive safe one
     d = load_json(res)
@@ -150,6 +152,7 @@ def test_verify_pass_and_negative_control(tmp_path, capsys):
     assert run_cli("verify", "--result", tampered) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
+    assert report["exact"] is True
     assert report["max_gap"] > 1.0  # 11.5 vs 10.0 at gamma = 0
     assert len(report["witness_gamma"]) == 3
 
@@ -166,6 +169,8 @@ def test_verify_on_sp_run(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert report["reference"] == "pattern-oracle"
+    # a budgeted domain's sampled vertices are not all of its vertices
+    assert report["exact"] is False
     rel_eps = load_json(res)["epsilon"]
     assert report["max_gap"] <= rel_eps + 1e-6
 
@@ -291,3 +296,104 @@ def test_run_stalled_exit_code(tmp_path):
     assert len(d["q_values"]) == 2 and d["q_values"][-1] > 0
     assert d["q_values"][-1] == d["q_values"][0]
     assert len(trace.read_text().splitlines()) == 3
+
+
+def _verify_cases():
+    """(instance, domain, solution set, epsilon) for the verify agreement test."""
+    from mprobust.engine import run_aq
+    from mprobust.generators import (
+        PartitionScheme, SpParams, apply_partition, build_omega, gen_sp,
+    )
+    from mprobust.oracle import toy_instance
+    from mprobust.robust import solve_robust
+
+    # the shapes of the acceptance SP batch
+    sizes = [8, 10, 12, 8, 10, 12, 8, 10, 12, 10]
+    deltas = [0.0, 0.5, 1.0] * 3 + [0.0]
+    for seed, (nv, delta) in enumerate(zip(sizes, deltas)):
+        inst = apply_partition(gen_sp(SpParams(nv, seed=seed)),
+                               PartitionScheme("d", 3), seed=seed)
+        omega = build_omega(inst, "interval", delta=delta)
+        eps = 0.01 * solve_robust(inst, omega.start_gamma).value
+        yield inst, omega, run_aq(inst, omega, epsilon=eps).solutions(), eps
+    for n in (2, 3, 4):
+        inst, omega1, omega2 = toy_instance(n)
+        for omega in (omega1, omega2):
+            xs = run_aq(inst, omega, epsilon=0.0).solutions()
+            yield inst, omega, xs, 0.0
+            yield inst, omega, xs[-1:], 0.0          # a set too small: gaps > 0
+    inst = apply_partition(gen_sp(SpParams(12, seed=3)), PartitionScheme("d", 3), seed=3)
+    omega = build_omega(inst, "budgeted", delta=1.0, beta1=0.5, beta2=1.0)
+    eps = 0.01 * solve_robust(inst, omega.start_gamma).value
+    yield inst, omega, run_aq(inst, omega, epsilon=eps).solutions(), eps
+
+
+def test_verify_batched_agrees_with_scalar_loop():
+    """The batched report equals a point-by-point loop over the same samples."""
+    from mprobust.cli import verify_solution_set
+    from mprobust.oracle import PiEnumerationOracle, robustness_matrix
+    from mprobust.uncertainty import sample_gamma
+
+    cases = failing = 0
+    for inst, omega, xs, eps in _verify_cases():
+        report = verify_solution_set(inst, omega, xs, eps)
+        oracle = PiEnumerationOracle(inst)
+        X = np.asarray(xs, dtype=float)
+        points = [sample_gamma(omega, "grid", m=5)]
+        if omega.kind != "segment":
+            points.append(sample_gamma(omega, "vertices"))
+        points.append(sample_gamma(omega, "uniform", seed=0, count=100))
+        worst, witness, checked = -np.inf, None, 0
+        for gamma in np.vstack(points):
+            gap = float(robustness_matrix(inst, X, gamma).min()) - oracle.robust_value(gamma)
+            checked += 1
+            if gap > worst:
+                worst, witness = gap, gamma
+        assert report["reference"] == "pattern-oracle"
+        assert report["checked"] == checked
+        assert report["ok"] is bool(worst <= eps + 1e-6)
+        assert report["witness_gamma"] == [float(v) for v in witness]
+        assert report["max_gap"] == pytest.approx(worst, abs=1e-9)
+        assert report["exact"] is (omega.kind == "interval")
+        cases += 1
+        failing += not report["ok"]
+    assert cases == 10 + 12 + 1 and failing > 0
+
+
+def test_run_solver_limit_exit_code(tmp_path, capsys):
+    """Solver limits end `run` with exit code 2, never a traceback."""
+    from dataclasses import replace
+
+    from mprobust.milp import _BACKENDS, SolverConfig, register_backend
+
+    inner = _BACKENDS[SolverConfig().backend]
+    register_backend("node3", lambda model, cfg: inner(model, replace(cfg, node_limit=3)))
+    register_backend("seedcap", lambda model, cfg: inner(
+        model, replace(cfg, node_limit=0) if model.name == "robust" else cfg))
+    sp = tmp_path / "sp.json"
+    run_cli("generate", "sp", "--nodes", 20, "--seed", 0, "--partition", "r",
+            "--k", 4, "--out", sp)
+    try:
+        # the master stops at the node limit: partial artifacts and its bound
+        out, trace = tmp_path / "res.json", tmp_path / "trace.jsonl"
+        code = run_cli("run", "--instance", sp, "--omega", "segment", "--epsilon", 0,
+                       "--backend", "node3", "--trace", trace, "--out", out)
+        assert code == 2
+        d = load_json(out)
+        assert d["stop_reason"] == "budget_exceeded"
+        last = json.loads(trace.read_text().splitlines()[-1])
+        assert last["status"] == "incumbent_only"
+        assert d["q_values"][-1] == last["q_value"] > 0
+        assert len(d["q_values"]) == d["iterations"]
+        # a seed solve at a limit: one line on stderr, no result
+        capsys.readouterr()
+        seed_out = tmp_path / "seed.json"
+        code = run_cli("run", "--instance", sp, "--omega", "segment", "--epsilon-pct", 1,
+                       "--backend", "seedcap", "--out", seed_out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not seed_out.exists()
+    finally:
+        _BACKENDS.pop("node3", None)
+        _BACKENDS.pop("seedcap", None)

@@ -534,3 +534,51 @@ def test_run_aq_validation():
         run_aq(inst, omega1, epsilon=0.0, mode="weird")
     with pytest.raises(ValueError):
         run_aq(inst, OmegaSpec.interval([0.0], [1.0]), epsilon=0.0)
+
+def _sampled_segment_gap(inst, omega, res):
+    """Largest gap of the stored set over 201 points of a segment domain."""
+    from mprobust.oracle import PiEnumerationOracle
+    from mprobust.uncertainty import robustness_values
+
+    G = sample_gamma(omega, "grid", m=201)
+    best = robustness_values(inst, np.asarray(res.solutions()), G).min(axis=1)
+    return float(np.max(best - PiEnumerationOracle(inst).robust_values(G)))
+
+
+def test_master_at_node_limit_stops_with_its_bound():
+    """A MILP master cut by a node limit ends the run with a certified bound."""
+    from mprobust.milp import SolverConfig
+
+    inst = apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", 4), seed=0)
+    omega = build_omega(inst, "segment")
+    records = []
+    res = run_aq(inst, omega, epsilon=0.0, config=SolverConfig(node_limit=3),
+                 trace=records.append)
+    assert res.stop_reason == "budget_exceeded"
+    assert records[-1]["status"] == "incumbent_only"
+    assert records[-1]["q_value"] == res.q_values[-1]
+    assert res.q_values[-1] > 0
+    assert _sampled_segment_gap(inst, omega, res) <= res.q_values[-1] + 1e-9
+
+
+def test_time_limit_reaches_the_solver():
+    """The run's remaining time cuts a running master, not only the loop."""
+    import time
+
+    inst = apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", 6), seed=0)
+    omega = build_omega(inst, "segment")
+    t0 = time.monotonic()
+    res = run_aq(inst, omega, epsilon=0.0, budget=Budget(time_limit=0.5))
+    elapsed = time.monotonic() - t0
+    assert res.stop_reason == "budget_exceeded"
+    assert elapsed <= 0.5 + 0.4
+    assert _sampled_segment_gap(inst, omega, res) <= res.q_values[-1] + 1e-9
+
+
+def test_seed_at_solver_limit_raises_typed_error():
+    from mprobust.milp import SolverConfig, SolverLimitError
+
+    inst = apply_partition(gen_sp(SpParams(12, seed=0)), PartitionScheme("r", 3), seed=0)
+    with pytest.raises(SolverLimitError):
+        run_aq(inst, build_omega(inst, "segment"), epsilon=0.0,
+               config=SolverConfig(node_limit=0))

@@ -187,6 +187,23 @@ def test_node_limit_incumbent_only():
         assert sol.status in ("optimal", "infeasible")
 
 
+def test_node_limit_bound_brackets_optimum():
+    """At every node limit the bundled B&B's incumbent and bound bracket the
+    optimum, also when every open node is worse than the incumbent."""
+    for seed in range(8):
+        model = random_milp(np.random.default_rng(seed), n_bin=8, n_cont=2, m=5)
+        full = solve_milp(model)
+        if full.status != "optimal":
+            continue
+        for limit in range(1, full.nodes + 1):
+            cut = solve_milp(model, SolverConfig(node_limit=limit))
+            if cut.status != "incumbent_only" or cut.objective is None:
+                continue
+            lo, hi = ((cut.objective, cut.best_bound) if model.maximize
+                      else (cut.best_bound, cut.objective))
+            assert lo - 1e-9 <= full.objective <= hi + 1e-9
+
+
 def test_node_limit_incumbent_only_scipy():
     rng = np.random.default_rng(97)
     model = random_milp(rng, n_bin=10, n_cont=2, m=6)

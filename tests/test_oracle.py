@@ -187,3 +187,37 @@ def test_piecewise_f_properties_random():
                 left = piecewise_f(gamma, u, v, max(p - 1e-9, 0.0))
                 right = piecewise_f(gamma, u, v, p + 1e-9)
                 assert abs(left - right) <= 1e-6
+
+
+def test_sp_graph_built_once_per_instance(monkeypatch):
+    """The pattern oracle and the pattern master share one arc graph."""
+    from mprobust import oracle
+    from mprobust.engine import run_aq
+    from mprobust.generators import (
+        PartitionScheme, SpParams, apply_partition, build_omega, gen_sp,
+    )
+
+    builds = []
+    inner = oracle._sp_graph
+
+    def counted(inst):
+        builds.append(inst)
+        return inner(inst)
+
+    monkeypatch.setattr(oracle, "_sp_graph", counted)
+    inst = apply_partition(gen_sp(SpParams(10, seed=4)), PartitionScheme("r", 3), seed=4)
+    omega = build_omega(inst, "interval", delta=0.5)
+    ref = PiEnumerationOracle(inst)
+    res = run_aq(inst, omega, epsilon=0.0)
+    assert res.stop_reason == "epsilon_met"
+    assert len(builds) == 1 and builds[0] is inst
+    # the shared graph carries no costs, so the two agree on every pattern
+    X = enumerate_x(inst)
+    for gamma in sample_gamma(omega, "vertices"):
+        want, _ = brute_robust(inst, gamma, X=X)
+        assert ref.robust_value(gamma) == pytest.approx(want, abs=1e-9)
+    assert len(builds) == 1
+    # another instance gets its own graph
+    other = apply_partition(gen_sp(SpParams(10, seed=5)), PartitionScheme("r", 3), seed=5)
+    nominal_minimize(other, other.c_lower)
+    assert len(builds) == 2 and builds[1] is other

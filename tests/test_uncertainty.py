@@ -9,7 +9,7 @@ from mprobust.milp import solve_lp
 from mprobust.oracle import toy_instance
 from mprobust.uncertainty import (
     Instance, OmegaSpec, build_dw_lp, build_w_lp, contains,
-    robustness_value, robustness_value_variant, sample_gamma,
+    robustness_value, robustness_value_variant, robustness_values, sample_gamma,
     solution_signature, verify_feasible, worst_case_cost_vector,
 )
 
@@ -113,6 +113,53 @@ def test_monotonicity_property(bits, g1, extra):
     hi = lo + np.array(extra)
     assert robustness_value(inst, x, lo) <= robustness_value(inst, x, hi) + 1e-12
     assert robustness_value_variant(inst, x, lo) <= robustness_value_variant(inst, x, hi) + 1e-12
+
+
+@st.composite
+def _batched_case(draw):
+    """(instance, X, G): groups cover some indices, the rest deviate by 0."""
+    n = draw(st.integers(1, 7))
+    K = draw(st.integers(1, min(3, n)))
+    # index j goes to group owner[j], or to no group when owner[j] == K
+    owner = draw(st.lists(st.integers(0, K), min_size=n, max_size=n))
+    owner[:K] = range(K)                  # every group is nonempty
+    owner = draw(st.permutations(owner))
+    money = st.floats(0, 10, allow_nan=False)
+    c = draw(st.lists(money, min_size=n, max_size=n))
+    dev = [d if k < K else 0.0
+           for d, k in zip(draw(st.lists(money, min_size=n, max_size=n)), owner)]
+    inst = Instance(
+        c_lower=np.array(c), deviations=np.array(dev),
+        groups=tuple(tuple(j for j in range(n) if owner[j] == k) for k in range(K)),
+        x_coeffs=np.zeros((0, n)), x_senses=np.zeros(0, dtype=np.int8),
+        x_rhs=np.zeros(0))
+    H = draw(st.integers(1, 4))
+    X = [[0] * n] + [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+                     for _ in range(H - 1)]
+    S = draw(st.integers(1, 5))
+    G = [[0.0] * K] + [draw(st.lists(st.floats(0, 20, allow_nan=False),
+                                     min_size=K, max_size=K)) for _ in range(S - 1)]
+    return inst, np.array(X, dtype=float), np.array(G)
+
+
+@given(case=_batched_case())
+@settings(max_examples=80, deadline=None)
+def test_robustness_values_matches_scalar(case):
+    inst, X, G = case
+    got = robustness_values(inst, X, G)
+    assert got.shape == (G.shape[0], X.shape[0])
+    for s, gamma in enumerate(G):
+        for h, x in enumerate(X):
+            want = robustness_value(inst, x, gamma)
+            assert got[s, h] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_robustness_values_shape_checks():
+    inst, _, _ = toy_instance(2)
+    with pytest.raises(ValueError):
+        robustness_values(inst, np.ones(3), np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        robustness_values(inst, np.eye(3), np.zeros((1, 2)))
 
 
 def test_worst_case_cost_vector_replay():
