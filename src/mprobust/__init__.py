@@ -13,7 +13,7 @@ from .milp import (
     LE, EQ, GE,
     MilpModel, ModelBuilder, MilpSolution, SolverConfig,
     ModelError, SolverLimitError, SolverNumericalError,
-    solve_lp, solve_milp, relax_binaries, register_backend, submit,
+    solve_lp, solve_milp, relax_binaries, register_backend,
     write_mps, mps_string,
 )
 from .uncertainty import (
@@ -47,7 +47,7 @@ __all__ = [
     "LE", "EQ", "GE",
     "MilpModel", "ModelBuilder", "MilpSolution", "SolverConfig",
     "ModelError", "SolverLimitError", "SolverNumericalError",
-    "solve_lp", "solve_milp", "relax_binaries", "register_backend", "submit",
+    "solve_lp", "solve_milp", "relax_binaries", "register_backend",
     "write_mps", "mps_string",
     "Instance", "OmegaSpec",
     "robustness_value", "robustness_value_variant", "robustness_values",

@@ -5,7 +5,9 @@ Exit codes: 0 ok, 2 iteration/time budget or solver limit reached (a
 master stopped at a limit keeps the partial artifacts, its bound is the last
 q value; a seed solve stopped at a limit leaves no result), 3 verification
 failed, 4 bad input, 5 the loop stalled on a repeated entry above epsilon
-(artifacts are kept; the residual is the last q value).
+(artifacts are kept; the residual is the last q value), 6 solver fault (a
+backend returned a point that violates a row, or a relaxed solve on an
+instance declared totally unimodular returned a fractional x; no result).
 The default solver backend can be overridden with the MPROBUST_BACKEND
 environment variable or --backend.
 """
@@ -27,12 +29,14 @@ from .generators import (
     PartitionScheme, PlmParams, SpParams, apply_partition, build_omega,
     gen_plm, gen_sp,
 )
-from .milp import SolverConfig, SolverLimitError, write_mps
+from .milp import SolverConfig, SolverLimitError, SolverNumericalError, write_mps
 from .oracle import (
     MAX_ENUM, PiEnumerationOracle, enumerate_x, has_structural_nominal, robustness_matrix,
     toy_instance,
 )
-from .robust import build_robust_milp, build_robust_variant_milp, solve_robust
+from .robust import (
+    TuIntegralityError, build_robust_milp, build_robust_variant_milp, solve_robust,
+)
 from .serialize import (
     dumps_canonical, instance_from_dict, instance_to_dict, load_json,
     omega_from_dict, omega_to_dict, result_from_dict, result_to_dict, save_json,
@@ -49,6 +53,7 @@ EXIT_BUDGET = 2
 EXIT_VERIFY = 3
 EXIT_BAD_INPUT = 4
 EXIT_STALLED = 5
+EXIT_SOLVER_FAULT = 6
 
 _RUN_EXIT = {"epsilon_met": EXIT_OK, "budget_exceeded": EXIT_BUDGET,
              "stalled": EXIT_STALLED}
@@ -234,7 +239,7 @@ def cmd_run(args) -> int:
                   else build_robust_milp)(inst, omega.start_gamma)
         write_mps(rmodel, outdir / "r_init.mps")
         from .engine import _build_master
-        qmodel, _ = _build_master(inst, omega, res.history, args.mode)
+        qmodel = _build_master(inst, omega, res.history, args.mode)
         write_mps(qmodel, outdir / "q_final.mps")
     print(f"stop={res.stop_reason} iterations={res.iterations} "
           f"distinct={res.num_distinct} first_bound_pct={res.first_bound_pct:.1f} "
@@ -411,6 +416,9 @@ def main(argv=None) -> int:
     except SolverLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (SolverNumericalError, TuIntegralityError) as exc:
+        print(f"solver fault: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAULT
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -8,16 +8,20 @@ certificate.  The master's optimum is itself a robust solution for the
 gamma it returns, so each iteration appends one certified entry; the loop
 stops once the certified worst-case gap drops to epsilon.
 
-Master variants: one generic build that embeds the domain linearly, plus
-the specialized forms (pure 0-1 master for interval domains, scalar-alpha
-master for segments, slack-budget master for budgeted domains, and the
-selector-variable master for the fractional uncertainty variant).  On an
-interval domain with few enough groups (see ``uses_pattern_master``) the
-0-1 master is replaced by the pattern master: once the activation pattern
-pi is fixed, the interval master's optimum is ``min_e [const_e + pi_e .
-gamma(pi)] - L . pi - nom(c(pi))``, and ``nom(c(pi))`` does not depend on
-the history, so 2^K nominal solves per run turn every master into a numpy
-argmax.
+Masters, one per domain kind: a pure 0-1 master for interval domains, a
+scalar-alpha master for segments, a slack-budget master for budgeted
+domains, and the selector-variable master for the fractional uncertainty
+variant (any domain).  ``build_q_general``, which embeds any linear domain,
+is kept as a cross-check for the specialized forms; the loop never builds
+it.  Every master names its column blocks, and one certificate reader
+(``robust.read_certificate``) turns a solved master into the next entry.
+
+On an interval domain with few enough groups (see ``uses_pattern_master``)
+the 0-1 master is replaced by the pattern master: once the activation
+pattern pi is fixed, the interval master's optimum is ``min_e [const_e +
+pi_e . gamma(pi)] - L . pi - nom(c(pi))``, and ``nom(c(pi))`` does not
+depend on the history, so the pattern oracle's table of 2^K nominal solves
+(``oracle.PiEnumerationOracle``) turns every master into a numpy argmax.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import oracle
 from .milp import (
-    INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, relax_binaries, solve_milp,
+    INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, SolverLimitError, solve_milp,
 )
+from .oracle import PATTERN_MAX_K, PiEnumerationOracle
 from .robust import (
-    RobustSolution, TuIntegralityError, _check_certificate, _declares_tu, _repair_rho,
-    cost_for_pi, solve_robust,
+    MODES, RobustSolution, _check_certificate, _declares_tu, _repair_rho,
+    add_selector_rows, add_standard_certificate, add_variant_certificate,
+    read_certificate, relax_rho_x, solve_robust,
 )
 from .uncertainty import (
     Instance, OmegaSpec, robustness_value, robustness_value_variant,
@@ -42,13 +47,6 @@ from .uncertainty import (
 )
 
 STOP_TOL = 1e-9
-
-# Largest group count served by the pattern master, which pays 2^K nominal
-# solves up front; above it the interval master stays a MILP.  Measured
-# against the MILP master on shortest-path instances (CHANGES.md): with
-# Dijkstra as the nominal solver the pattern master still won at K = 16,
-# the pattern oracle's own limit.
-PATTERN_MAX_K = 16
 
 # Instance kinds whose nominal problem the pattern table solves with
 # ``oracle.nominal_minimize`` at a measured cost: Dijkstra on shortest-path
@@ -137,37 +135,27 @@ def _require_history(history) -> list:
 
 
 def _std_blocks(b: ModelBuilder, inst: Instance, pi_obj=None):
-    """pi, rho, x binaries with coupling and feasible-set rows."""
-    pi = [b.add_binary(f"pi{k}",
-                       obj=0.0 if pi_obj is None else -float(pi_obj[k]))
-          for k in range(inst.num_groups)]
-    cov = inst.covered
-    rho = {int(j): b.add_binary(f"rho{j}", obj=-float(inst.deviations[j])) for j in cov}
-    x = [b.add_binary(f"x{j}", obj=-float(inst.c_lower[j])) for j in range(inst.n)]
-    for i in range(inst.x_coeffs.shape[0]):
-        coeffs = {x[j]: float(inst.x_coeffs[i, j])
-                  for j in np.flatnonzero(inst.x_coeffs[i])}
-        b.add_row(coeffs, int(inst.x_senses[i]), float(inst.x_rhs[i]))
-    for k, g in enumerate(inst.groups):
-        for j in g:
-            b.add_row({pi[k]: 1.0, rho[j]: 1.0, x[j]: -1.0}, ">=", 0.0)
-    return pi, rho, x
+    """The candidate's certificate in a maximizing master: the robust
+    counterpart's columns and rows with its objective negated (pi pays
+    ``-pi_obj``, nothing if None)."""
+    pi_cost = np.zeros(inst.num_groups) if pi_obj is None else -pi_obj
+    return add_standard_certificate(b, inst, pi_cost, -inst.deviations, -inst.c_lower)
 
 
 def _omega_gamma_block(b: ModelBuilder, omega: OmegaSpec):
-    """Continuous gamma variables constrained to the domain; returns indices."""
+    """Continuous gamma variables (block ``gamma``) constrained to the domain."""
     K = omega.num_groups
     U = omega.upper_bound
     if omega.kind == "interval":
-        return [b.add_continuous(f"g{k}", float(omega.lower[k]), float(U[k]))
+        return [b.add_continuous(f"g{k}", float(omega.lower[k]), float(U[k]), block="gamma")
                 for k in range(K)]
     if omega.kind == "segment":
-        gam = [b.add_continuous(f"g{k}", 0.0, float(U[k])) for k in range(K)]
+        gam = [b.add_continuous(f"g{k}", 0.0, float(U[k]), block="gamma") for k in range(K)]
         a = b.add_continuous("alpha", omega.alpha_lo, omega.alpha_hi)
         for k in range(K):
             b.add_row({gam[k]: 1.0, a: -float(omega.gamma0[k])}, "==", 0.0)
         return gam
-    gam = [b.add_continuous(f"g{k}", float(omega.gamma_base[k]), float(U[k]))
+    gam = [b.add_continuous(f"g{k}", float(omega.gamma_base[k]), float(U[k]), block="gamma")
            for k in range(K)]
     b.add_row({g: 1.0 for g in gam}, "<=",
               float(omega.gamma_base.sum() + omega.budget))
@@ -175,7 +163,10 @@ def _omega_gamma_block(b: ModelBuilder, omega: OmegaSpec):
 
 
 def build_q_general(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
-    """Generic master over (sigma, gamma, w, pi, rho, x) for any linear domain."""
+    """Generic master over (sigma, gamma, w, pi, rho, x) for any linear domain.
+
+    The loop never builds it: it cross-checks the specialized masters.
+    """
     history = _require_history(history)
     U = omega.upper_bound
     b = ModelBuilder("q_general")
@@ -224,7 +215,7 @@ def build_q_segment(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     ah = omega.alpha_hi
     b = ModelBuilder("q_segment")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    a = b.add_continuous("alpha", omega.alpha_lo, omega.alpha_hi)
+    a = b.add_continuous("alpha", omega.alpha_lo, omega.alpha_hi, block="alpha")
     w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
          for k in range(inst.num_groups)]
     pi, rho, x = _std_blocks(b, inst)
@@ -249,7 +240,7 @@ def build_q_budgeted(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     UB = base + spread
     b = ModelBuilder("q_budgeted")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    beta = [b.add_continuous(f"b{k}", 0.0, float(spread[k]))
+    beta = [b.add_continuous(f"b{k}", 0.0, float(spread[k]), block="beta")
             for k in range(inst.num_groups)]
     w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
          for k in range(inst.num_groups)]
@@ -283,14 +274,8 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     gam = _omega_gamma_block(b, omega)
     z = {j: b.add_continuous(f"z{j}", 0.0, np.inf, obj=-float(inst.deviations[j]))
          for j in cov}
-    w = {j: b.add_binary(f"w{j}") for j in cov}
-    alpha = {j: b.add_binary(f"a{j}") for j in cov}
-    rho = {j: b.add_continuous(f"rho{j}", 0.0, np.inf, obj=-1.0) for j in cov}
-    x = [b.add_binary(f"x{j}", obj=-float(inst.c_lower[j])) for j in range(inst.n)]
-    for i in range(inst.x_coeffs.shape[0]):
-        coeffs = {x[j]: float(inst.x_coeffs[i, j])
-                  for j in np.flatnonzero(inst.x_coeffs[i])}
-        b.add_row(coeffs, int(inst.x_senses[i]), float(inst.x_rhs[i]))
+    w, alpha, rho, x = add_variant_certificate(b, inst, np.zeros(inst.n),
+                                               -np.ones(inst.n), -inst.c_lower)
     for e in history:
         row = {sigma: 1.0}
         for k in range(inst.num_groups):
@@ -300,151 +285,56 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     for j in cov:
         k = kof[j]
         b.add_row({z[j]: 1.0, gam[k]: -1.0, w[j]: -float(U[k])}, ">=", -float(U[k]))
-    for k, g in enumerate(inst.groups):
-        wsum = {w[j]: float(inst.deviations[j]) for j in g}
-        for j in g:
-            row = dict(wsum)
-            row[rho[j]] = row.get(rho[j], 0.0) + 1.0
-            row[x[j]] = row.get(x[j], 0.0) - float(inst.deviations[j])
-            b.add_row(row, ">=", 0.0)
-        b.add_row({alpha[j]: 1.0 for j in g}, "<=", 1.0)
-    for j in cov:
-        b.add_row({w[j]: 1.0, alpha[j]: -1.0, x[j]: -1.0}, ">=", -1.0)
+    add_selector_rows(b, inst, w, alpha, rho, x)
     return b.build(maximize=True)
 
 
-# ---------------------------------------------------------------------------
-# layouts for extracting the master optimum
-# ---------------------------------------------------------------------------
-
-def _extract_standard(inst: Instance, omega: OmegaSpec, kind: str, values):
-    """Returns (gamma, pi, rho_full, x) from a solved standard master."""
-    K = inst.num_groups
-    cov = inst.covered
-    nc = cov.size
-    if kind == "interval":
-        pi = values[1:1 + K]
-        rest = values[1 + K:]
-        gamma = omega.lower * np.round(pi) + omega.upper * (1.0 - np.round(pi))
-    elif kind == "segment":
-        a = values[1]
-        pi = values[2 + K:2 + 2 * K]
-        rest = values[2 + 2 * K:]
-        gamma = a * omega.gamma0
-    elif kind == "budgeted":
-        beta = values[1:1 + K]
-        pi = values[1 + 2 * K:1 + 3 * K]
-        rest = values[1 + 3 * K:]
-        gamma = omega.gamma_base + beta
-    else:  # general layout
-        aux = 1 if omega.kind == "segment" else 0
-        gamma = values[1:1 + K].copy()
-        pi = values[1 + K + aux + K:1 + K + aux + 2 * K]
-        rest = values[1 + K + aux + 2 * K:]
-    rho = np.zeros(inst.n)
-    rho[cov] = rest[:nc]
-    x = rest[nc:nc + inst.n]
-    return np.asarray(gamma, dtype=float), pi, rho, x
-
-
-def _extract_variant(inst: Instance, omega: OmegaSpec, values):
-    K = inst.num_groups
-    aux = 1 if omega.kind == "segment" else 0
-    cov = inst.covered
-    nc = cov.size
-    off = 1 + K + aux
-    gamma = values[1:1 + K].copy()
-    z = values[off:off + nc]
-    w = np.zeros(inst.n)
-    w[cov] = values[off + nc:off + 2 * nc]
-    alpha = np.zeros(inst.n)
-    alpha[cov] = values[off + 2 * nc:off + 3 * nc]
-    rho = np.zeros(inst.n)
-    rho[cov] = values[off + 3 * nc:off + 4 * nc]
-    x = values[off + 4 * nc:off + 4 * nc + inst.n]
-    return gamma, w, alpha, rho, x
-
-
-_STANDARD_BUILDERS = {
+_MASTER_BUILDERS = {
     "interval": build_q_interval,
     "segment": build_q_segment,
     "budgeted": build_q_budgeted,
 }
 
 
+def _master_gamma(omega: OmegaSpec, mode: str, model: MilpModel, values) -> np.ndarray:
+    """The budget vector a solved master picks, read from its blocks."""
+    if mode == "variant":
+        return values[model.blocks["gamma"]]
+    if omega.kind == "interval":
+        pi = np.round(values[model.blocks["pi"]])
+        return omega.lower * pi + omega.upper * (1.0 - pi)
+    if omega.kind == "segment":
+        return values[model.blocks["alpha"]][0] * omega.gamma0
+    return omega.gamma_base + values[model.blocks["beta"]]
+
+
 # ---------------------------------------------------------------------------
 # pattern master (interval domains)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PatternTable:
-    """The 2^K activation patterns of an interval domain and their nominal optima.
-
-    Row i holds pattern ``patterns[i]`` (the ordering of
-    ``itertools.product((0, 1), repeat=K)``), its domain vertex
-    ``gammas[i] = L*pi + U*(1-pi)``, the nominal optimum ``nominal[i]`` of
-    ``c(pi)`` with its solution ``solutions[i]``, and ``own[i] = L.pi +
-    nominal[i]``, the robust optimum at that vertex.
-    """
-
-    patterns: np.ndarray        # (P, K) 0-1 floats
-    gammas: np.ndarray          # (P, K)
-    nominal: np.ndarray         # (P,)
-    solutions: np.ndarray       # (P, n) uint8
-    own: np.ndarray             # (P,)
-    build_s: float
-
-    @property
-    def size(self) -> int:
-        return self.patterns.shape[0]
-
-
-def build_pattern_table(inst: Instance, omega: OmegaSpec,
-                        deadline: Optional[float] = None) -> Optional[PatternTable]:
-    """One nominal solve per activation pattern of an interval domain.
-
-    Returns None once ``time.monotonic()`` passes ``deadline`` before the
-    table is complete.
-    """
-    if omega.kind != "interval":
-        raise ValueError("pattern table needs an interval domain")
-    t0 = time.monotonic()
-    K = inst.num_groups
-    P = 1 << K
-    bits = np.arange(K - 1, -1, -1)
-    patterns = ((np.arange(P)[:, None] >> bits) & 1).astype(float)
-    gammas = omega.lower * patterns + omega.upper * (1.0 - patterns)
-    nominal = np.empty(P)
-    solutions = np.empty((P, inst.n), dtype=np.uint8)
-    for i in range(P):
-        if deadline is not None and time.monotonic() > deadline:
-            return None
-        nominal[i], x = oracle.nominal_minimize(inst, cost_for_pi(inst, patterns[i]))
-        solutions[i] = np.round(x)
-    own = patterns @ omega.lower + nominal
-    return PatternTable(patterns=patterns, gammas=gammas, nominal=nominal,
-                        solutions=solutions, own=own, build_s=time.monotonic() - t0)
-
-
 class PatternMaster:
-    """Interval master over a pattern table: Q(pi) = best(pi) - own(pi).
+    """Interval master over the pattern oracle's table: Q(pi) = best(pi) - own(pi).
 
-    ``best[i]`` is the smallest certified value any stored entry reaches at
-    vertex i; each new entry lowers it in O(2^K K).
+    Pattern i has the domain vertex ``gammas[i] = L*pi + U*(1-pi)`` and the
+    robust optimum ``own[i] = L.pi + N[pi]`` there.  ``best[i]`` is the
+    smallest certified value any stored entry reaches at vertex i; each new
+    entry lowers it in O(2^K K).
     """
 
-    def __init__(self, inst: Instance, table: PatternTable):
+    def __init__(self, inst: Instance, omega: OmegaSpec, table: PiEnumerationOracle):
         self.inst = inst
         self.table = table
-        self.best = np.full(table.size, np.inf)
+        self.gammas = omega.lower * table.patterns + omega.upper * (1.0 - table.patterns)
+        self.own = table.patterns @ omega.lower + table.nominal_values
+        self.best = np.full(table.patterns.shape[0], np.inf)
 
     def add(self, e: HistoryEntry) -> None:
-        np.minimum(self.best, _entry_const(self.inst, e) + self.table.gammas @ e.pi,
+        np.minimum(self.best, _entry_const(self.inst, e) + self.gammas @ e.pi,
                    out=self.best)
 
     def solve(self) -> tuple:
         """(pattern index, master value); ties go to the first index."""
-        q = self.best - self.table.own
+        q = self.best - self.own
         i = int(np.argmax(q))
         return i, float(q[i])
 
@@ -491,7 +381,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         raise ValueError("epsilon must be nonnegative")
     if inst.num_groups != omega.num_groups:
         raise ValueError("omega dimension does not match the instance groups")
-    if mode not in ("standard", "tu_relaxed", "variant"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "tu_relaxed" and not _declares_tu(inst):
         raise ValueError("tu_relaxed requires an instance declared totally unimodular")
@@ -499,28 +389,21 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     config = config or SolverConfig()
     t0 = time.monotonic()
 
-    def solver_config(start: float) -> SolverConfig:
-        """``config`` with the time left after ``start`` as its limit, if smaller."""
-        left = max(0.0, budget.time_limit - (time.monotonic() - start))
-        if config.time_limit is not None:
-            left = min(left, config.time_limit)
-        return replace(config, time_limit=left)
-
     gamma_init = np.asarray(omega.start_gamma, dtype=float)
     master = None
     if uses_pattern_master(inst, omega, mode):
-        # a table left unfinished at the time limit falls back to the MILP
-        # seed, after which the loop stops on the limit
-        table = build_pattern_table(inst, omega, deadline=t0 + budget.time_limit)
-        if table is not None:
-            master = PatternMaster(inst, table)
+        try:
+            master = PatternMaster(
+                inst, omega, PiEnumerationOracle(inst, deadline=t0 + budget.time_limit))
+        except TimeoutError:
+            pass  # the MILP seed follows, after which the loop stops on the limit
     if master is not None:
         seed = _pattern_seed(inst, master.table, gamma_init, mode)
     else:
         # every artifact needs the seed, so it gets the whole limit even
         # after an unfinished pattern table
         seed = solve_robust(inst, gamma_init, mode=mode,
-                            config=solver_config(time.monotonic()))
+                            config=_time_left(config, budget, time.monotonic()))
     init_value = seed.value
     history = [HistoryEntry(pi=seed.pi.copy(), rho=seed.rho.copy(),
                             x=seed.x.copy(), gamma=gamma_init,
@@ -535,7 +418,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     if trace is not None:
         trace({"record": "header", "mode": mode, "omega": omega.kind,
                "master": "milp" if master is None else "pattern",
-               "pattern_solves": 0 if master is None else master.table.size,
+               "pattern_solves": 0 if master is None else len(master.table.patterns),
                "pattern_build_s": 0.0 if master is None else master.table.build_s})
 
     while True:
@@ -547,18 +430,14 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         status = "optimal"
         if master is not None:
             i, vq = master.solve()
-            gamma_star = master.table.gammas[i]
+            gamma_star = master.gammas[i]
         else:
-            sol, kind = _solve_milp_master(inst, omega, history, mode, solver_config(t0))
+            model, sol = _solve_milp_master(inst, omega, history, mode,
+                                            _time_left(config, budget, t0))
             status = sol.status
             gamma_star = (None if sol.values is None
-                          else _extract_gamma(inst, omega, kind, mode, sol.values))
-            if status == INCUMBENT_ONLY:
-                # the maximizing master's bound: no gamma in the domain has
-                # a larger gap
-                vq = np.inf if sol.best_bound is None else float(sol.best_bound)
-            else:
-                vq = float(sol.objective)
+                          else _master_gamma(omega, mode, model, sol.values))
+            vq = _master_value(sol)
         master_s = time.monotonic() - t_master
         q_values.append(vq)
         rel_bounds.append(vq / init_value if abs(init_value) > 1e-12 else np.inf)
@@ -576,9 +455,10 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         if status == INCUMBENT_ONLY:
             break
         if master is not None:
-            entry = _pattern_entry(inst, master.table, i, vq)
+            entry = _pattern_entry(inst, master, i, vq)
         else:
-            entry = _extract_entry(inst, omega, kind, mode, sol.values, vq)
+            pi, rho, x, w = read_certificate(inst, model, sol.values, mode)
+            entry = HistoryEntry(pi=pi, rho=rho, x=x, gamma=gamma_star, q_value=vq, w=w)
         key = _triple_key(entry)
         if key in seen:
             # exact arithmetic forbids a repeat with a positive gap: the
@@ -601,83 +481,60 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         elapsed=time.monotonic() - t0, instance=inst)
 
 
-def _pattern_seed(inst: Instance, table: PatternTable, gamma_init: np.ndarray,
+def _time_left(config: SolverConfig, budget: Budget, start: float) -> SolverConfig:
+    """``config`` with the budget's time left after ``start`` as its limit, if smaller."""
+    left = max(0.0, budget.time_limit - (time.monotonic() - start))
+    if config.time_limit is not None:
+        left = min(left, config.time_limit)
+    return replace(config, time_limit=left)
+
+
+def _master_value(sol) -> float:
+    """A solved master's value; at a solver limit the maximizing master's
+    bound, so no parameter in the domain has a larger gap."""
+    if sol.status == INCUMBENT_ONLY:
+        return np.inf if sol.best_bound is None else float(sol.best_bound)
+    return float(sol.objective)
+
+
+def _pattern_seed(inst: Instance, table: PiEnumerationOracle, gamma_init: np.ndarray,
                   mode: str) -> RobustSolution:
     """Robust optimum at the start vector: the pattern minimizing gamma.pi + N[pi]."""
-    i = int(np.argmin(table.patterns @ gamma_init + table.nominal))
+    i = int(np.argmin(table.patterns @ gamma_init + table.nominal_values))
     pi = table.patterns[i].copy()
     x = table.solutions[i].astype(float)
     seed = RobustSolution(x=x, pi=pi, rho=_repair_rho(inst, pi, x),
-                          value=float(gamma_init @ pi + table.nominal[i]),
+                          value=float(gamma_init @ pi + table.nominal_values[i]),
                           formulation=mode)
     _check_certificate(inst, gamma_init, seed, robustness_value)
     return seed
 
 
-def _pattern_entry(inst: Instance, table: PatternTable, i: int, vq: float) -> HistoryEntry:
+def _pattern_entry(inst: Instance, master: PatternMaster, i: int, vq: float) -> HistoryEntry:
     """Entry for pattern i at its vertex, with rho rebuilt from (pi, x)."""
-    pi = table.patterns[i].copy()
-    x = table.solutions[i].astype(float)
+    pi = master.table.patterns[i].copy()
+    x = master.table.solutions[i].astype(float)
     return HistoryEntry(pi=pi, rho=_repair_rho(inst, pi, x), x=x,
-                        gamma=table.gammas[i].copy(), q_value=vq)
+                        gamma=master.gammas[i].copy(), q_value=vq)
 
 
-def _solve_milp_master(inst, omega, history, mode, config):
-    model, kind = _build_master(inst, omega, history, mode)
+def _solve_milp_master(inst, omega, history, mode, config) -> tuple:
+    """(model, solution) of the MILP master for the stored history."""
+    model = _build_master(inst, omega, history, mode)
     if mode == "tu_relaxed":
-        model = relax_binaries(model, _relaxable_indices(model))
+        model = relax_rho_x(model)
     sol = solve_milp(model, config)
     if sol.status == "unbounded":
         raise RuntimeError("master problem unbounded: construction bug")
     if sol.status not in ("optimal", INCUMBENT_ONLY):
         raise RuntimeError(f"master solve failed with status {sol.status}")
-    return sol, kind
+    return model, sol
 
 
-def _build_master(inst, omega, history, mode):
+def _build_master(inst, omega, history, mode) -> MilpModel:
     if mode == "variant":
-        return build_q_variant(inst, omega, history), "variant"
-    builder = _STANDARD_BUILDERS.get(omega.kind, build_q_general)
-    kind = omega.kind if omega.kind in _STANDARD_BUILDERS else "general"
-    return builder(inst, omega, history), kind
-
-
-def _relaxable_indices(model: MilpModel) -> list:
-    """rho and x binaries of a standard master (names rho*/x*)."""
-    return [j for j in range(model.num_vars)
-            if model.is_binary[j]
-            and (model.var_name(j).startswith("rho") or model.var_name(j).startswith("x"))]
-
-
-def _extract_gamma(inst, omega, kind, mode, values) -> np.ndarray:
-    if mode == "variant":
-        return _extract_variant(inst, omega, values)[0]
-    return _extract_standard(inst, omega, kind, values)[0]
-
-
-def _extract_entry(inst, omega, kind, mode, values, vq) -> HistoryEntry:
-    if mode == "variant":
-        gamma, w, alpha, rho, x = _extract_variant(inst, omega, values)
-        x = np.round(x)
-        pi = np.array([float(inst.deviations[list(g)] @ np.round(w[list(g)]))
-                       for g in inst.groups])
-        return HistoryEntry(pi=pi, rho=rho, x=x, gamma=gamma, q_value=vq,
-                            w=np.round(w))
-    gamma, pi, rho, x = _extract_standard(inst, omega, kind, values)
-    if mode == "tu_relaxed":
-        frac = float(np.max(np.abs(x - np.round(x)))) if x.size else 0.0
-        if frac > 1e-6:
-            raise TuIntegralityError(
-                f"relaxed master returned fractional x (max deviation {frac:.2e})")
-        x = np.round(x)
-        pi = np.round(pi)
-        rho = _repair_rho(inst, pi, x)
-    else:
-        pi = np.round(pi)
-        rho = np.round(rho)
-        x = np.round(x)
-    return HistoryEntry(pi=pi, rho=rho, x=x, gamma=np.asarray(gamma, float),
-                        q_value=vq)
+        return build_q_variant(inst, omega, history)
+    return _MASTER_BUILDERS[omega.kind](inst, omega, history)
 
 
 def _x_key(x) -> tuple:
@@ -748,7 +605,8 @@ def build_nominal_q_plus(x_model: MilpModel, lower, upper, history) -> MilpModel
     upper = np.asarray(upper, float)
     b = ModelBuilder("nominal_q_plus")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    x = [b.add_binary(f"x{j}", obj=-float(lower[j])) for j in range(x_model.num_vars)]
+    x = [b.add_binary(f"x{j}", obj=-float(lower[j]), block="x")
+         for j in range(x_model.num_vars)]
     for i in range(x_model.num_rows):
         coeffs = {x[j]: float(x_model.row_coeffs[i, j])
                   for j in np.flatnonzero(x_model.row_coeffs[i])}
@@ -774,7 +632,7 @@ def build_nominal_q_general(x_model: MilpModel, lower, upper, history) -> MilpMo
     cvars = [b.add_continuous(f"c{j}", float(lower[j]), float(upper[j]))
              for j in range(n)]
     w = [b.add_continuous(f"w{j}", 0.0, np.inf, obj=-1.0) for j in range(n)]
-    x = [b.add_binary(f"x{j}") for j in range(n)]
+    x = [b.add_binary(f"x{j}", block="x") for j in range(n)]
     for i in range(x_model.num_rows):
         coeffs = {x[j]: float(x_model.row_coeffs[i, j])
                   for j in np.flatnonzero(x_model.row_coeffs[i])}
@@ -793,13 +651,17 @@ def build_nominal_q_general(x_model: MilpModel, lower, upper, history) -> MilpMo
 
 def run_multiparametric_nominal(x_model: MilpModel, lower, upper, epsilon: float,
                                 config: Optional[SolverConfig] = None,
-                                budget: Optional[Budget] = None,
-                                use_general: bool = False) -> NominalMprsResult:
+                                budget: Optional[Budget] = None) -> NominalMprsResult:
     """Solution set covering a box of cost vectors over an all-binary model.
 
     The budgeted-uncertainty loop is this engine instantiated with the
     robust counterpart's certificates; here the parameters are the costs
-    themselves, so the master needs only the stored x vectors.
+    themselves, so the master needs only the stored x vectors.  Limits act
+    as in ``run_aq``: every master solve gets the remaining time as its
+    solver time limit; a master stopped at a solver limit ends the loop with
+    its bound as the last q value (``budget_exceeded``, or ``epsilon_met``
+    if even the bound is at most epsilon); a first nominal solve stopped at
+    a limit raises ``SolverLimitError``.
     """
     if x_model.num_binary != x_model.num_vars:
         raise ValueError("cost parameters must multiply 0-1 variables only")
@@ -812,27 +674,32 @@ def run_multiparametric_nominal(x_model: MilpModel, lower, upper, epsilon: float
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     budget = budget or Budget()
+    config = config or SolverConfig()
     t0 = time.monotonic()
 
-    from dataclasses import replace
-    first = solve_milp(replace(x_model, objective=lower, maximize=False), config)
+    first = solve_milp(replace(x_model, objective=lower, maximize=False),
+                       _time_left(config, budget, t0))
+    if first.status == INCUMBENT_ONLY:
+        raise SolverLimitError("nominal solve stopped at a solver limit before proving "
+                               f"optimality (best bound {first.best_bound})")
     if first.status != "optimal":
         raise RuntimeError(f"nominal solve failed: {first.status}")
     history = [np.round(first.values)]
     q_values: list = []
     stop_reason = "budget_exceeded"
-    build = build_nominal_q_general if use_general else build_nominal_q_plus
     while len(q_values) < budget.max_iters and time.monotonic() - t0 <= budget.time_limit:
-        model = build(x_model, lower, upper, history)
-        sol = solve_milp(model, config)
-        if sol.status != "optimal":
+        model = build_nominal_q_plus(x_model, lower, upper, history)
+        sol = solve_milp(model, _time_left(config, budget, t0))
+        if sol.status not in ("optimal", INCUMBENT_ONLY):
             raise RuntimeError(f"nominal master failed: {sol.status}")
-        vq = float(sol.objective)
+        vq = _master_value(sol)
         q_values.append(vq)
         if vq <= epsilon + STOP_TOL:
             stop_reason = "epsilon_met"
             break
-        x = np.round(sol.values[-x_model.num_vars:])
+        if sol.status == INCUMBENT_ONLY:
+            break
+        x = np.round(sol.values[model.blocks["x"]])
         if any(np.array_equal(x, h) for h in history):
             stop_reason = "stalled"
             break

@@ -10,8 +10,11 @@ The bundled solver is a two-phase dense-tableau simplex with bounded
 variables (Dantzig pricing, Bland fallback after stalls) plus a best-first
 branch-and-bound over the binary variables.  It is built for exactness and
 determinism at desk scale, not speed; external backends can be registered
-behind the same ``submit(model, config)`` contract (a scipy/HiGHS backend
+behind the same ``solve_milp(model, config)`` contract (a scipy/HiGHS backend
 ships by default).
+
+Models name their column blocks (``MilpModel.blocks``), so callers read a
+solution by block name instead of by position.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import io
 import os
 import time
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -56,7 +60,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MilpModel:
-    """Immutable mixed 0-1 linear model (dense rows)."""
+    """Immutable mixed 0-1 linear model (dense rows).
+
+    ``blocks`` maps a block name to the column indices of that block, in
+    declaration order; blocks are disjoint and need not cover every column.
+    """
 
     objective: np.ndarray        # (n,)
     maximize: bool
@@ -68,6 +76,7 @@ class MilpModel:
     row_rhs: np.ndarray          # (m,)
     var_names: Optional[tuple] = None
     name: str = "model"
+    blocks: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.objective.shape[0]
@@ -86,6 +95,17 @@ class MilpModel:
             raise ModelError("row senses must be LE/EQ/GE")
         for nm in ("objective", "lower", "upper", "is_binary", "row_coeffs", "row_senses", "row_rhs"):
             object.__setattr__(self, nm, _readonly(getattr(self, nm)))
+        taken = np.zeros(n, dtype=int)
+        blocks = {}
+        for nm, idx in self.blocks.items():
+            idx = np.asarray(idx, dtype=int).reshape(-1)
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise ModelError(f"block {nm!r} has a column index out of range")
+            np.add.at(taken, idx, 1)
+            blocks[nm] = _readonly(idx)
+        if np.any(taken > 1):
+            raise ModelError("blocks overlap")
+        object.__setattr__(self, "blocks", MappingProxyType(blocks))
 
     @property
     def num_vars(self) -> int:
@@ -115,29 +135,32 @@ class ModelBuilder:
         self._upper: list[float] = []
         self._binary: list[bool] = []
         self._names: list[str] = []
+        self._blocks: dict[str, list[int]] = {}
         self._rows: list[tuple[dict, int, float]] = []
 
     @property
     def num_vars(self) -> int:
         return len(self._obj)
 
-    def add_binary(self, name: Optional[str] = None, obj: float = 0.0) -> int:
-        j = len(self._obj)
-        self._obj.append(float(obj))
-        self._lower.append(0.0)
-        self._upper.append(1.0)
-        self._binary.append(True)
-        self._names.append(name if name is not None else f"x{j}")
-        return j
+    def add_binary(self, name: Optional[str] = None, obj: float = 0.0,
+                   block: Optional[str] = None) -> int:
+        return self._add(name, obj, 0.0, 1.0, True, block)
 
     def add_continuous(self, name: Optional[str] = None, lower: float = 0.0,
-                       upper: float = np.inf, obj: float = 0.0) -> int:
+                       upper: float = np.inf, obj: float = 0.0,
+                       block: Optional[str] = None) -> int:
+        return self._add(name, obj, lower, upper, False, block)
+
+    def _add(self, name, obj, lower, upper, binary: bool, block) -> int:
+        """Append one column, recording it in the named block if given."""
         j = len(self._obj)
         self._obj.append(float(obj))
         self._lower.append(float(lower))
         self._upper.append(float(upper))
-        self._binary.append(False)
+        self._binary.append(binary)
         self._names.append(name if name is not None else f"x{j}")
+        if block is not None:
+            self._blocks.setdefault(block, []).append(j)
         return j
 
     def add_row(self, coeffs, sense, rhs: float) -> int:
@@ -183,6 +206,7 @@ class ModelBuilder:
             row_rhs=rhs,
             var_names=tuple(self._names),
             name=self.name,
+            blocks=self._blocks,
         )
 
 
@@ -669,7 +693,7 @@ def _scipy_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
     # reached"), which scipy passes on as its catch-all status 4 instead of
     # the limit status 1 (seen with scipy 1.17.1 and its bundled HiGHS).
     # The wording may change between versions, so a status 4 that carries
-    # a point under a node limit counts as that limit; submit still checks
+    # a point under a node limit counts as that limit; solve_milp still checks
     # the point against the rows.
     hit_limit = res.status == 1 or (res.status == 4 and res.x is not None
                                     and cfg.node_limit is not None)
@@ -702,15 +726,16 @@ _BACKENDS: dict[str, BackendFn] = {
 
 
 def register_backend(name: str, fn: BackendFn) -> None:
-    """Attach an external solver behind the submit(model, config) contract."""
+    """Attach an external solver behind the solve_milp(model, config) contract."""
     _BACKENDS[name] = fn
 
 
-def submit(model: MilpModel, config: Optional[SolverConfig] = None) -> MilpSolution:
-    """Solve through the configured backend; every returned point is row-checked.
+def solve_milp(model: MilpModel, config: Optional[SolverConfig] = None) -> MilpSolution:
+    """Solve the mixed 0-1 model exactly through the configured backend.
 
-    Raises SolverNumericalError when a backend's point violates a row by
-    more than the feasibility tolerance.
+    Binaries come back as exact 0/1.  Every returned point is row-checked:
+    raises SolverNumericalError when it violates a row by more than the
+    feasibility tolerance.
     """
     cfg = config or SolverConfig()
     try:
@@ -723,15 +748,10 @@ def submit(model: MilpModel, config: Optional[SolverConfig] = None) -> MilpSolut
     return sol
 
 
-def solve_milp(model: MilpModel, config: Optional[SolverConfig] = None) -> MilpSolution:
-    """Solve the mixed 0-1 model exactly; binaries come back as exact 0/1."""
-    return submit(model, config)
-
-
 def solve_lp(model: MilpModel, config: Optional[SolverConfig] = None) -> MilpSolution:
     """Solve the LP (any binaries are relaxed to [0, 1])."""
     relaxed = relax_binaries(model, np.flatnonzero(model.is_binary))
-    return submit(relaxed, config)
+    return solve_milp(relaxed, config)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ robust values come from the closed-form evaluators.
 from __future__ import annotations
 
 import itertools
+import time
 import weakref
 from math import comb
 from typing import Optional
@@ -16,6 +17,7 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
+from .robust import cost_for_pi
 from .uncertainty import (
     Instance, OmegaSpec, robustness_value, robustness_value_variant, row_chunks,
 )
@@ -24,6 +26,11 @@ MAX_PATH_NODES = 12
 MAX_GENERIC_VARS = 24
 MAX_ENUM = 2_000_000
 MAX_MEDIAN_SUBSETS = 200_000    # median subsets the facility scan may visit
+# Largest group count of a pattern table, which pays 2^K nominal solves.
+# The engine's pattern master shares the limit: measured against the MILP
+# master on shortest-path instances (CHANGES.md), the pattern master still
+# won at K = 16.
+PATTERN_MAX_K = 16
 
 
 def toy_instance(n: int):
@@ -206,39 +213,38 @@ def nominal_minimize(inst: Instance, c, X: Optional[np.ndarray] = None):
     return float(vals[i]), X[i].copy()
 
 
-def cost_for_pi_oracle(inst: Instance, pi) -> np.ndarray:
-    """c(pi): nominal cost where the group budget is open, full deviation otherwise."""
-    pi = np.asarray(pi, dtype=float)
-    c = inst.c_lower + inst.deviations
-    for k, g in enumerate(inst.groups):
-        if pi[k] > 0.5:
-            for j in g:
-                c[j] = inst.c_lower[j]
-    return c
-
-
 class PiEnumerationOracle:
     """Exact robust values and a zero-gap solution set via 2^K activation patterns.
 
     Solving the nominal problem for every on/off pattern of the group
     budgets yields a solution set hitting the robust optimum for every
     gamma; robust values follow as the pattern minimum of
-    ``gamma @ pi + nominal(c(pi))``.
+    ``gamma @ pi + nominal(c(pi))``.  Row i holds pattern ``patterns[i]``
+    (a (P, K) 0-1 array in ``itertools.product((0, 1), repeat=K)`` order),
+    the nominal optimum ``nominal_values[i]`` of ``c(pi)`` and its solution
+    ``solutions[i]`` (a (P, n) uint8 array).  Building the table raises
+    TimeoutError once ``time.monotonic()`` passes ``deadline``.
     """
 
-    def __init__(self, inst: Instance, config=None):
+    def __init__(self, inst: Instance, deadline: Optional[float] = None):
         K = inst.num_groups
-        if K > 16:
-            raise ValueError("pattern enumeration refused for K > 16")
+        if K > PATTERN_MAX_K:
+            raise ValueError(f"pattern enumeration refused for K > {PATTERN_MAX_K}")
+        t0 = time.monotonic()
         self.inst = inst
         X = enumerate_x(inst) if inst.kind not in ("SP", "PLM") else None
-        self.patterns = np.array(list(itertools.product((0.0, 1.0), repeat=K)))
-        self.nominal_values = np.empty(self.patterns.shape[0])
-        self.solutions = []
-        for i, pi in enumerate(self.patterns):
-            val, x = nominal_minimize(inst, cost_for_pi_oracle(inst, pi), X=X)
-            self.nominal_values[i] = val
-            self.solutions.append(x)
+        P = 1 << K
+        bits = np.arange(K - 1, -1, -1)
+        self.patterns = ((np.arange(P)[:, None] >> bits) & 1).astype(float)
+        self.nominal_values = np.empty(P)
+        self.solutions = np.empty((P, inst.n), dtype=np.uint8)
+        for i in range(P):
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("pattern table unfinished at the deadline")
+            self.nominal_values[i], x = nominal_minimize(
+                inst, cost_for_pi(inst, self.patterns[i]), X=X)
+            self.solutions[i] = np.round(x)
+        self.build_s = time.monotonic() - t0
 
     def robust_value(self, gamma) -> float:
         gamma = np.asarray(gamma, dtype=float)
@@ -252,22 +258,19 @@ class PiEnumerationOracle:
             out[rows] = np.min(G[rows] @ self.patterns.T + self.nominal_values, axis=1)
         return out
 
-    def best_solution(self, gamma):
+    def best_solution(self, gamma) -> np.ndarray:
         gamma = np.asarray(gamma, dtype=float)
         i = int(np.argmin(self.patterns @ gamma + self.nominal_values))
-        return self.solutions[i]
+        return self.solutions[i].astype(float)
 
     def solution_set(self) -> list:
-        seen = {}
-        for x in self.solutions:
-            seen.setdefault(tuple(int(round(v)) for v in x), x)
-        return list(seen.values())
+        _, first = np.unique(self.solutions, axis=0, return_index=True)
+        return [self.solutions[i].astype(float) for i in sorted(first)]
 
 
-def exact_mprs_by_pi_enumeration(inst: Instance, omega: Optional[OmegaSpec] = None,
-                                 config=None) -> list:
+def exact_mprs_by_pi_enumeration(inst: Instance, omega: Optional[OmegaSpec] = None) -> list:
     """Solution set achieving gap 0 for every gamma (any omega over the groups)."""
-    return PiEnumerationOracle(inst, config).solution_set()
+    return PiEnumerationOracle(inst).solution_set()
 
 
 # ---------------------------------------------------------------------------

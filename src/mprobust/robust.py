@@ -28,6 +28,9 @@ from .uncertainty import (
 )
 
 
+MODES = ("standard", "tu_relaxed", "variant")
+
+
 class TuIntegralityError(RuntimeError):
     """Relaxed solve returned a fractional x on an instance declared TU."""
 
@@ -38,7 +41,7 @@ class RobustSolution:
 
     ``pi`` is 0-1 in the standard forms and carries the per-group breakpoint
     values in the variant form; ``rho`` follows the same convention.  ``w``
-    and ``alpha`` are the variant's selector binaries (None otherwise).
+    holds the variant's selector binaries (None otherwise).
     """
 
     x: np.ndarray
@@ -47,7 +50,6 @@ class RobustSolution:
     value: float
     formulation: str
     w: Optional[np.ndarray] = None
-    alpha: Optional[np.ndarray] = None
 
 
 def cost_for_pi(inst: Instance, pi) -> np.ndarray:
@@ -63,9 +65,9 @@ def cost_for_pi(inst: Instance, pi) -> np.ndarray:
     return c
 
 
-def _add_x_block(b: ModelBuilder, inst: Instance, obj=None) -> list:
-    obj = inst.c_lower if obj is None else obj
-    x = [b.add_binary(f"x{j}", obj=float(obj[j])) for j in range(inst.n)]
+def _add_x(b: ModelBuilder, inst: Instance, obj) -> list:
+    """x binaries with objective ``obj`` (block ``x``) and the rows of X."""
+    x = [b.add_binary(f"x{j}", obj=float(obj[j]), block="x") for j in range(inst.n)]
     for i in range(inst.x_coeffs.shape[0]):
         coeffs = {x[j]: float(inst.x_coeffs[i, j])
                   for j in np.flatnonzero(inst.x_coeffs[i])}
@@ -73,40 +75,36 @@ def _add_x_block(b: ModelBuilder, inst: Instance, obj=None) -> list:
     return x
 
 
-def build_robust_milp(inst: Instance, gamma) -> MilpModel:
-    """0-1 ILP: min gamma'pi + d'rho + c'x with pi_k + rho_j - x_j >= 0.
-
-    Variable layout: pi (one per group), rho (one per covered index, in
-    sorted index order), then x.
-    """
-    gamma = _check_gamma(inst, gamma)
-    b = ModelBuilder("robust")
-    pi = [b.add_binary(f"pi{k}", obj=float(gamma[k])) for k in range(inst.num_groups)]
-    cov = inst.covered
-    rho = {int(j): b.add_binary(f"rho{j}", obj=float(inst.deviations[j])) for j in cov}
-    x = _add_x_block(b, inst)
+def add_standard_certificate(b: ModelBuilder, inst: Instance, pi_obj, rho_obj, x_obj):
+    """Blocks ``pi`` (per group), ``rho`` (per covered index, in sorted index
+    order) and ``x``, all binary, with the rows of X and the coupling rows
+    pi_k + rho_j - x_j >= 0.  Returns (pi, rho, x) column indices."""
+    pi = [b.add_binary(f"pi{k}", obj=float(pi_obj[k]), block="pi")
+          for k in range(inst.num_groups)]
+    rho = {int(j): b.add_binary(f"rho{j}", obj=float(rho_obj[j]), block="rho")
+           for j in inst.covered}
+    x = _add_x(b, inst, x_obj)
     for k, g in enumerate(inst.groups):
         for j in g:
             b.add_row({pi[k]: 1.0, rho[j]: 1.0, x[j]: -1.0}, ">=", 0.0)
-    return b.build(maximize=False)
+    return pi, rho, x
 
 
-def build_robust_variant_milp(inst: Instance, gamma) -> MilpModel:
-    """Variant R(gamma) with budgets on 0-1 selector variables.
-
-    Variable layout: w (covered), alpha (covered), rho (covered,
-    continuous), then x.  Per group the term sum_{s} d_s w_s plays the role
-    of the continuous dual multiplier, restricted to its breakpoints.
-    """
-    gamma = _check_gamma(inst, gamma)
-    b = ModelBuilder("robust_variant")
+def add_variant_certificate(b: ModelBuilder, inst: Instance, w_obj, rho_obj, x_obj):
+    """Blocks ``w`` and ``alpha`` (selector binaries), ``rho`` (continuous),
+    each per covered index, and ``x``, with the rows of X.  Returns
+    (w, alpha, rho, x) column indices; ``add_selector_rows`` links them."""
     cov = [int(j) for j in inst.covered]
-    kof = inst.group_of()
-    w = {j: b.add_binary(f"w{j}", obj=float(gamma[kof[j]] * inst.deviations[j]))
-         for j in cov}
-    alpha = {j: b.add_binary(f"a{j}") for j in cov}
-    rho = {j: b.add_continuous(f"rho{j}", 0.0, np.inf, obj=1.0) for j in cov}
-    x = _add_x_block(b, inst)
+    w = {j: b.add_binary(f"w{j}", obj=float(w_obj[j]), block="w") for j in cov}
+    alpha = {j: b.add_binary(f"a{j}", block="alpha") for j in cov}
+    rho = {j: b.add_continuous(f"rho{j}", 0.0, np.inf, obj=float(rho_obj[j]), block="rho")
+           for j in cov}
+    return w, alpha, rho, _add_x(b, inst, x_obj)
+
+
+def add_selector_rows(b: ModelBuilder, inst: Instance, w, alpha, rho, x) -> None:
+    """Per group, rho_j + sum_s d_s w_s >= d_j x_j for each index and at most
+    one alpha; per covered index, w_j >= alpha_j + x_j - 1."""
     for k, g in enumerate(inst.groups):
         wsum = {w[j]: float(inst.deviations[j]) for j in g}
         for j in g:
@@ -115,75 +113,97 @@ def build_robust_variant_milp(inst: Instance, gamma) -> MilpModel:
             row[x[j]] = row.get(x[j], 0.0) - float(inst.deviations[j])
             b.add_row(row, ">=", 0.0)
         b.add_row({alpha[j]: 1.0 for j in g}, "<=", 1.0)
-    for j in cov:
+    for j in inst.covered:
+        j = int(j)
         b.add_row({w[j]: 1.0, alpha[j]: -1.0, x[j]: -1.0}, ">=", -1.0)
+
+
+def build_robust_milp(inst: Instance, gamma) -> MilpModel:
+    """0-1 ILP: min gamma'pi + d'rho + c'x with pi_k + rho_j - x_j >= 0.
+
+    Blocks ``pi``, ``rho``, ``x`` (see ``add_standard_certificate``).
+    """
+    gamma = _check_gamma(inst, gamma)
+    b = ModelBuilder("robust")
+    add_standard_certificate(b, inst, gamma, inst.deviations, inst.c_lower)
     return b.build(maximize=False)
 
 
-def _split_standard(inst: Instance, values: np.ndarray):
-    K = inst.num_groups
-    cov = inst.covered
-    pi = values[:K]
-    rho = np.zeros(inst.n)
-    rho[cov] = values[K:K + cov.size]
-    x = values[K + cov.size:]
-    return pi, rho, x
+def build_robust_variant_milp(inst: Instance, gamma) -> MilpModel:
+    """Variant R(gamma) with budgets on 0-1 selector variables.
+
+    Blocks ``w``, ``alpha``, ``rho``, ``x`` (see ``add_variant_certificate``).
+    Per group the term sum_{s} d_s w_s plays the role of the continuous dual
+    multiplier, restricted to its breakpoints.
+    """
+    gamma = _check_gamma(inst, gamma)
+    b = ModelBuilder("robust_variant")
+    w_obj = np.zeros(inst.n)
+    for k, g in enumerate(inst.groups):
+        w_obj[list(g)] = gamma[k] * inst.deviations[list(g)]
+    cert = add_variant_certificate(b, inst, w_obj, np.ones(inst.n), inst.c_lower)
+    add_selector_rows(b, inst, *cert)
+    return b.build(maximize=False)
 
 
-def _split_variant(inst: Instance, values: np.ndarray):
-    cov = inst.covered
-    m = cov.size
-    w = np.zeros(inst.n)
-    alpha = np.zeros(inst.n)
-    rho = np.zeros(inst.n)
-    w[cov] = values[:m]
-    alpha[cov] = values[m:2 * m]
-    rho[cov] = values[2 * m:3 * m]
-    x = values[3 * m:]
-    return w, alpha, rho, x
+def relax_rho_x(model: MilpModel) -> MilpModel:
+    """The ``tu_relaxed`` form of a standard model: rho and x in [0, 1]."""
+    return relax_binaries(model, np.concatenate([model.blocks["rho"], model.blocks["x"]]))
+
+
+def read_certificate(inst: Instance, model: MilpModel, values, mode: str) -> tuple:
+    """(pi, rho, x, w) from a solved robust counterpart or master of ``mode``.
+
+    x and the binaries are rounded; rho and w are spread over all n indices
+    (zero outside the groups).  A ``tu_relaxed`` solve must return an
+    integral x (else TuIntegralityError), and rho is rebuilt from (pi, x).
+    In ``variant`` mode pi holds the per-group breakpoint values
+    sum_j d_j w_j; elsewhere w is None.
+    """
+    values = np.asarray(values, dtype=float)
+
+    def spread(name):
+        out = np.zeros(inst.n)
+        out[inst.covered] = values[model.blocks[name]]
+        return out
+
+    x = values[model.blocks["x"]]
+    if mode == "tu_relaxed":
+        frac = float(np.max(np.abs(x - np.round(x)))) if x.size else 0.0
+        if frac > 1e-6:
+            raise TuIntegralityError(
+                f"relaxed solve returned fractional x (max deviation {frac:.2e})")
+    x = np.round(x)
+    if mode == "variant":
+        w = np.round(spread("w"))
+        pi = np.array([float(inst.deviations[list(g)] @ w[list(g)]) for g in inst.groups])
+        return pi, spread("rho"), x, w
+    pi = np.round(values[model.blocks["pi"]])
+    rho = _repair_rho(inst, pi, x) if mode == "tu_relaxed" else np.round(spread("rho"))
+    return pi, rho, x, None
 
 
 def solve_robust(inst: Instance, gamma, mode: str = "standard",
                  config: Optional[SolverConfig] = None) -> RobustSolution:
     """Solve R(gamma) in the requested formulation."""
     gamma = _check_gamma(inst, gamma)
-    if mode == "standard":
-        sol = _solve_or_raise(build_robust_milp(inst, gamma), config)
-        pi, rho, x = _split_standard(inst, sol.values)
-        out = RobustSolution(x=x, pi=np.round(pi), rho=np.round(rho),
-                             value=float(sol.objective), formulation=mode)
-        _check_certificate(inst, gamma, out, robustness_value)
-        return out
-    if mode == "tu_relaxed":
-        if not _declares_tu(inst):
-            raise ValueError("tu_relaxed requires an instance declared totally unimodular")
-        model = build_robust_milp(inst, gamma)
-        K = inst.num_groups
-        relax_idx = np.arange(K, model.num_vars)
-        sol = _solve_or_raise(relax_binaries(model, relax_idx), config)
-        pi, rho_lp, x = _split_standard(inst, sol.values)
-        frac = np.max(np.abs(x - np.round(x))) if x.size else 0.0
-        if frac > 1e-6:
-            raise TuIntegralityError(
-                f"relaxed robust solve returned fractional x (max deviation {frac:.2e})")
-        x = np.round(x)
-        pi = np.round(pi)
-        rho = _repair_rho(inst, pi, x)
-        out = RobustSolution(x=x, pi=pi, rho=rho, value=float(sol.objective),
-                             formulation=mode)
-        _check_certificate(inst, gamma, out, robustness_value)
-        return out
+    if mode not in MODES:
+        raise ValueError(f"unknown robust mode {mode!r}")
+    if mode == "tu_relaxed" and not _declares_tu(inst):
+        raise ValueError("tu_relaxed requires an instance declared totally unimodular")
     if mode == "variant":
-        sol = _solve_or_raise(build_robust_variant_milp(inst, gamma), config)
-        w, alpha, rho, x = _split_variant(inst, sol.values)
-        x = np.round(x)
-        pi = np.array([float(inst.deviations[list(g)] @ w[list(g)])
-                       for g in inst.groups])
-        out = RobustSolution(x=x, pi=pi, rho=rho, value=float(sol.objective),
-                             formulation=mode, w=w, alpha=alpha)
-        _check_certificate(inst, gamma, out, robustness_value_variant)
-        return out
-    raise ValueError(f"unknown robust mode {mode!r}")
+        model = build_robust_variant_milp(inst, gamma)
+    else:
+        model = build_robust_milp(inst, gamma)
+        if mode == "tu_relaxed":
+            model = relax_rho_x(model)
+    sol = _solve_or_raise(model, config)
+    pi, rho, x, w = read_certificate(inst, model, sol.values, mode)
+    out = RobustSolution(x=x, pi=pi, rho=rho, value=float(sol.objective),
+                         formulation=mode, w=w)
+    _check_certificate(inst, gamma, out,
+                       robustness_value_variant if mode == "variant" else robustness_value)
+    return out
 
 
 def _declares_tu(inst: Instance) -> bool:

@@ -397,3 +397,25 @@ def test_run_solver_limit_exit_code(tmp_path, capsys):
     finally:
         _BACKENDS.pop("node3", None)
         _BACKENDS.pop("seedcap", None)
+
+
+def test_run_solver_fault_exit_code(tmp_path, capsys):
+    """A backend point that violates a row ends `run` with exit code 6."""
+    from mprobust.milp import _BACKENDS, MilpSolution, register_backend
+
+    register_backend("rowbreaker", lambda model, cfg: MilpSolution(
+        np.ones(model.num_vars), 0.0, "optimal"))
+    sp = tmp_path / "sp.json"
+    run_cli("generate", "sp", "--nodes", 8, "--seed", 0, "--partition", "r",
+            "--k", 2, "--out", sp)
+    try:
+        capsys.readouterr()
+        out = tmp_path / "res.json"
+        code = run_cli("run", "--instance", sp, "--omega", "segment", "--epsilon", 0,
+                       "--backend", "rowbreaker", "--out", out)
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("solver fault: ") and err.count("\n") == 1
+        assert not out.exists()
+    finally:
+        _BACKENDS.pop("rowbreaker", None)

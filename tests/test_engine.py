@@ -354,8 +354,8 @@ def _agreement_cases():
 
 
 def test_pattern_master_agrees_with_milp_master():
-    from mprobust.engine import _relaxable_indices, uses_pattern_master
-    from mprobust.milp import relax_binaries
+    from mprobust.engine import uses_pattern_master
+    from mprobust.robust import relax_rho_x
 
     runs = 0
     for inst, omega, eps, mode in _agreement_cases():
@@ -365,7 +365,7 @@ def test_pattern_master_agrees_with_milp_master():
         for r, vq in enumerate(res.q_values, start=1):
             model = build_q_interval(inst, omega, res.history[:r])
             if mode == "tu_relaxed":
-                model = relax_binaries(model, _relaxable_indices(model))
+                model = relax_rho_x(model)
             sol = solve_milp(model)
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(vq, abs=1e-6)
@@ -513,8 +513,105 @@ def test_nominal_engine_general_master_agrees():
     vp = solve_milp(build_nominal_q_plus(xm, lo, hi, hist)).objective
     vg = solve_milp(build_nominal_q_general(xm, lo, hi, hist)).objective
     assert vp == pytest.approx(vg, abs=1e-8)
-    res = run_multiparametric_nominal(xm, lo, hi, epsilon=0.0, use_general=True)
-    assert len(res.distinct_x) == 3
+
+
+def test_nominal_engine_at_node_limit():
+    """A nominal master cut by a node limit ends the loop with its bound."""
+    from dataclasses import replace
+
+    from mprobust.milp import _BACKENDS, SolverConfig, SolverLimitError, register_backend
+
+    inst, _, _ = toy_instance(3)
+    xm = inst.feasible_model()
+    lo = np.array([10.0, 10.0, 10.0, 11.5])
+    hi = np.array([12.0, 12.0, 12.0, 11.5])
+    full = run_multiparametric_nominal(xm, lo, hi, epsilon=0.0)
+    assert full.stop_reason == "epsilon_met" and len(full.q_values) == 4
+    inner = _BACKENDS[SolverConfig().backend]
+    # masters maximize, the first nominal solve minimizes
+    register_backend("master1", lambda model, cfg: inner(
+        model, replace(cfg, node_limit=1) if model.maximize else cfg))
+    register_backend("first0", lambda model, cfg: inner(
+        model, cfg if model.maximize else replace(cfg, node_limit=0)))
+    try:
+        cut = run_multiparametric_nominal(xm, lo, hi, epsilon=0.0,
+                                          config=SolverConfig(backend="master1"))
+        assert cut.stop_reason == "budget_exceeded"
+        # the third master is cut: its bound covers the true residual
+        assert len(cut.q_values) == 3 and len(cut.history) == 3
+        assert cut.q_values[:2] == pytest.approx(full.q_values[:2])
+        assert cut.q_values[2] >= full.q_values[2] - 1e-9
+        # a bound within epsilon certifies the set
+        eps = cut.q_values[2] + 0.1
+        met = run_multiparametric_nominal(xm, lo, hi, epsilon=eps,
+                                          config=SolverConfig(backend="master1"))
+        assert met.stop_reason == "epsilon_met" and met.q_values == cut.q_values
+        with pytest.raises(SolverLimitError):
+            run_multiparametric_nominal(xm, lo, hi, epsilon=0.0,
+                                        config=SolverConfig(backend="first0"))
+    finally:
+        _BACKENDS.pop("master1", None)
+        _BACKENDS.pop("first0", None)
+
+
+def test_model_blocks():
+    """Every robust counterpart and master names its certificate columns."""
+    from dataclasses import replace
+
+    from mprobust.milp import ModelError
+    from mprobust.robust import build_robust_milp, build_robust_variant_milp, relax_rho_x
+
+    standard = {"pi": True, "rho": True, "x": True}
+    variant = {"w": True, "alpha": True, "rho": False, "x": True}
+    relaxed = {"pi": True, "rho": False, "x": False}
+    rng = np.random.default_rng(21)
+    for inst in (toy_instance(3)[0], random_instance(rng, n=6, K=2, cover_all=False)):
+        K, n, nc = inst.num_groups, inst.n, inst.covered.size
+        M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.5
+        omegas = {"interval": OmegaSpec.interval(0.3 * M, 1.3 * M),
+                  "segment": OmegaSpec.segment(M, 0.1, 0.9),
+                  "budgeted": OmegaSpec.budgeted(0.4 * M, 0.8 * M, float(M.mean()))}
+        hist = _history_at(inst, [omegas["interval"].start_gamma])
+        vhist = _history_at(inst, [omegas["interval"].start_gamma], mode="variant")
+        robust = build_robust_milp(inst, M)
+        cases = [(robust, standard), (relax_rho_x(robust), relaxed),
+                 (build_robust_variant_milp(inst, M), variant)]
+        for kind, omega in omegas.items():
+            gamma = {"gamma": False}
+            cases.append((build_q_general(inst, omega, hist), {**standard, **gamma}))
+            cases.append((build_q_variant(inst, omega, vhist), {**variant, **gamma}))
+        cases += [
+            (build_q_interval(inst, omegas["interval"], hist), standard),
+            (build_q_segment(inst, omegas["segment"], hist), {**standard, "alpha": False}),
+            (build_q_budgeted(inst, omegas["budgeted"], hist), {**standard, "beta": False}),
+        ]
+        cases += [(relax_rho_x(m), {**relaxed, **{k: v for k, v in want.items()
+                                                  if k in ("alpha", "beta")}})
+                  for m, want in cases[-3:]]
+        sizes = {"pi": K, "rho": nc, "x": n, "w": nc, "gamma": K, "beta": K,
+                 "alpha": nc}
+        prefix = {"pi": "pi", "rho": "rho", "x": "x", "w": "w", "gamma": "g", "beta": "b"}
+        for model, want in cases:
+            assert set(model.blocks) == set(want), model.name
+            cols = np.concatenate([model.blocks[b] for b in want])
+            assert np.unique(cols).size == cols.size
+            assert cols.min() >= 0 and cols.max() < model.num_vars
+            for b, binary in want.items():
+                idx = model.blocks[b]
+                size = 1 if (b == "alpha" and model.name == "q_segment") else sizes[b]
+                assert idx.size == size, (model.name, b)
+                assert np.all(model.is_binary[idx] == binary), (model.name, b)
+                if b in prefix:
+                    assert all(model.var_name(j).startswith(prefix[b]) for j in idx)
+            # certificates are read by block: the x block holds the x columns
+            assert [model.var_name(j) for j in model.blocks["x"]] == [
+                f"x{j}" for j in range(n)]
+        with pytest.raises(ModelError):
+            replace(robust, blocks={"pi": robust.blocks["pi"], "x": robust.blocks["pi"]})
+        with pytest.raises(ModelError):
+            replace(robust, blocks={"x": [robust.num_vars]})
+        with pytest.raises(ModelError):
+            replace(robust, blocks={"x": [-1]})
 
 
 def test_nominal_engine_rejects_continuous():

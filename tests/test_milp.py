@@ -7,7 +7,7 @@ import pytest
 
 from mprobust.milp import (
     GE, LE, EQ, MilpModel, ModelBuilder, ModelError, SolverConfig, SolverNumericalError,
-    mps_string, relax_binaries, solve_lp, solve_milp, submit,
+    mps_string, relax_binaries, solve_lp, solve_milp,
 )
 
 from helpers import enum_milp, primal_dual_pair, random_lp, random_milp, scipy_lp, vertex_lp
@@ -284,7 +284,7 @@ def test_unknown_backend_rejected():
     b = ModelBuilder()
     b.add_binary(obj=1.0)
     with pytest.raises(ModelError):
-        submit(b.build(), SolverConfig(backend="nope"))
+        solve_milp(b.build(), SolverConfig(backend="nope"))
 
 
 def test_register_custom_backend():
@@ -300,7 +300,7 @@ def test_register_custom_backend():
     try:
         b = ModelBuilder()
         b.add_binary(obj=1.0)
-        sol = submit(b.build(), SolverConfig(backend="fake"))
+        sol = solve_milp(b.build(), SolverConfig(backend="fake"))
         assert sol.objective == 0.0
         assert calls == [1]
     finally:
@@ -319,7 +319,7 @@ def test_registered_backend_point_is_row_checked():
         y = [b.add_binary(obj=1.0), b.add_binary(obj=1.0)]
         b.add_row({y[0]: 1.0, y[1]: 1.0}, "<=", 1.0)
         with pytest.raises(SolverNumericalError):
-            submit(b.build(), SolverConfig(backend="noisy"))
+            solve_milp(b.build(), SolverConfig(backend="noisy"))
     finally:
         _BACKENDS.pop("noisy", None)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mprobust.oracle import (
-    PiEnumerationOracle, brute_robust, cost_for_pi_oracle, enumerate_x,
+    PiEnumerationOracle, brute_robust, enumerate_x,
     exact_mprs_by_pi_enumeration, nominal_minimize, piecewise_breakpoints,
     piecewise_f, toy_instance,
 )
@@ -104,14 +104,6 @@ def test_pattern_oracle_group_guard():
     if inst.num_groups > 16:
         with pytest.raises(ValueError):
             PiEnumerationOracle(inst)
-
-
-def test_cost_for_pi_oracle_values():
-    inst, _, _ = toy_instance(2)
-    assert np.allclose(cost_for_pi_oracle(inst, [1, 1, 1]), inst.c_lower)
-    assert np.allclose(cost_for_pi_oracle(inst, [0, 0, 0]),
-                       inst.c_lower + inst.deviations)
-    assert np.allclose(cost_for_pi_oracle(inst, [1, 0, 1]), [10.0, 12.0, 11.5])
 
 
 def test_pi_enumeration_oracle_matches_brute_force():
