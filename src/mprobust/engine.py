@@ -417,6 +417,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     seen_x = {_x_key(history[0].x)}
     if trace is not None:
         trace({"record": "header", "mode": mode, "omega": omega.kind,
+               "backend": config.backend,
                "master": "milp" if master is None else "pattern",
                "pattern_solves": 0 if master is None else len(master.table.patterns),
                "pattern_build_s": 0.0 if master is None else master.table.build_s})
@@ -431,6 +432,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         if master is not None:
             i, vq = master.solve()
             gamma_star = master.gammas[i]
+            nodes, bound = 0, vq
         else:
             model, sol = _solve_milp_master(inst, omega, history, mode,
                                             _time_left(config, budget, t0))
@@ -438,6 +440,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
             gamma_star = (None if sol.values is None
                           else _master_gamma(omega, mode, model, sol.values))
             vq = _master_value(sol)
+            nodes, bound = sol.nodes, sol.best_bound
         master_s = time.monotonic() - t_master
         q_values.append(vq)
         rel_bounds.append(vq / init_value if abs(init_value) > 1e-12 else np.inf)
@@ -447,6 +450,8 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
                    "distinct": len(seen_x),
                    "master": "milp" if master is None else "pattern",
                    "status": status,
+                   "nodes": nodes,
+                   "best_bound": bound,
                    "master_s": master_s,
                    "elapsed": time.monotonic() - t0})
         if vq <= epsilon + STOP_TOL:

@@ -1,4 +1,4 @@
-"""Generic mixed 0-1 linear models and a bundled exact solver.
+"""Generic mixed 0-1 linear models and the exact solvers behind them.
 
 The model container is a plain dense-array description of
 
@@ -6,15 +6,18 @@ The model container is a plain dense-array description of
     s.t.     A v  {<=, =, >=}  rhs        (row-wise senses)
              lower <= v <= upper          (binaries implicitly in [0, 1])
 
-The bundled solver is a two-phase dense-tableau simplex with bounded
-variables (Dantzig pricing, Bland fallback after stalls) plus a best-first
-branch-and-bound over the binary variables.  It is built for exactness and
-determinism at desk scale, not speed; external backends can be registered
-behind the same ``solve_milp(model, config)`` contract (a scipy/HiGHS backend
-ships by default).
-
 Models name their column blocks (``MilpModel.blocks``), so callers read a
 solution by block name instead of by position.
+
+``solve_milp(model, config)`` dispatches to a named backend.  The default,
+``scipy``, is HiGHS through ``scipy.optimize.milp``, run to a zero relative
+gap; its points are polished so that they meet ``SolverConfig.feas_tol``
+(the binaries rounded, the continuous columns re-solved as an LP with the
+binaries fixed).  The opt-in ``bundled`` solver is a two-phase dense-tableau
+simplex with bounded variables (Dantzig pricing, Bland fallback after
+stalls) plus a best-first branch and bound over the binaries: exact and
+deterministic, but slow past small models.  Other solvers attach through
+``register_backend``; every backend's point is checked against the rows.
 """
 
 from __future__ import annotations
@@ -211,7 +214,7 @@ class ModelBuilder:
 
 
 def _default_backend() -> str:
-    return os.environ.get("MPROBUST_BACKEND", "bundled")
+    return os.environ.get("MPROBUST_BACKEND", "scipy")
 
 
 @dataclass
@@ -667,54 +670,112 @@ def _branch_and_bound(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
 
 
 # ---------------------------------------------------------------------------
-# scipy backend (optional; registered by default when scipy is present)
+# scipy backend: HiGHS through scipy.optimize (the default)
 # ---------------------------------------------------------------------------
 
 def _scipy_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
-    from scipy import optimize, sparse
-
+    """HiGHS to a zero gap; a model with no binary is one polish LP."""
     mmin = _as_min(model)
     sign = -1.0 if model.maximize else 1.0
+    if mmin.num_binary == 0:
+        res, x = _highs_lp(mmin, np.zeros(mmin.num_vars), cfg)
+        if res.status == 0:
+            obj = float(model.objective @ x)
+            return MilpSolution(x, obj, OPTIMAL, best_bound=obj)
+        if res.status == 1:
+            return MilpSolution(None, None, INCUMBENT_ONLY)
+        return _failed(res.status, res.message, 0)
+    res = _highs_milp(mmin, cfg, presolve=False)
+    if res.status == 4 and cfg.node_limit is None:
+        # HiGHS (scipy 1.17.1) ends some models in "Solve error" with
+        # presolve off and others with it on; no one setting solves every
+        # model of the test suite, so a solve error gets the other setting.
+        res = _highs_milp(mmin, cfg, presolve=True)
+    nodes = int(res.get("mip_node_count") or 0)
+    # A node limit ends in HiGHS model status 16 ("Solution limit reached"),
+    # which scipy 1.17.1 passes on as its catch-all status 4, with or
+    # without a point; under a set node limit that status is the limit.
+    hit_limit = res.status == 1 or (res.status == 4 and cfg.node_limit is not None)
+    if res.status != 0 and not hit_limit:
+        return _failed(res.status, res.message, nodes)
+    x = None
+    if res.x is not None:
+        x = np.asarray(res.x, dtype=float)
+        b = mmin.is_binary
+        if np.any(np.abs(x[b] - np.round(x[b])) > cfg.int_tol):
+            raise SolverNumericalError("backend returned non-integral binaries")
+        x[b] = np.round(x[b])
+        if not np.all(b):
+            polished = _highs_lp(mmin, x, cfg)[1]
+            # a failed polish leaves HiGHS's point to solve_milp's row check
+            if polished is not None:
+                x = polished
+    obj = None if x is None else float(model.objective @ x)
+    bound = res.get("mip_dual_bound")
+    bound = None if bound is None else sign * float(bound)
+    if res.status == 0:
+        return MilpSolution(x, obj, OPTIMAL, best_bound=obj if bound is None else bound,
+                            nodes=nodes)
+    return MilpSolution(x, obj, INCUMBENT_ONLY, best_bound=bound, nodes=nodes)
+
+
+def _highs_milp(mmin: MilpModel, cfg: SolverConfig, presolve: bool):
+    """scipy.optimize.milp on the min-sense model, run to a zero gap."""
+    from scipy import optimize, sparse
+
     A, senses, rhs = mmin.row_coeffs, mmin.row_senses, mmin.row_rhs
     lb = np.where(senses == LE, -np.inf, rhs)
     ub = np.where(senses == GE, np.inf, rhs)
     constraints = optimize.LinearConstraint(sparse.csr_matrix(A), lb, ub) if mmin.num_rows else ()
-    integrality = mmin.is_binary.astype(int)
-    bounds = optimize.Bounds(mmin.lower, mmin.upper)
-    options = {}
+    # HiGHS's default mip_rel_gap of 1e-4 would stop short of the optimum
+    options = {"mip_rel_gap": 0.0, "presolve": presolve}
     if cfg.time_limit is not None:
         options["time_limit"] = float(cfg.time_limit)
     if cfg.node_limit is not None:
         options["node_limit"] = int(cfg.node_limit)
-    res = optimize.milp(mmin.objective, constraints=constraints,
-                        integrality=integrality, bounds=bounds, options=options)
-    nodes = int(res.get("mip_node_count") or 0)
-    # HiGHS ends a node limit with model status 16 ("Solution limit
-    # reached"), which scipy passes on as its catch-all status 4 instead of
-    # the limit status 1 (seen with scipy 1.17.1 and its bundled HiGHS).
-    # The wording may change between versions, so a status 4 that carries
-    # a point under a node limit counts as that limit; solve_milp still checks
-    # the point against the rows.
-    hit_limit = res.status == 1 or (res.status == 4 and res.x is not None
-                                    and cfg.node_limit is not None)
-    if res.status == 0 or hit_limit:
-        x = None if res.x is None else np.asarray(res.x, dtype=float)
-        if x is not None:
-            bad = np.abs(x[mmin.is_binary] - np.round(x[mmin.is_binary])) > cfg.int_tol
-            if np.any(bad):
-                raise SolverNumericalError("backend returned non-integral binaries")
-            x[mmin.is_binary] = np.round(x[mmin.is_binary])
-        obj = None if x is None else sign * float(res.fun)
-        if res.status == 0:
-            return MilpSolution(x, obj, OPTIMAL, best_bound=obj, nodes=nodes)
-        bound = res.get("mip_dual_bound")
-        return MilpSolution(x, obj, INCUMBENT_ONLY, nodes=nodes,
-                            best_bound=None if bound is None else sign * float(bound))
-    if res.status == 2:
+    return optimize.milp(mmin.objective, constraints=constraints,
+                         integrality=mmin.is_binary.astype(int),
+                         bounds=optimize.Bounds(mmin.lower, mmin.upper), options=options)
+
+
+def _highs_lp(mmin: MilpModel, x: np.ndarray, cfg: SolverConfig):
+    """(scipy result, point or None) of the LP over the continuous columns of the
+    min-sense model, its binaries fixed at their values in ``x``.
+
+    HiGHS's MIP search accepts rows off by its own tolerance (1e-6); this
+    re-solve puts the continuous part back within ``cfg.feas_tol``.
+    """
+    from scipy import optimize
+
+    cont = ~mmin.is_binary
+    A = mmin.row_coeffs[:, cont]
+    rhs = mmin.row_rhs - mmin.row_coeffs[:, ~cont] @ x[~cont]
+    senses = mmin.row_senses
+    le, ge, eq = senses == LE, senses == GE, senses == EQ
+    A_ub = np.vstack([A[le], -A[ge]])
+    b_ub = np.concatenate([rhs[le], -rhs[ge]])
+    options = {"presolve": False, "primal_feasibility_tolerance": cfg.feas_tol}
+    if cfg.time_limit is not None:
+        options["time_limit"] = float(cfg.time_limit)
+    res = optimize.linprog(mmin.objective[cont],
+                           A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
+                           A_eq=A[eq] if np.any(eq) else None, b_eq=rhs[eq] if np.any(eq) else None,
+                           bounds=np.column_stack([mmin.lower[cont], mmin.upper[cont]]),
+                           method="highs", options=options)
+    if res.status != 0:
+        return res, None
+    out = x.copy()
+    out[cont] = res.x
+    return res, out
+
+
+def _failed(status: int, message: str, nodes: int) -> MilpSolution:
+    """Infeasible and unbounded outcomes of a HiGHS solve; anything else raises."""
+    if status == 2:
         return MilpSolution(None, None, INFEASIBLE, nodes=nodes)
-    if res.status == 3:
+    if status == 3:
         return MilpSolution(None, None, UNBOUNDED, nodes=nodes)
-    raise SolverNumericalError(f"scipy backend failed: {res.message}")
+    raise SolverNumericalError(f"scipy backend failed: {message}")
 
 
 BackendFn = Callable[[MilpModel, SolverConfig], MilpSolution]

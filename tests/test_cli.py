@@ -246,17 +246,42 @@ def test_mps_export_flag(tmp_path):
 def test_run_trace_names_master(tmp_path):
     toy = tmp_path / "toy.json"
     run_cli("generate", "toy", "--n", 2, "--out", toy)
-    for omega, master in (("toy2", "pattern"), ("segment", "milp")):
-        trace, out = tmp_path / f"{omega}.jsonl", tmp_path / f"{omega}.json"
+    from mprobust.milp import SolverConfig
+
+    for omega, master, backend in (("toy2", "pattern", None), ("segment", "milp", None),
+                                   ("segment", "milp", "bundled")):
+        trace = tmp_path / f"{omega}-{backend}.jsonl"
+        out = tmp_path / f"{omega}-{backend}.json"
+        extra = () if backend is None else ("--backend", backend)
         assert run_cli("run", "--instance", toy, "--omega", omega, "--epsilon", 0,
-                       "--trace", trace, "--out", out) == 0
+                       "--trace", trace, "--out", out, *extra) == 0
         header, *iters = [json.loads(ln) for ln in trace.read_text().splitlines()]
         assert header["record"] == "header" and header["master"] == master
+        assert header["backend"] == (backend or SolverConfig().backend)
         assert header["pattern_solves"] == (2 ** 3 if master == "pattern" else 0)
         assert header["pattern_build_s"] >= 0.0
         assert len(iters) == len(load_json(out)["q_values"])
         for rec in iters:
             assert rec["master"] == master and rec["master_s"] >= 0.0
+            assert isinstance(rec["nodes"], int)
+            if master == "pattern":
+                # the pattern master is exact: no nodes, its value is its bound
+                assert rec["nodes"] == 0 and rec["best_bound"] == rec["q_value"]
+            else:
+                # a maximizing master's bound is at least its value
+                assert rec["nodes"] >= (1 if backend == "bundled" else 0)
+                assert rec["best_bound"] >= rec["q_value"] - 1e-9
+
+
+def test_run_scipy_budgeted_sp20(tmp_path):
+    """The budgeted master on SP 20 once failed the row check on HiGHS's
+    point (row off by 1e-6); it now runs to a result."""
+    sp, out = tmp_path / "sp.json", tmp_path / "res.json"
+    run_cli("generate", "sp", "--nodes", 20, "--seed", 0, "--partition", "r", "--k", 6,
+            "--out", sp)
+    assert run_cli("run", "--instance", sp, "--omega", "budgeted", "--delta", 1,
+                   "--epsilon-pct", 1, "--backend", "scipy", "--out", out) == 0
+    assert load_json(out)["stop_reason"] == "epsilon_met"
 
 
 def test_run_stalled_exit_code(tmp_path):

@@ -304,6 +304,17 @@ def test_epsilon_guarantee_variant():
         assert _max_gap(inst, res, omega) <= 1e-6
 
 
+def test_scipy_variant_budgeted_master():
+    """HiGHS's point on the variant master's all-continuous budget row once
+    missed the row tolerance by 1e-6; the polished point meets it."""
+    from mprobust.milp import SolverConfig
+
+    M = np.ones(3)
+    res = run_aq(toy_instance(2)[0], OmegaSpec.budgeted(0.2 * M, 0.8 * M, 0.4 * M.sum()), 0.0,
+                 mode="variant", config=SolverConfig(backend="scipy"))
+    assert res.stop_reason == "epsilon_met"
+
+
 def test_positive_epsilon_guarantee_and_fewer_solutions():
     inst, _, omega2 = toy_instance(4)
     tight = run_aq(inst, omega2, epsilon=0.0)
@@ -527,7 +538,9 @@ def test_nominal_engine_at_node_limit():
     hi = np.array([12.0, 12.0, 12.0, 11.5])
     full = run_multiparametric_nominal(xm, lo, hi, epsilon=0.0)
     assert full.stop_reason == "epsilon_met" and len(full.q_values) == 4
-    inner = _BACKENDS[SolverConfig().backend]
+    # the bundled B&B: HiGHS proves these masters optimal at its root, so a
+    # one-node limit never cuts them there
+    inner = _BACKENDS["bundled"]
     # masters maximize, the first nominal solve minimizes
     register_backend("master1", lambda model, cfg: inner(
         model, replace(cfg, node_limit=1) if model.maximize else cfg))

@@ -1,4 +1,4 @@
-"""Bundled LP/MILP solver against independent references."""
+"""LP/MILP backends against independent references."""
 
 import io
 
@@ -325,7 +325,37 @@ def test_registered_backend_point_is_row_checked():
 
 
 def test_backend_env_var_default(monkeypatch):
-    monkeypatch.setenv("MPROBUST_BACKEND", "scipy")
-    assert SolverConfig().backend == "scipy"
-    monkeypatch.delenv("MPROBUST_BACKEND")
+    monkeypatch.setenv("MPROBUST_BACKEND", "bundled")
     assert SolverConfig().backend == "bundled"
+    monkeypatch.delenv("MPROBUST_BACKEND")
+    assert SolverConfig().backend == "scipy"
+
+
+def test_backends_agree_exactly():
+    """The bundled B&B and HiGHS reach the same status and optimum (1e-9
+    relative) on random mixed models and on robust counterparts."""
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, build_omega, gen_sp
+    from mprobust.oracle import toy_instance
+    from mprobust.robust import build_robust_milp, build_robust_variant_milp
+
+    rng = np.random.default_rng(71)
+    models = [random_milp(rng, n_bin=8, n_cont=2, m=6) for _ in range(30)]
+    for seed, (kind, K) in enumerate([("r", 3), ("d", 3), ("p", 2)]):
+        inst = apply_partition(gen_sp(SpParams(8, seed=seed)), PartitionScheme(kind, K), seed=seed)
+        omega = build_omega(inst, "interval", delta=1.0)
+        for gamma in (omega.start_gamma, 0.5 * (omega.lower + omega.upper)):
+            models += [build_robust_milp(inst, gamma), build_robust_variant_milp(inst, gamma)]
+    for n in (2, 3, 4):
+        inst, omega1, omega2 = toy_instance(n)
+        for gamma in (omega1.lower, omega2.upper, 0.5 * omega2.upper):
+            models += [build_robust_milp(inst, gamma), build_robust_variant_milp(inst, gamma)]
+    solved = 0
+    for model in models:
+        ours = solve_milp(model, SolverConfig(backend="bundled"))
+        ref = solve_milp(model, SolverConfig(backend="scipy"))
+        assert ours.status == ref.status
+        if ref.status == "optimal":
+            assert ours.objective == pytest.approx(ref.objective,
+                                                   rel=1e-9, abs=1e-9)
+            solved += 1
+    assert solved > 40
