@@ -42,17 +42,17 @@ from .robust import (
     read_certificate, relax_rho_x, solve_robust,
 )
 from .uncertainty import (
-    Instance, OmegaSpec, robustness_value, robustness_value_variant,
+    Instance, OmegaSpec, int_key, robustness_value, robustness_value_variant,
     solution_signature,
 )
 
 STOP_TOL = 1e-9
 
-# Instance kinds whose nominal problem the pattern table solves with
-# ``oracle.nominal_minimize`` at a measured cost: Dijkstra on shortest-path
-# instances, enumeration on the toy family.  The p-median scan costs
-# comb(l, p) passes per pattern and has no measured crossover yet, so those
-# instances stay on the MILP master.
+# Instance kinds whose 2^K nominal problems the pattern table solves at a
+# measured cost: one batched Bellman-Ford kernel on shortest-path instances,
+# enumeration on the toy family.  The p-median scan costs comb(l, p) passes
+# per pattern and has no measured crossover yet, so those instances stay on
+# the MILP master.
 PATTERN_KINDS = ("SP", "TOY")
 
 
@@ -90,6 +90,9 @@ class MprsResult:
     distinct_x: list
     distinct_signatures: list
     elapsed: float
+    seed_s: float = 0.0               # the seed robust solve
+    table_s: float = 0.0              # the pattern table, finished or not
+    master_s: float = 0.0             # every master solve
     instance: Optional[Instance] = field(default=None, repr=False)
 
     @property
@@ -391,12 +394,15 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
 
     gamma_init = np.asarray(omega.start_gamma, dtype=float)
     master = None
+    table_s = 0.0
     if uses_pattern_master(inst, omega, mode):
         try:
             master = PatternMaster(
                 inst, omega, PiEnumerationOracle(inst, deadline=t0 + budget.time_limit))
         except TimeoutError:
             pass  # the MILP seed follows, after which the loop stops on the limit
+        table_s = time.monotonic() - t0
+    t_seed = time.monotonic()
     if master is not None:
         seed = _pattern_seed(inst, master.table, gamma_init, mode)
     else:
@@ -404,6 +410,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         # after an unfinished pattern table
         seed = solve_robust(inst, gamma_init, mode=mode,
                             config=_time_left(config, budget, time.monotonic()))
+    seed_s = time.monotonic() - t_seed
     init_value = seed.value
     history = [HistoryEntry(pi=seed.pi.copy(), rho=seed.rho.copy(),
                             x=seed.x.copy(), gamma=gamma_init,
@@ -413,8 +420,9 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     q_values: list = []
     rel_bounds: list = []
     stop_reason = "budget_exceeded"
+    master_total_s = 0.0
     seen = {_triple_key(history[0])}
-    seen_x = {_x_key(history[0].x)}
+    seen_x = {int_key(history[0].x)}
     if trace is not None:
         trace({"record": "header", "mode": mode, "omega": omega.kind,
                "backend": config.backend,
@@ -442,6 +450,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
             vq = _master_value(sol)
             nodes, bound = sol.nodes, sol.best_bound
         master_s = time.monotonic() - t_master
+        master_total_s += master_s
         q_values.append(vq)
         rel_bounds.append(vq / init_value if abs(init_value) > 1e-12 else np.inf)
         if trace is not None:
@@ -471,7 +480,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
             stop_reason = "stalled"
             break
         seen.add(key)
-        seen_x.add(_x_key(entry.x))
+        seen_x.add(int_key(entry.x))
         history.append(entry)
         if master is not None:
             master.add(entry)
@@ -483,7 +492,8 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         gamma_init=gamma_init, init_value=init_value,
         relative_error_bounds=rel_bounds,
         distinct_x=dx, distinct_signatures=dsig,
-        elapsed=time.monotonic() - t0, instance=inst)
+        elapsed=time.monotonic() - t0, seed_s=seed_s, table_s=table_s,
+        master_s=master_total_s, instance=inst)
 
 
 def _time_left(config: SolverConfig, budget: Budget, start: float) -> SolverConfig:
@@ -542,21 +552,17 @@ def _build_master(inst, omega, history, mode) -> MilpModel:
     return _MASTER_BUILDERS[omega.kind](inst, omega, history)
 
 
-def _x_key(x) -> tuple:
-    return tuple(int(round(v)) for v in x)
-
-
 def _triple_key(e: HistoryEntry) -> tuple:
-    return (tuple(np.round(np.asarray(e.pi, float), 9)),
-            tuple(np.round(np.asarray(e.rho, float), 9)),
-            _x_key(e.x))
+    return (tuple(np.round(np.asarray(e.pi, float), 9).tolist()),
+            tuple(np.round(np.asarray(e.rho, float), 9).tolist()),
+            int_key(e.x))
 
 
 def _distinct(inst: Instance, history) -> tuple:
     xs, sigs = [], []
     seen_x, seen_s = set(), set()
     for e in history:
-        tx = _x_key(e.x)
+        tx = int_key(e.x)
         if tx not in seen_x:
             seen_x.add(tx)
             xs.append(tx)
@@ -712,7 +718,7 @@ def run_multiparametric_nominal(x_model: MilpModel, lower, upper, epsilon: float
     dx = []
     seen = set()
     for h in history:
-        t = tuple(int(v) for v in h)
+        t = int_key(h)
         if t not in seen:
             seen.add(t)
             dx.append(t)

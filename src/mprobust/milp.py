@@ -25,7 +25,9 @@ from __future__ import annotations
 import heapq
 import io
 import os
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -719,6 +721,25 @@ def _scipy_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
     return MilpSolution(x, obj, INCUMBENT_ONLY, best_bound=bound, nodes=nodes)
 
 
+@contextmanager
+def _native_stdout_to_stderr():
+    """Point file descriptor 1 at descriptor 2 for the duration.
+
+    HiGHS prints some diagnostics from native code straight to descriptor 1
+    (``HighsMipSolverData::transformNewIntegerFeasibleSolution ...`` after a
+    solve error), past ``sys.stdout``; they would land in the output of
+    ``mprobust run`` and of any caller.
+    """
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        os.dup2(2, 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def _highs_milp(mmin: MilpModel, cfg: SolverConfig, presolve: bool):
     """scipy.optimize.milp on the min-sense model, run to a zero gap."""
     from scipy import optimize, sparse
@@ -733,9 +754,10 @@ def _highs_milp(mmin: MilpModel, cfg: SolverConfig, presolve: bool):
         options["time_limit"] = float(cfg.time_limit)
     if cfg.node_limit is not None:
         options["node_limit"] = int(cfg.node_limit)
-    return optimize.milp(mmin.objective, constraints=constraints,
-                         integrality=mmin.is_binary.astype(int),
-                         bounds=optimize.Bounds(mmin.lower, mmin.upper), options=options)
+    with _native_stdout_to_stderr():
+        return optimize.milp(mmin.objective, constraints=constraints,
+                             integrality=mmin.is_binary.astype(int),
+                             bounds=optimize.Bounds(mmin.lower, mmin.upper), options=options)
 
 
 def _highs_lp(mmin: MilpModel, x: np.ndarray, cfg: SolverConfig):
@@ -757,11 +779,13 @@ def _highs_lp(mmin: MilpModel, x: np.ndarray, cfg: SolverConfig):
     options = {"presolve": False, "primal_feasibility_tolerance": cfg.feas_tol}
     if cfg.time_limit is not None:
         options["time_limit"] = float(cfg.time_limit)
-    res = optimize.linprog(mmin.objective[cont],
-                           A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
-                           A_eq=A[eq] if np.any(eq) else None, b_eq=rhs[eq] if np.any(eq) else None,
-                           bounds=np.column_stack([mmin.lower[cont], mmin.upper[cont]]),
-                           method="highs", options=options)
+    with _native_stdout_to_stderr():
+        res = optimize.linprog(
+            mmin.objective[cont],
+            A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
+            A_eq=A[eq] if np.any(eq) else None, b_eq=rhs[eq] if np.any(eq) else None,
+            bounds=np.column_stack([mmin.lower[cont], mmin.upper[cont]]),
+            method="highs", options=options)
     if res.status != 0:
         return res, None
     out = x.copy()

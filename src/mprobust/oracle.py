@@ -3,7 +3,9 @@
 Everything here is independent of the MILP machinery: feasible sets are
 enumerated structurally (simple paths, median subsets, unit vectors, or raw
 0-1 patterns), nominal problems are solved by Dijkstra or direct scans, and
-robust values come from the closed-form evaluators.
+robust values come from the closed-form evaluators.  A pattern table over a
+shortest-path instance solves all its nominal problems at once with a
+batched Bellman-Ford pass; Dijkstra stays the single-solve route.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ MAX_PATH_NODES = 12
 MAX_GENERIC_VARS = 24
 MAX_ENUM = 2_000_000
 MAX_MEDIAN_SUBSETS = 200_000    # median subsets the facility scan may visit
-# Largest group count of a pattern table, which pays 2^K nominal solves.
-# The engine's pattern master shares the limit: measured against the MILP
-# master on shortest-path instances (CHANGES.md), the pattern master still
-# won at K = 16.
+# Largest group count of a pattern table, which pays 2^K nominal solves
+# (on shortest-path instances one batched kernel, about 1.8 s at K = 16 on
+# SP 20).  The engine's pattern master shares the limit: measured against
+# the MILP master on shortest-path instances (CHANGES.md), the pattern
+# master still won at K = 16.
 PATTERN_MAX_K = 16
 
 
@@ -77,6 +80,103 @@ def _shared_sp_graph(inst: Instance) -> nx.DiGraph:
     if g is None:
         g = _SP_GRAPHS[inst] = _sp_graph(inst)
     return g
+
+
+class _SpArcs:
+    """The arcs of a shortest-path instance as arrays, sorted by head.
+
+    ``order`` sorts the arcs by head (stably, so arcs into one node keep
+    their index order); ``starts`` opens each head's run in that order,
+    ``heads`` names the run's node and ``run`` maps each sorted arc to its
+    run.
+    """
+
+    def __init__(self, inst: Instance):
+        arcs = np.asarray(inst.metadata["arcs"], dtype=np.int64).reshape(-1, 2)
+        self.tail = arcs[:, 0]
+        self.order = np.argsort(arcs[:, 1], kind="stable")
+        head = arcs[self.order, 1]
+        self.sorted_tail = self.tail[self.order]
+        new_run = np.r_[True, head[1:] != head[:-1]]
+        self.starts = np.flatnonzero(new_run)
+        self.heads = head[self.starts]
+        self.run = np.cumsum(new_run) - 1
+
+
+_SP_ARCS: "weakref.WeakKeyDictionary[Instance, _SpArcs]" = weakref.WeakKeyDictionary()
+
+
+def _shared_sp_arcs(inst: Instance) -> _SpArcs:
+    a = _SP_ARCS.get(inst)
+    if a is None:
+        a = _SP_ARCS[inst] = _SpArcs(inst)
+    return a
+
+
+def _sp_paths(inst: Instance, C: np.ndarray) -> np.ndarray:
+    """A shortest v0-w0 path for every cost row of C (R, n), as (R, n) 0-1 floats.
+
+    Synchronous Bellman-Ford: each pass relaxes every arc for every row at
+    once and keeps each node's minimum over its in-arcs
+    (``np.minimum.reduceat`` over the head-sorted arcs); the passes stop at
+    the first that changes nothing.  Costs are nonnegative, so a distance is
+    the left-to-right float sum along a path, as in Dijkstra.  A node's
+    predecessor arc (the first in-arc reaching the minimum) changes only on a
+    strict improvement, so zero-cost arcs cannot close a cycle in the walk
+    back from w0.  The arrays are node- and arc-major, so each reduction
+    runs over contiguous rows of length R.
+    """
+    a = _shared_sp_arcs(inst)
+    v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
+    R, m = C.shape
+    dist = np.full((int(inst.metadata["num_nodes"]), R), np.inf)
+    dist[v0] = 0.0
+    pred = np.full(dist.shape, -1, dtype=np.int64)
+    cost = np.ascontiguousarray(C.T[a.order])
+    pos = np.arange(m)[:, None]
+    for _ in range(dist.shape[0]):
+        cand = dist[a.sorted_tail] + cost
+        best = np.minimum.reduceat(cand, a.starts, axis=0)
+        u, r = np.nonzero(best < dist[a.heads])
+        if u.size == 0:
+            break
+        first = np.minimum.reduceat(np.where(cand == best[a.run], pos, m), a.starts, axis=0)
+        dist[a.heads[u], r] = best[u, r]
+        pred[a.heads[u], r] = a.order[first[u, r]]
+    if np.isinf(dist[w0]).any():
+        raise nx.NetworkXNoPath(f"node {w0} not reachable from {v0}")
+    X = np.zeros((R, m))
+    node = np.full(R, w0)
+    live = np.flatnonzero(node != v0)
+    while live.size:
+        arc = pred[node[live], live]
+        X[live, arc] = 1.0
+        node[live] = a.tail[arc]
+        live = live[node[live] != v0]
+    return X
+
+
+def _sp_pattern_table(inst: Instance, patterns: np.ndarray, deadline: Optional[float]):
+    """(values, solutions) of every pattern's nominal problem on a
+    shortest-path instance, one ``_sp_paths`` call per row chunk."""
+    P, n = patterns.shape[0], inst.n
+    # indices outside every group (group -1) read the trailing column of ones
+    # and keep their nominal cost, as in ``cost_for_pi``
+    ext = np.hstack([patterns, np.ones((P, 1))])
+    group_of = inst.group_of()
+    values = np.empty(P)
+    solutions = np.empty((P, n), dtype=np.uint8)
+    for rows in row_chunks(P, n):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("pattern table unfinished at the deadline")
+        # C-contiguous rows: the dot products below must take BLAS's route,
+        # as nominal_minimize's do, for the values to agree to the bit
+        on = np.ascontiguousarray(ext[rows][:, group_of])
+        C = inst.c_lower + inst.deviations * (1.0 - on)
+        X = _sp_paths(inst, C)
+        values[rows] = [float(C[p] @ X[p]) for p in range(C.shape[0])]
+        solutions[rows] = X
+    return values, solutions
 
 
 def enumerate_x(inst: Instance) -> np.ndarray:
@@ -232,18 +332,22 @@ class PiEnumerationOracle:
             raise ValueError(f"pattern enumeration refused for K > {PATTERN_MAX_K}")
         t0 = time.monotonic()
         self.inst = inst
-        X = enumerate_x(inst) if inst.kind not in ("SP", "PLM") else None
         P = 1 << K
         bits = np.arange(K - 1, -1, -1)
         self.patterns = ((np.arange(P)[:, None] >> bits) & 1).astype(float)
-        self.nominal_values = np.empty(P)
-        self.solutions = np.empty((P, inst.n), dtype=np.uint8)
-        for i in range(P):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("pattern table unfinished at the deadline")
-            self.nominal_values[i], x = nominal_minimize(
-                inst, cost_for_pi(inst, self.patterns[i]), X=X)
-            self.solutions[i] = np.round(x)
+        if inst.kind == "SP":
+            self.nominal_values, self.solutions = _sp_pattern_table(
+                inst, self.patterns, deadline)
+        else:
+            X = enumerate_x(inst) if inst.kind != "PLM" else None
+            self.nominal_values = np.empty(P)
+            self.solutions = np.empty((P, inst.n), dtype=np.uint8)
+            for i in range(P):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError("pattern table unfinished at the deadline")
+                self.nominal_values[i], x = nominal_minimize(
+                    inst, cost_for_pi(inst, self.patterns[i]), X=X)
+                self.solutions[i] = np.round(x)
         self.build_s = time.monotonic() - t0
 
     def robust_value(self, gamma) -> float:

@@ -129,13 +129,15 @@ def result_to_dict(res: MprsResult, instance_path: Optional[str] = None,
             }
             for e in res.history
         ],
-        "timing": {"elapsed": float(res.elapsed)},
+        "timing": {"elapsed": float(res.elapsed), "seed_s": float(res.seed_s),
+                   "table_s": float(res.table_s), "master_s": float(res.master_s)},
     }
 
 
 def result_from_dict(d: dict, instance: Optional[Instance] = None) -> MprsResult:
     if d.get("format") != RESULT_FORMAT:
         raise ValueError("not a result file")
+    timing = d.get("timing", {})
     history = [
         HistoryEntry(
             pi=np.asarray(h["pi"], dtype=float),
@@ -158,7 +160,10 @@ def result_from_dict(d: dict, instance: Optional[Instance] = None) -> MprsResult
         relative_error_bounds=[_bound_in(v) for v in d["relative_error_bounds"]],
         distinct_x=[tuple(int(v) for v in t) for t in d["distinct_x"]],
         distinct_signatures=[tuple(int(v) for v in t) for t in d["distinct_signatures"]],
-        elapsed=float(d.get("timing", {}).get("elapsed", 0.0)),
+        elapsed=float(timing.get("elapsed", 0.0)),
+        seed_s=float(timing.get("seed_s", 0.0)),
+        table_s=float(timing.get("table_s", 0.0)),
+        master_s=float(timing.get("master_s", 0.0)),
         instance=instance)
 
 

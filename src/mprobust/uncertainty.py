@@ -131,7 +131,13 @@ def solution_signature(inst: Instance, x) -> tuple:
     if inst.kind == "PLM":
         off = int(inst.metadata["y_offset"])
         return tuple(int(j) for j in range(off, inst.n) if x[j] > 0.5)
-    return tuple(int(round(v)) for v in x)
+    return int_key(x)
+
+
+def int_key(x) -> tuple:
+    """Hashable identity of a 0-1 vector: its entries rounded to Python ints
+    (half to even, as ``round``)."""
+    return tuple(np.rint(np.asarray(x, dtype=float)).astype(np.int64).tolist())
 
 
 @dataclass(frozen=True, eq=False)

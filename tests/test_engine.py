@@ -409,23 +409,24 @@ def test_pattern_table_stops_at_time_limit(monkeypatch):
     """A table left unfinished at the time limit ends the run on the limit."""
     from mprobust import oracle
     from mprobust.engine import Budget
+    from mprobust.uncertainty import row_chunks
 
-    inst = apply_partition(gen_sp(SpParams(12, seed=0)), PartitionScheme("r", 12), seed=0)
+    inst = apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", 16), seed=0)
     omega = build_omega(inst, "interval", delta=0.5)
-    calls = []
-    inner = oracle.nominal_minimize
+    chunks = []
+    inner = oracle._sp_paths
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        chunks.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "nominal_minimize", counted)
+    monkeypatch.setattr(oracle, "_sp_paths", counted)
     records = []
     res = run_aq(inst, omega, epsilon=0.0, budget=Budget(time_limit=0.05),
                  trace=records.append)
     assert res.stop_reason == "budget_exceeded"
     assert res.q_values == [] and res.iterations == 1
-    assert 0 < len(calls) < 2 ** 12
+    assert 0 < len(chunks) < len(row_chunks(2 ** 16, inst.n))
     assert records[0]["master"] == "milp" and records[0]["pattern_solves"] == 0
     # the seed still is the robust optimum at the start vector
     assert res.init_value == pytest.approx(solve_robust(inst, omega.start_gamma).value)

@@ -359,3 +359,22 @@ def test_backends_agree_exactly():
                                                    rel=1e-9, abs=1e-9)
             solved += 1
     assert solved > 40
+
+
+def test_highs_native_output_stays_off_stdout(capfd):
+    """HiGHS prints a line from native code after the solve error that the
+    scipy route retries; it must not reach file descriptor 1."""
+    from mprobust.engine import run_aq
+    from mprobust.uncertainty import OmegaSpec
+
+    from helpers import random_instance
+
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        inst = random_instance(rng, n=5, K=2)
+        M = np.array([len(g) for g in inst.groups], dtype=float)
+        res = run_aq(inst, OmegaSpec.interval(np.zeros_like(M), 0.8 * M), epsilon=0.0,
+                     mode="variant", config=SolverConfig(backend="scipy"))
+        assert res.stop_reason == "epsilon_met"
+    out, err = capfd.readouterr()
+    assert "HighsMipSolverData" not in out

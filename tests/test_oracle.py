@@ -182,7 +182,8 @@ def test_piecewise_f_properties_random():
 
 
 def test_sp_graph_built_once_per_instance(monkeypatch):
-    """The pattern oracle and the pattern master share one arc graph."""
+    """The pattern table and the pattern master build no arc graph;
+    ``nominal_minimize`` and ``enumerate_x`` share one per instance."""
     from mprobust import oracle
     from mprobust.engine import run_aq
     from mprobust.generators import (
@@ -202,9 +203,10 @@ def test_sp_graph_built_once_per_instance(monkeypatch):
     ref = PiEnumerationOracle(inst)
     res = run_aq(inst, omega, epsilon=0.0)
     assert res.stop_reason == "epsilon_met"
-    assert len(builds) == 1 and builds[0] is inst
-    # the shared graph carries no costs, so the two agree on every pattern
+    assert builds == []
+    nominal_minimize(inst, inst.c_lower)
     X = enumerate_x(inst)
+    assert len(builds) == 1 and builds[0] is inst
     for gamma in sample_gamma(omega, "vertices"):
         want, _ = brute_robust(inst, gamma, X=X)
         assert ref.robust_value(gamma) == pytest.approx(want, abs=1e-9)
@@ -213,3 +215,65 @@ def test_sp_graph_built_once_per_instance(monkeypatch):
     other = apply_partition(gen_sp(SpParams(10, seed=5)), PartitionScheme("r", 3), seed=5)
     nominal_minimize(other, other.c_lower)
     assert len(builds) == 2 and builds[1] is other
+
+
+def _dijkstra_table(inst, patterns):
+    """Per-pattern ``nominal_minimize`` (Dijkstra): the table's reference."""
+    from mprobust.robust import cost_for_pi
+
+    solved = [nominal_minimize(inst, cost_for_pi(inst, p)) for p in patterns]
+    return np.array([v for v, _ in solved]), np.array([x for _, x in solved])
+
+
+def test_sp_table_matches_dijkstra_bit_for_bit():
+    """The batched kernel against one Dijkstra per pattern: equal values to
+    the bit and identical paths, over sizes, partitions and K = 1..10."""
+    from itertools import product
+
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+
+    cases = list(product((8, 14, 20, 25, 30), "rdp"))
+    for i, (nodes, part) in enumerate(cases):
+        seed, K = i % 5, 1 + i % 10
+        inst = apply_partition(gen_sp(SpParams(nodes, seed=seed)),
+                               PartitionScheme(part, K), seed=seed)
+        table = PiEnumerationOracle(inst)
+        values, X = _dijkstra_table(inst, table.patterns)
+        assert np.array_equal(table.nominal_values, values), (nodes, part, K)
+        assert np.array_equal(table.solutions, X), (nodes, part, K)
+
+
+def test_sp_table_with_zero_cost_arcs():
+    """Zero-cost arcs in both directions (zero-cost cycles) still give each
+    pattern its optimal value and a v0-w0 path that meets the flow rows."""
+    from dataclasses import replace
+
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+
+    inst = apply_partition(gen_sp(SpParams(14, seed=3)), PartitionScheme("d", 4), seed=3)
+    index = {tuple(a): j for j, a in enumerate(inst.metadata["arcs"])}
+    free = np.zeros(inst.n, dtype=bool)
+    for (u, v), j in index.items():
+        if j % 3 == 0 and (v, u) in index:
+            free[j] = free[index[v, u]] = True
+    assert free.sum() >= 6
+    inst = replace(inst, c_lower=np.where(free, 0.0, inst.c_lower),
+                   deviations=np.where(free, 0.0, inst.deviations))
+    table = PiEnumerationOracle(inst)
+    values, _ = _dijkstra_table(inst, table.patterns)
+    assert np.array_equal(table.nominal_values, values)
+    X = table.solutions.astype(float)
+    assert np.array_equal(X @ inst.x_coeffs.T, np.tile(inst.x_rhs, (X.shape[0], 1)))
+
+
+def test_sp_table_unchanged_across_chunk_boundaries(monkeypatch):
+    from mprobust import uncertainty
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+
+    inst = apply_partition(gen_sp(SpParams(16, seed=1)), PartitionScheme("r", 7), seed=1)
+    whole = PiEnumerationOracle(inst)
+    monkeypatch.setattr(uncertainty, "CHUNK_ELEMS", 3 * inst.n + 1)
+    assert len(uncertainty.row_chunks(2 ** 7, inst.n)) == 43
+    chunked = PiEnumerationOracle(inst)
+    assert np.array_equal(chunked.nominal_values, whole.nominal_values)
+    assert np.array_equal(chunked.solutions, whole.solutions)

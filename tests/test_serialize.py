@@ -70,3 +70,20 @@ def test_inf_sentinel_round_trip():
     dumps_canonical(d)  # stays valid strict JSON
     back = result_from_dict(d, instance=inst)
     assert np.isinf(back.relative_error_bounds[0])
+
+
+def test_result_timing_totals_round_trip():
+    inst = apply_partition(gen_sp(SpParams(10, seed=1)), PartitionScheme("r", 3), seed=1)
+    from mprobust.generators import build_omega
+
+    res = run_aq(inst, build_omega(inst, "interval", delta=0.5), epsilon=0.0)
+    timing = result_to_dict(res)["timing"]
+    assert list(timing) == ["elapsed", "seed_s", "table_s", "master_s"]
+    assert res.table_s > 0.0 and res.seed_s > 0.0 and res.master_s > 0.0
+    assert res.table_s + res.seed_s + res.master_s <= res.elapsed
+    back = result_from_dict(result_to_dict(res), instance=inst)
+    assert [back.elapsed, back.seed_s, back.table_s, back.master_s] == \
+        [res.elapsed, res.seed_s, res.table_s, res.master_s]
+    # a MILP-master run builds no table
+    toy, _, omega2 = toy_instance(2)
+    assert run_aq(toy, OmegaSpec.segment(omega2.upper), epsilon=0.0).table_s == 0.0

@@ -269,3 +269,17 @@ def test_instance_validation_and_feasibility():
 def test_solution_signature_generic():
     inst, _, _ = toy_instance(2)
     assert solution_signature(inst, [0, 0, 1]) == (0, 0, 1)
+
+
+def test_int_key_matches_round():
+    from mprobust.uncertainty import int_key
+
+    rng = np.random.default_rng(5)
+    vectors = [rng.integers(0, 2, size=n).astype(float) for n in (0, 1, 7, 114)]
+    vectors.append(np.array([-0.0, 0.0, 0.9999999, 1.0000001, 1e-12, -1e-12, 0.5, 1.5, 2.5]))
+    vectors.append(rng.integers(0, 2, size=50) + rng.uniform(-1e-6, 1e-6, size=50))
+    for x in vectors:
+        key = int_key(x)
+        assert key == tuple(int(round(v)) for v in x)
+        assert all(type(v) is int for v in key)
+    assert int_key([-0.0, 0.9999999]) == (0, 1)
