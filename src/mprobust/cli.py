@@ -8,8 +8,6 @@ failed, 4 bad input, 5 the loop stalled on a repeated entry above epsilon
 (artifacts are kept; the residual is the last q value), 6 solver fault (a
 backend returned a point that violates a row, or a relaxed solve on an
 instance declared totally unimodular returned a fractional x; no result).
-The default solver backend can be overridden with the MPROBUST_BACKEND
-environment variable or --backend.
 """
 
 from __future__ import annotations
@@ -204,14 +202,13 @@ def _omega_from_args(inst: Instance, args) -> OmegaSpec:
 def cmd_run(args) -> int:
     inst = _load_instance(args.instance)
     omega = _omega_from_args(inst, args)
-    config = SolverConfig(backend=args.backend) if args.backend else SolverConfig()
 
     if args.epsilon is not None:
         epsilon = args.epsilon
         eps_mode = {"kind": "absolute", "value": float(epsilon)}
     else:
         pct = args.epsilon_pct if args.epsilon_pct is not None else 1.0
-        seed_sol = solve_robust(inst, omega.start_gamma, mode=args.mode, config=config)
+        seed_sol = solve_robust(inst, omega.start_gamma, mode=args.mode)
         epsilon = (pct / 100.0) * seed_sol.value
         eps_mode = {"kind": "relative", "pct": float(pct)}
 
@@ -222,7 +219,7 @@ def cmd_run(args) -> int:
             trace_fh.write(json.dumps(rec) + "\n")
 
     try:
-        res = run_aq(inst, omega, epsilon, mode=args.mode, config=config,
+        res = run_aq(inst, omega, epsilon, mode=args.mode,
                      budget=Budget(max_iters=args.max_iters,
                                    time_limit=args.time_limit),
                      trace=trace)
@@ -289,11 +286,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_verify(args) -> int:
     res, inst, _ = _load_result(args)
-    config = SolverConfig(backend=args.backend) if args.backend else SolverConfig()
     report = verify_solution_set(
         inst, res.omega, [np.array(t, dtype=float) for t in res.distinct_x],
-        res.epsilon, mode=res.mode, grid_m=args.grid, uniform=args.uniform,
-        config=config)
+        res.epsilon, mode=res.mode, grid_m=args.grid, uniform=args.uniform)
     print(dumps_canonical(report), end="")
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
@@ -377,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative tolerance as a percent of the start robust value")
     r.add_argument("--max-iters", type=int, default=500)
     r.add_argument("--time-limit", type=float, default=3600.0)
-    r.add_argument("--backend", default=None)
     r.add_argument("--trace", default=None, help="line-delimited iteration trace")
     r.add_argument("--mps-dir", default=None, help="export key models as MPS files")
     r.add_argument("--out", required=True)
@@ -395,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--instance", default=None)
     v.add_argument("--grid", type=int, default=5)
     v.add_argument("--uniform", type=int, default=100)
-    v.add_argument("--backend", default=None)
     v.set_defaults(fn=cmd_verify)
 
     rep = sub.add_parser("report", help="aggregate result files into a CSV table")

@@ -9,28 +9,23 @@ The model container is a plain dense-array description of
 Models name their column blocks (``MilpModel.blocks``), so callers read a
 solution by block name instead of by position.
 
-``solve_milp(model, config)`` dispatches to a named backend.  The default,
-``scipy``, is HiGHS through ``scipy.optimize.milp``, run to a zero relative
-gap; its points are polished so that they meet ``SolverConfig.feas_tol``
-(the binaries rounded, the continuous columns re-solved as an LP with the
-binaries fixed).  The opt-in ``bundled`` solver is a two-phase dense-tableau
-simplex with bounded variables (Dantzig pricing, Bland fallback after
-stalls) plus a best-first branch and bound over the binaries: exact and
-deterministic, but slow past small models.  Other solvers attach through
+``solve_milp(model, config)`` dispatches to a named backend.  The one
+shipped, ``scipy``, is HiGHS through ``scipy.optimize.milp``, run to a zero
+relative gap; its points are polished so that they meet
+``SolverConfig.feas_tol`` (the binaries rounded, the continuous columns
+re-solved as an LP with the binaries fixed).  Other solvers attach through
 ``register_backend``; every backend's point is checked against the rows.
 """
 
 from __future__ import annotations
 
-import heapq
 import io
 import os
 import sys
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -50,7 +45,8 @@ class ModelError(ValueError):
 
 
 class SolverNumericalError(RuntimeError):
-    """Pivot breakdown or iteration blow-up; distinct from infeasible/unbounded."""
+    """A returned point violates a row, or HiGHS failed; distinct from
+    infeasible/unbounded."""
 
 
 class SolverLimitError(RuntimeError):
@@ -215,23 +211,18 @@ class ModelBuilder:
         )
 
 
-def _default_backend() -> str:
-    return os.environ.get("MPROBUST_BACKEND", "scipy")
-
-
 @dataclass
 class SolverConfig:
     """Tolerances and limits shared by every backend."""
 
     feas_tol: float = 1e-7
     int_tol: float = 1e-6
-    pivot_tol: float = 1e-9
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
-    backend: str = field(default_factory=_default_backend)
+    backend: str = "scipy"
 
     def __post_init__(self):
-        if min(self.feas_tol, self.int_tol, self.pivot_tol) <= 0:
+        if min(self.feas_tol, self.int_tol) <= 0:
             raise ModelError("tolerances must be positive")
 
 
@@ -257,294 +248,6 @@ def relax_binaries(model: MilpModel, subset: Iterable[int]) -> MilpModel:
     is_bin = model.is_binary.copy()
     is_bin[arr] = False
     return replace(model, is_binary=is_bin)
-
-
-# ---------------------------------------------------------------------------
-# bundled simplex
-# ---------------------------------------------------------------------------
-
-_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
-
-
-class _LpCore:
-    """Equality-form bounded-variable simplex over a fixed model skeleton.
-
-    The skeleton (columns, slacks, recovery map) is built once; per-call
-    bound overrides on the original variables make branch-and-bound cheap.
-    """
-
-    def __init__(self, model: MilpModel, cfg: SolverConfig):
-        self.cfg = cfg
-        self.n_orig = model.num_vars
-        A, senses, b = model.row_coeffs, model.row_senses, model.row_rhs
-        m = model.num_rows
-
-        cols: list[np.ndarray] = []
-        cost: list[float] = []
-        self._ops: list[tuple] = []         # recovery: one op per original var
-        self._col_of: list[int] = []        # first transformed column per original var
-        obj_const = 0.0
-        c = model.objective.copy()
-        lo_o, up_o = model.lower, model.upper
-        for j in range(self.n_orig):
-            self._col_of.append(len(cols))
-            if np.isneginf(lo_o[j]) and np.isposinf(up_o[j]):
-                cols.append(A[:, j].copy()); cost.append(c[j])
-                cols.append(-A[:, j]); cost.append(-c[j])
-                self._ops.append(("split",))
-            elif np.isneginf(lo_o[j]):
-                # substitute v = upper - y, y >= 0
-                cols.append(-A[:, j]); cost.append(-c[j])
-                self._ops.append(("neg", up_o[j]))
-                obj_const += c[j] * up_o[j]
-            else:
-                cols.append(A[:, j].copy()); cost.append(c[j])
-                self._ops.append(("id",))
-        self._b_shift = np.zeros(m)
-        for j in range(self.n_orig):
-            if self._ops[j][0] == "neg":
-                self._b_shift += A[:, j] * self._ops[j][1]
-
-        self._slack_of = np.full(m, -1, dtype=int)
-        for i in range(m):
-            if senses[i] == EQ:
-                continue
-            col = np.zeros(m)
-            col[i] = 1.0 if senses[i] == LE else -1.0
-            self._slack_of[i] = len(cols)
-            cols.append(col)
-            cost.append(0.0)
-
-        self.N = len(cols)
-        self.A = np.column_stack(cols) if cols else np.zeros((m, 0))
-        self.c = np.asarray(cost)
-        self.b = b - self._b_shift
-        self.obj_const = obj_const
-        self.m = m
-        # static column bounds (original-variable bounds applied per call)
-        self._lo0 = np.zeros(self.N)
-        self._up0 = np.full(self.N, np.inf)
-        self._scale = max(1.0, float(np.max(np.abs(self.c))) if self.N else 1.0)
-        self._bscale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
-
-    def _column_bounds(self, lower: np.ndarray, upper: np.ndarray):
-        lo = self._lo0.copy()
-        up = self._up0.copy()
-        for j in range(self.n_orig):
-            k = self._col_of[j]
-            op = self._ops[j][0]
-            if op == "id":
-                lo[k] = lower[j]
-                up[k] = upper[j]
-            elif op == "neg":
-                # y = fixed_upper - v, v in [lower, upper<=fixed_upper]
-                uref = self._ops[j][1]
-                lo[k] = uref - upper[j]
-                up[k] = np.inf if np.isneginf(lower[j]) else uref - lower[j]
-            # split: both parts stay [0, inf)
-        return lo, up
-
-    def _recover(self, y: np.ndarray) -> np.ndarray:
-        x = np.empty(self.n_orig)
-        for j in range(self.n_orig):
-            k = self._col_of[j]
-            op = self._ops[j]
-            if op[0] == "id":
-                x[j] = y[k]
-            elif op[0] == "neg":
-                x[j] = op[1] - y[k]
-            else:
-                x[j] = y[k] - y[k + 1]
-        return x
-
-    def solve(self, lower: np.ndarray, upper: np.ndarray):
-        """Returns (status, x, objective) with objective in min sense."""
-        lo, up = self._column_bounds(lower, upper)
-        m, N = self.m, self.N
-        T = self.A.copy()
-        resid = self.b - T @ lo if N else self.b.copy()
-
-        stat = np.full(N, _AT_LOWER, dtype=np.int8)
-        basis = np.empty(m, dtype=int)
-        art_cols = []
-        art_data = []
-        for i in range(m):
-            si = self._slack_of[i]
-            take_art = True
-            if si >= 0:
-                coef = self.A[i, si]
-                val = resid[i] / coef
-                if val >= 0.0:
-                    basis[i] = si
-                    stat[si] = _BASIC
-                    take_art = False
-            if take_art:
-                coef = 1.0 if resid[i] >= 0 else -1.0
-                col = np.zeros(m)
-                col[i] = coef
-                art_cols.append(col)
-                art_data.append(i)
-                basis[i] = N + len(art_cols) - 1
-                # stat entry appended below
-
-        n_art = len(art_cols)
-        if n_art:
-            T = np.column_stack([T] + art_cols)
-            lo = np.concatenate([lo, np.zeros(n_art)])
-            up = np.concatenate([up, np.full(n_art, np.inf)])
-            stat = np.concatenate([stat, np.full(n_art, _BASIC, dtype=np.int8)])
-        xB = np.empty(m)
-        for i in range(m):
-            piv = T[i, basis[i]]
-            if piv != 1.0:
-                T[i, :] /= piv
-            xB[i] = resid[i] / piv
-
-        total = N + n_art
-        max_iter = 200 * (m + total) + 2000
-
-        if n_art:
-            c1 = np.zeros(total)
-            c1[N:] = 1.0
-            st = self._iterate(T, xB, basis, stat, lo, up, c1, max_iter, phase=1)
-            if st == UNBOUNDED:
-                raise SolverNumericalError("phase-1 simplex reported an unbounded direction")
-            phase1 = float(c1[basis] @ xB)
-            if phase1 > self.cfg.feas_tol * self._bscale:
-                return INFEASIBLE, None, None
-            # drive artificials out of the basis, dropping redundant rows
-            keep_rows = np.ones(m, dtype=bool)
-            for r in range(m):
-                if basis[r] < N:
-                    continue
-                row = np.abs(T[r, :N])
-                row_masked = np.where(stat[:N] != _BASIC, row, 0.0)
-                jbest = int(np.argmax(row_masked))
-                if row_masked[jbest] > self.cfg.pivot_tol:
-                    self._pivot(T, xB, basis, stat, lo, up, r, jbest)
-                else:
-                    keep_rows[r] = False
-            if not np.all(keep_rows):
-                T = T[keep_rows]
-                xB = xB[keep_rows]
-                basis = basis[keep_rows]
-                m = T.shape[0]
-            T = np.ascontiguousarray(T[:, :N])
-            lo, up, stat = lo[:N], up[:N], stat[:N]
-
-        st = self._iterate(T, xB, basis, stat, lo, up, self.c, max_iter, phase=2)
-        if st == UNBOUNDED:
-            return UNBOUNDED, None, None
-
-        y = np.where(stat == _AT_UPPER, up, lo)
-        y[basis] = xB
-        np.clip(y, lo, up, out=y)
-        x = self._recover(y)
-        obj = float(self.c @ y) + self.obj_const
-        return OPTIMAL, x, obj
-
-    def _pivot(self, T, xB, basis, stat, lo, up, r, j, enter_val=None):
-        piv = T[r, j]
-        col = T[:, j].copy()
-        Trow = T[r] / piv
-        T -= np.outer(col, Trow)
-        T[r] = Trow
-        T[:, j] = 0.0
-        T[r, j] = 1.0
-        leave = basis[r]
-        if enter_val is None:
-            enter_val = up[j] if stat[j] == _AT_UPPER else lo[j]
-        stat[leave] = _AT_LOWER
-        stat[j] = _BASIC
-        basis[r] = j
-        xB[r] = enter_val
-
-    def _iterate(self, T, xB, basis, stat, lo, up, c, max_iter, phase):
-        m = T.shape[0]
-        y = c - T.T @ c[basis] if m else c.copy()
-        cscale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-        tol_opt = self.cfg.pivot_tol * cscale
-        tol_piv = self.cfg.pivot_tol
-        room = up - lo
-        bland = False
-        stall = 0
-        stall_limit = 4 * (m + T.shape[1]) + 50
-        for _ in range(max_iter):
-            viol = np.where(stat == _AT_LOWER, -y, y)
-            viol[stat == _BASIC] = -np.inf
-            viol[room <= 0.0] = -np.inf
-            if bland:
-                elig = np.flatnonzero(viol > tol_opt)
-                if elig.size == 0:
-                    return OPTIMAL
-                j = int(elig[0])
-            else:
-                j = int(np.argmax(viol))
-                if viol[j] <= tol_opt:
-                    return OPTIMAL
-            d = 1.0 if stat[j] == _AT_LOWER else -1.0
-            g = d * T[:, j]
-
-            t_bound = room[j]
-            t_best = t_bound
-            r_best = -1
-            if m:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    dec = g > tol_piv
-                    inc = g < -tol_piv
-                    t_rows = np.full(m, np.inf)
-                    if np.any(dec):
-                        t_rows[dec] = np.maximum(xB[dec] - lo[basis[dec]], 0.0) / g[dec]
-                    if np.any(inc):
-                        ub_b = up[basis[inc]]
-                        fin = np.isfinite(ub_b)
-                        ii = np.flatnonzero(inc)[fin]
-                        if ii.size:
-                            t_rows[ii] = np.maximum(up[basis[ii]] - xB[ii], 0.0) / (-g[ii])
-                tmin = float(np.min(t_rows)) if m else np.inf
-                if tmin < t_best:
-                    near = np.flatnonzero(t_rows <= tmin + 1e-12 * (1.0 + tmin))
-                    if bland:
-                        r_best = int(near[np.argmin(basis[near])])
-                    else:
-                        r_best = int(near[np.argmax(np.abs(g[near]))])
-                    t_best = max(float(t_rows[r_best]), 0.0)
-            if not np.isfinite(t_best):
-                if phase == 1:
-                    raise SolverNumericalError("phase-1 objective is bounded below; breakdown")
-                return UNBOUNDED
-            delta = y[j] * d * t_best
-            if r_best < 0:
-                # bound flip, no basis change
-                if m:
-                    xB -= t_best * g
-                stat[j] = _AT_UPPER if stat[j] == _AT_LOWER else _AT_LOWER
-            else:
-                xB -= t_best * g
-                leave = basis[r_best]
-                leave_upper = g[r_best] < 0
-                enter_val = (lo[j] if d > 0 else up[j]) + d * t_best
-                yj = y[j]
-                piv = T[r_best, j]
-                col = T[:, j].copy()
-                Trow = T[r_best] / piv
-                T -= np.outer(col, Trow)
-                T[r_best] = Trow
-                T[:, j] = 0.0
-                T[r_best, j] = 1.0
-                y -= yj * Trow
-                y[j] = 0.0
-                stat[leave] = _AT_UPPER if leave_upper else _AT_LOWER
-                stat[j] = _BASIC
-                basis[r_best] = j
-                xB[r_best] = enter_val
-            if abs(delta) <= 1e-12 * cscale:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-            else:
-                stall = 0
-        raise SolverNumericalError("simplex iteration limit exceeded (cycling or pivot breakdown)")
 
 
 def _row_tolerances(model: MilpModel, feas_tol: float) -> np.ndarray:
@@ -576,103 +279,8 @@ def _as_min(model: MilpModel) -> MilpModel:
     return replace(model, objective=-model.objective, maximize=False)
 
 
-def _bundled_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
-    mmin = _as_min(model)
-    sign = -1.0 if model.maximize else 1.0
-    if mmin.num_binary == 0:
-        core = _LpCore(mmin, cfg)
-        status, x, obj = core.solve(mmin.lower, mmin.upper)
-        if status != OPTIMAL:
-            return MilpSolution(None, None, status)
-        return MilpSolution(x, sign * obj, OPTIMAL)
-    sol = _branch_and_bound(mmin, cfg)
-    if sol.objective is not None:
-        sol.objective = sign * sol.objective
-    if sol.best_bound is not None:
-        sol.best_bound = sign * sol.best_bound
-    return sol
-
-
-def _branch_and_bound(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
-    """Best-first B&B over binaries; model must be in min sense."""
-    core = _LpCore(model, cfg)
-    bin_idx = np.flatnonzero(model.is_binary)
-    lo0 = model.lower.copy()
-    up0 = model.upper.copy()
-
-    t0 = time.monotonic()
-    heap: list[tuple] = [(-np.inf, 0, lo0, up0)]
-    tick = 1
-    inc_val = np.inf
-    inc_x: Optional[np.ndarray] = None
-    nodes = 0
-    hit_limit = False
-
-    def prune_tol() -> float:
-        return 1e-9 * max(1.0, abs(inc_val)) if np.isfinite(inc_val) else 0.0
-
-    while heap:
-        if cfg.node_limit is not None and nodes >= cfg.node_limit:
-            hit_limit = True
-            break
-        if cfg.time_limit is not None and time.monotonic() - t0 > cfg.time_limit:
-            hit_limit = True
-            break
-        bound, _, lo, up = heapq.heappop(heap)
-        if bound >= inc_val - prune_tol():
-            continue
-        status, x, obj = core.solve(lo, up)
-        nodes += 1
-        if status == INFEASIBLE:
-            continue
-        if status == UNBOUNDED:
-            return MilpSolution(None, None, UNBOUNDED, nodes=nodes)
-        if obj >= inc_val - prune_tol():
-            continue
-        frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
-        if frac.size == 0 or float(np.max(frac)) <= cfg.int_tol:
-            cand = np.round(x[bin_idx]).astype(int)
-            if obj < inc_val - prune_tol():
-                inc_val, inc_x = obj, x.copy()
-                inc_x[bin_idx] = cand
-            elif abs(obj - inc_val) <= prune_tol() and inc_x is not None:
-                if tuple(cand) < tuple(np.round(inc_x[bin_idx]).astype(int)):
-                    inc_val, inc_x = obj, x.copy()
-                    inc_x[bin_idx] = cand
-            continue
-        j = bin_idx[int(np.argmax(frac))]
-        lo_a, up_a = lo.copy(), up.copy()
-        up_a[j] = 0.0
-        lo_b, up_b = lo.copy(), up.copy()
-        lo_b[j] = 1.0
-        heapq.heappush(heap, (obj, tick, lo_a, up_a))
-        heapq.heappush(heap, (obj, tick + 1, lo_b, up_b))
-        tick += 2
-
-    if inc_x is not None:
-        # polish: fix binaries and re-solve the LP for exact continuous values
-        lo_f, up_f = lo0.copy(), up0.copy()
-        lo_f[bin_idx] = inc_x[bin_idx]
-        up_f[bin_idx] = inc_x[bin_idx]
-        status, x, obj = core.solve(lo_f, up_f)
-        if status == OPTIMAL:
-            x[bin_idx] = np.round(x[bin_idx])
-            inc_x, inc_val = x, obj
-
-    if hit_limit:
-        # the optimum is at most the incumbent, even where every open node's
-        # parent bound is above it
-        bb = min([h[0] for h in heap] + [inc_val])
-        return MilpSolution(inc_x, inc_val if inc_x is not None else None,
-                            INCUMBENT_ONLY, best_bound=float(bb), nodes=nodes)
-    if inc_x is None:
-        return MilpSolution(None, None, INFEASIBLE, nodes=nodes)
-    return MilpSolution(inc_x, float(inc_val), OPTIMAL,
-                        best_bound=float(inc_val), nodes=nodes)
-
-
 # ---------------------------------------------------------------------------
-# scipy backend: HiGHS through scipy.optimize (the default)
+# scipy backend: HiGHS through scipy.optimize
 # ---------------------------------------------------------------------------
 
 def _scipy_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
@@ -805,7 +413,6 @@ def _failed(status: int, message: str, nodes: int) -> MilpSolution:
 BackendFn = Callable[[MilpModel, SolverConfig], MilpSolution]
 
 _BACKENDS: dict[str, BackendFn] = {
-    "bundled": _bundled_submit,
     "scipy": _scipy_submit,
 }
 

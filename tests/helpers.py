@@ -1,4 +1,4 @@
-"""Shared test oracles, independent of the bundled solver.
+"""Shared test oracles, independent of the solver under test.
 
 LP references go through scipy (HiGHS) or plain linear algebra (vertex
 enumeration); MILP references enumerate binary assignments exhaustively and
@@ -6,11 +6,26 @@ complete each with a scipy LP solve.
 """
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.optimize import linprog
 
-from mprobust.milp import GE, LE, EQ, MilpModel
+from mprobust.milp import _BACKENDS, GE, LE, EQ, MilpModel, SolverConfig, register_backend
+
+
+@contextmanager
+def wrapped_default_backend(wrap):
+    """Serve the default backend's name with ``wrap(original)`` for the
+    duration, so that fault injection reaches every caller; the original
+    comes back in ``finally``."""
+    name = SolverConfig().backend
+    original = _BACKENDS[name]
+    register_backend(name, wrap(original))
+    try:
+        yield
+    finally:
+        register_backend(name, original)
 
 
 def scipy_lp(model: MilpModel, lower=None, upper=None):

@@ -8,6 +8,8 @@ import pytest
 from mprobust.cli import main
 from mprobust.serialize import load_json, save_json
 
+from helpers import wrapped_default_backend
+
 
 def _strip_timing(d):
     d = dict(d)
@@ -248,16 +250,14 @@ def test_run_trace_names_master(tmp_path):
     run_cli("generate", "toy", "--n", 2, "--out", toy)
     from mprobust.milp import SolverConfig
 
-    for omega, master, backend in (("toy2", "pattern", None), ("segment", "milp", None),
-                                   ("segment", "milp", "bundled")):
-        trace = tmp_path / f"{omega}-{backend}.jsonl"
-        out = tmp_path / f"{omega}-{backend}.json"
-        extra = () if backend is None else ("--backend", backend)
+    for omega, master in (("toy2", "pattern"), ("segment", "milp")):
+        trace = tmp_path / f"{omega}.jsonl"
+        out = tmp_path / f"{omega}.json"
         assert run_cli("run", "--instance", toy, "--omega", omega, "--epsilon", 0,
-                       "--trace", trace, "--out", out, *extra) == 0
+                       "--trace", trace, "--out", out) == 0
         header, *iters = [json.loads(ln) for ln in trace.read_text().splitlines()]
         assert header["record"] == "header" and header["master"] == master
-        assert header["backend"] == (backend or SolverConfig().backend)
+        assert header["backend"] == SolverConfig().backend
         assert header["pattern_solves"] == (2 ** 3 if master == "pattern" else 0)
         assert header["pattern_build_s"] >= 0.0
         assert len(iters) == len(load_json(out)["q_values"])
@@ -269,7 +269,7 @@ def test_run_trace_names_master(tmp_path):
                 assert rec["nodes"] == 0 and rec["best_bound"] == rec["q_value"]
             else:
                 # a maximizing master's bound is at least its value
-                assert rec["nodes"] >= (1 if backend == "bundled" else 0)
+                assert rec["nodes"] >= 0
                 assert rec["best_bound"] >= rec["q_value"] - 1e-9
 
 
@@ -280,18 +280,17 @@ def test_run_scipy_budgeted_sp20(tmp_path):
     run_cli("generate", "sp", "--nodes", 20, "--seed", 0, "--partition", "r", "--k", 6,
             "--out", sp)
     assert run_cli("run", "--instance", sp, "--omega", "budgeted", "--delta", 1,
-                   "--epsilon-pct", 1, "--backend", "scipy", "--out", out) == 0
+                   "--epsilon-pct", 1, "--out", out) == 0
     assert load_json(out)["stop_reason"] == "epsilon_met"
 
 
 def test_run_stalled_exit_code(tmp_path):
     """A master that replays its previous optimum stops the loop as stalled."""
-    from mprobust.milp import _BACKENDS, MilpSolution, SolverConfig, register_backend
+    from mprobust.milp import MilpSolution
 
-    inner = _BACKENDS[SolverConfig().backend]
     masters = []
 
-    def replay(model, cfg):
+    def replay(inner, model, cfg):
         if not model.name.startswith("q_"):
             return inner(model, cfg)
         if not masters:
@@ -306,15 +305,12 @@ def test_run_stalled_exit_code(tmp_path):
         v[0] += min(0.0, float(slack.min()))
         return MilpSolution(v, prev.objective, "optimal")
 
-    register_backend("replay", replay)
-    try:
-        toy = tmp_path / "toy.json"
-        run_cli("generate", "toy", "--n", 2, "--out", toy)
-        out, trace = tmp_path / "res.json", tmp_path / "trace.jsonl"
+    toy = tmp_path / "toy.json"
+    run_cli("generate", "toy", "--n", 2, "--out", toy)
+    out, trace = tmp_path / "res.json", tmp_path / "trace.jsonl"
+    with wrapped_default_backend(lambda inner: lambda model, cfg: replay(inner, model, cfg)):
         code = run_cli("run", "--instance", toy, "--omega", "segment", "--epsilon", 0,
-                       "--backend", "replay", "--trace", trace, "--out", out)
-    finally:
-        _BACKENDS.pop("replay", None)
+                       "--trace", trace, "--out", out)
     assert code == 5
     d = load_json(out)
     assert d["stop_reason"] == "stalled"
@@ -389,58 +385,49 @@ def test_run_solver_limit_exit_code(tmp_path, capsys):
     """Solver limits end `run` with exit code 2, never a traceback."""
     from dataclasses import replace
 
-    from mprobust.milp import _BACKENDS, SolverConfig, register_backend
-
-    inner = _BACKENDS[SolverConfig().backend]
-    register_backend("node3", lambda model, cfg: inner(model, replace(cfg, node_limit=3)))
-    register_backend("seedcap", lambda model, cfg: inner(
-        model, replace(cfg, node_limit=0) if model.name == "robust" else cfg))
     sp = tmp_path / "sp.json"
     run_cli("generate", "sp", "--nodes", 20, "--seed", 0, "--partition", "r",
             "--k", 4, "--out", sp)
-    try:
-        # the master stops at the node limit: partial artifacts and its bound
-        out, trace = tmp_path / "res.json", tmp_path / "trace.jsonl"
+    # the master stops at the node limit: partial artifacts and its bound
+    out, trace = tmp_path / "res.json", tmp_path / "trace.jsonl"
+    with wrapped_default_backend(lambda inner: lambda model, cfg: inner(
+            model, replace(cfg, node_limit=3))):
         code = run_cli("run", "--instance", sp, "--omega", "segment", "--epsilon", 0,
-                       "--backend", "node3", "--trace", trace, "--out", out)
-        assert code == 2
-        d = load_json(out)
-        assert d["stop_reason"] == "budget_exceeded"
-        last = json.loads(trace.read_text().splitlines()[-1])
-        assert last["status"] == "incumbent_only"
-        assert d["q_values"][-1] == last["q_value"] > 0
-        assert len(d["q_values"]) == d["iterations"]
-        # a seed solve at a limit: one line on stderr, no result
-        capsys.readouterr()
-        seed_out = tmp_path / "seed.json"
+                       "--trace", trace, "--out", out)
+    assert code == 2
+    d = load_json(out)
+    assert d["stop_reason"] == "budget_exceeded"
+    last = json.loads(trace.read_text().splitlines()[-1])
+    assert last["status"] == "incumbent_only"
+    assert d["q_values"][-1] == last["q_value"] > 0
+    assert len(d["q_values"]) == d["iterations"]
+    # a seed solve at a limit: one line on stderr, no result
+    capsys.readouterr()
+    seed_out = tmp_path / "seed.json"
+    with wrapped_default_backend(lambda inner: lambda model, cfg: inner(
+            model, replace(cfg, node_limit=0) if model.name == "robust" else cfg)):
         code = run_cli("run", "--instance", sp, "--omega", "segment", "--epsilon-pct", 1,
-                       "--backend", "seedcap", "--out", seed_out)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not seed_out.exists()
-    finally:
-        _BACKENDS.pop("node3", None)
-        _BACKENDS.pop("seedcap", None)
+                       "--out", seed_out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not seed_out.exists()
 
 
 def test_run_solver_fault_exit_code(tmp_path, capsys):
     """A backend point that violates a row ends `run` with exit code 6."""
-    from mprobust.milp import _BACKENDS, MilpSolution, register_backend
+    from mprobust.milp import MilpSolution
 
-    register_backend("rowbreaker", lambda model, cfg: MilpSolution(
-        np.ones(model.num_vars), 0.0, "optimal"))
     sp = tmp_path / "sp.json"
     run_cli("generate", "sp", "--nodes", 8, "--seed", 0, "--partition", "r",
             "--k", 2, "--out", sp)
-    try:
-        capsys.readouterr()
-        out = tmp_path / "res.json"
+    capsys.readouterr()
+    out = tmp_path / "res.json"
+    with wrapped_default_backend(lambda inner: lambda model, cfg: MilpSolution(
+            np.ones(model.num_vars), 0.0, "optimal")):
         code = run_cli("run", "--instance", sp, "--omega", "segment", "--epsilon", 0,
-                       "--backend", "rowbreaker", "--out", out)
-        assert code == 6
-        err = capsys.readouterr().err
-        assert err.startswith("solver fault: ") and err.count("\n") == 1
-        assert not out.exists()
-    finally:
-        _BACKENDS.pop("rowbreaker", None)
+                       "--out", out)
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith("solver fault: ") and err.count("\n") == 1
+    assert not out.exists()

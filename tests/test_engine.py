@@ -307,11 +307,9 @@ def test_epsilon_guarantee_variant():
 def test_scipy_variant_budgeted_master():
     """HiGHS's point on the variant master's all-continuous budget row once
     missed the row tolerance by 1e-6; the polished point meets it."""
-    from mprobust.milp import SolverConfig
-
     M = np.ones(3)
     res = run_aq(toy_instance(2)[0], OmegaSpec.budgeted(0.2 * M, 0.8 * M, 0.4 * M.sum()), 0.0,
-                 mode="variant", config=SolverConfig(backend="scipy"))
+                 mode="variant")
     assert res.stop_reason == "epsilon_met"
 
 
@@ -531,41 +529,33 @@ def test_nominal_engine_at_node_limit():
     """A nominal master cut by a node limit ends the loop with its bound."""
     from dataclasses import replace
 
-    from mprobust.milp import _BACKENDS, SolverConfig, SolverLimitError, register_backend
+    from mprobust.milp import SolverLimitError
 
-    inst, _, _ = toy_instance(3)
+    from helpers import wrapped_default_backend
+
+    inst = gen_sp(SpParams(11, seed=2))
     xm = inst.feasible_model()
-    lo = np.array([10.0, 10.0, 10.0, 11.5])
-    hi = np.array([12.0, 12.0, 12.0, 11.5])
+    lo = inst.c_lower
+    hi = inst.c_lower + inst.deviations
     full = run_multiparametric_nominal(xm, lo, hi, epsilon=0.0)
-    assert full.stop_reason == "epsilon_met" and len(full.q_values) == 4
-    # the bundled B&B: HiGHS proves these masters optimal at its root, so a
-    # one-node limit never cuts them there
-    inner = _BACKENDS["bundled"]
+    assert full.stop_reason == "epsilon_met" and len(full.q_values) == 9
     # masters maximize, the first nominal solve minimizes
-    register_backend("master1", lambda model, cfg: inner(
-        model, replace(cfg, node_limit=1) if model.maximize else cfg))
-    register_backend("first0", lambda model, cfg: inner(
-        model, cfg if model.maximize else replace(cfg, node_limit=0)))
-    try:
-        cut = run_multiparametric_nominal(xm, lo, hi, epsilon=0.0,
-                                          config=SolverConfig(backend="master1"))
+    with wrapped_default_backend(lambda inner: lambda model, cfg: inner(
+            model, replace(cfg, node_limit=1) if model.maximize else cfg)):
+        cut = run_multiparametric_nominal(xm, lo, hi, epsilon=0.0)
         assert cut.stop_reason == "budget_exceeded"
-        # the third master is cut: its bound covers the true residual
-        assert len(cut.q_values) == 3 and len(cut.history) == 3
-        assert cut.q_values[:2] == pytest.approx(full.q_values[:2])
-        assert cut.q_values[2] >= full.q_values[2] - 1e-9
+        # the fifth master is cut: its bound covers the true residual
+        assert len(cut.q_values) == 5 and len(cut.history) == 5
+        assert cut.q_values[:4] == pytest.approx(full.q_values[:4])
+        assert cut.q_values[4] >= full.q_values[4] - 1e-9
         # a bound within epsilon certifies the set
-        eps = cut.q_values[2] + 0.1
-        met = run_multiparametric_nominal(xm, lo, hi, epsilon=eps,
-                                          config=SolverConfig(backend="master1"))
+        eps = cut.q_values[4] + 0.1
+        met = run_multiparametric_nominal(xm, lo, hi, epsilon=eps)
         assert met.stop_reason == "epsilon_met" and met.q_values == cut.q_values
+    with wrapped_default_backend(lambda inner: lambda model, cfg: inner(
+            model, cfg if model.maximize else replace(cfg, node_limit=0))):
         with pytest.raises(SolverLimitError):
-            run_multiparametric_nominal(xm, lo, hi, epsilon=0.0,
-                                        config=SolverConfig(backend="first0"))
-    finally:
-        _BACKENDS.pop("master1", None)
-        _BACKENDS.pop("first0", None)
+            run_multiparametric_nominal(xm, lo, hi, epsilon=0.0)
 
 
 def test_model_blocks():
