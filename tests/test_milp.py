@@ -216,10 +216,13 @@ def test_node_limit_incumbent_only():
     else:
         assert sol.status in ("optimal", "infeasible")
 
-    # the limit keeps the incumbent and the dual bound brackets the optimum
+
+def test_node_limit_incumbent_only_scipy():
+    """With the backend named explicitly, the limit keeps the incumbent and
+    the dual bound brackets the optimum."""
     model = knapsack(2)
-    full = solve_milp(model)
-    cut = solve_milp(model, SolverConfig(node_limit=1))
+    full = solve_milp(model, SolverConfig(backend="scipy"))
+    cut = solve_milp(model, SolverConfig(node_limit=1, backend="scipy"))
     assert full.status == "optimal" and full.nodes > 1
     assert cut.status == "incumbent_only" and cut.nodes == 1
     assert cut.objective <= full.objective + 1e-9 <= cut.best_bound + 2e-9
