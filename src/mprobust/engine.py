@@ -441,6 +441,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
             i, vq = master.solve()
             gamma_star = master.gammas[i]
             nodes, bound = 0, vq
+            size = (0, 0, 0)
         else:
             model, sol = _solve_milp_master(inst, omega, history, mode,
                                             _time_left(config, budget, t0))
@@ -449,6 +450,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
                           else _master_gamma(omega, mode, model, sol.values))
             vq = _master_value(sol)
             nodes, bound = sol.nodes, sol.best_bound
+            size = (model.num_vars, model.num_rows, int(np.count_nonzero(model.row_coeffs)))
         master_s = time.monotonic() - t_master
         master_total_s += master_s
         q_values.append(vq)
@@ -459,6 +461,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
                    "distinct": len(seen_x),
                    "master": "milp" if master is None else "pattern",
                    "status": status,
+                   "vars": size[0], "rows": size[1], "nnz": size[2],
                    "nodes": nodes,
                    "best_bound": bound,
                    "master_s": master_s,

@@ -11,10 +11,12 @@ solution by block name instead of by position.
 
 ``solve_milp(model, config)`` dispatches to a named backend.  The one
 shipped, ``scipy``, is HiGHS through ``scipy.optimize.milp``, run to a zero
-relative gap; its points are polished so that they meet
-``SolverConfig.feas_tol`` (the binaries rounded, the continuous columns
-re-solved as an LP with the binaries fixed).  Other solvers attach through
-``register_backend``; every backend's point is checked against the rows.
+relative gap with presolve and the feasibility-jump heuristic off (a solve
+error is retried once with presolve on); its points are polished so that
+they meet ``SolverConfig.feas_tol`` (the binaries rounded, the continuous
+columns re-solved as an LP with the binaries fixed).  Other solvers attach
+through ``register_backend``; every backend's point is checked against the
+rows.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import io
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -298,8 +301,11 @@ def _scipy_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
     res = _highs_milp(mmin, cfg, presolve=False)
     if res.status == 4 and cfg.node_limit is None:
         # HiGHS (scipy 1.17.1) ends some models in "Solve error" with
-        # presolve off and others with it on; no one setting solves every
-        # model of the test suite, so a solve error gets the other setting.
+        # presolve off: a point found at a node violates a row by just over
+        # mip_feasibility_tolerance, and its final check rejects it (small PLM
+        # budgeted masters, test_budgeted_plm_master_solve_error_is_retried).
+        # Presolve on solves those, but fails on others, so a solve error
+        # gets the other setting.
         res = _highs_milp(mmin, cfg, presolve=True)
     nodes = int(res.get("mip_node_count") or 0)
     # A node limit ends in HiGHS model status 16 ("Solution limit reached"),
@@ -334,9 +340,9 @@ def _native_stdout_to_stderr():
     """Point file descriptor 1 at descriptor 2 for the duration.
 
     HiGHS prints some diagnostics from native code straight to descriptor 1
-    (``HighsMipSolverData::transformNewIntegerFeasibleSolution ...`` after a
-    solve error), past ``sys.stdout``; they would land in the output of
-    ``mprobust run`` and of any caller.
+    (``HighsMipSolverData::transformNewIntegerFeasibleSolution ...``), past
+    ``sys.stdout``; they would land in the output of ``mprobust run`` and of
+    any caller.
     """
     sys.stdout.flush()
     saved = os.dup(1)
@@ -356,13 +362,19 @@ def _highs_milp(mmin: MilpModel, cfg: SolverConfig, presolve: bool):
     lb = np.where(senses == LE, -np.inf, rhs)
     ub = np.where(senses == GE, np.inf, rhs)
     constraints = optimize.LinearConstraint(sparse.csr_matrix(A), lb, ub) if mmin.num_rows else ()
-    # HiGHS's default mip_rel_gap of 1e-4 would stop short of the optimum
-    options = {"mip_rel_gap": 0.0, "presolve": presolve}
+    # HiGHS's default mip_rel_gap of 1e-4 would stop short of the optimum.
+    # The feasibility-jump heuristic runs before the root LP and costs more
+    # than the whole solve of most models here.
+    options = {"mip_rel_gap": 0.0, "presolve": presolve,
+               "mip_heuristic_run_feasibility_jump": False}
     if cfg.time_limit is not None:
         options["time_limit"] = float(cfg.time_limit)
     if cfg.node_limit is not None:
         options["node_limit"] = int(cfg.node_limit)
-    with _native_stdout_to_stderr():
+    with _native_stdout_to_stderr(), warnings.catch_warnings():
+        # scipy passes options it does not name to HiGHS verbatim, and says so
+        warnings.filterwarnings("ignore", message="Unrecognized options detected",
+                                category=RuntimeWarning)
         return optimize.milp(mmin.objective, constraints=constraints,
                              integrality=mmin.is_binary.astype(int),
                              bounds=optimize.Bounds(mmin.lower, mmin.upper), options=options)

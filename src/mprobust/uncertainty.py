@@ -19,7 +19,6 @@ Budget vectors are plain numpy arrays of length K (no wrapper class).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -357,8 +356,10 @@ def contains(omega: OmegaSpec, gamma, tol: float = MEMBERSHIP_TOL) -> bool:
 
 
 def _box_grid(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
-    axes = [np.linspace(lo[k], hi[k], m) for k in range(lo.shape[0])]
-    return np.array(list(product(*axes)))
+    """The m**K points of the box's per-axis linspace grid, last axis fastest."""
+    K = lo.shape[0]
+    axes = [np.linspace(lo[k], hi[k], m) for k in range(K)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, K)
 
 
 def sample_gamma(omega: OmegaSpec, mode: str, m: int = 5,
@@ -405,7 +406,7 @@ def sample_gamma(omega: OmegaSpec, mode: str, m: int = 5,
         if K > 20:
             raise ValueError("vertex enumeration refused for K > 20")
         if omega.kind == "interval":
-            return np.array(list(product(*[(omega.lower[k], omega.upper[k]) for k in range(K)])))
+            return _box_grid(omega.lower, omega.upper, 2)
         if omega.kind == "budgeted":
             pts = [omega.gamma_base.copy()]
             for k in range(K):

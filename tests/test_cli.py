@@ -250,12 +250,29 @@ def test_run_trace_names_master(tmp_path):
     run_cli("generate", "toy", "--n", 2, "--out", toy)
     from mprobust.milp import SolverConfig
 
+    masters = []
+
+    def sizes(inner):
+        def solve(model, cfg):
+            if model.name.startswith("q_"):
+                masters.append((model.num_vars, model.num_rows,
+                                int(np.count_nonzero(model.row_coeffs))))
+            return inner(model, cfg)
+        return solve
+
     for omega, master in (("toy2", "pattern"), ("segment", "milp")):
         trace = tmp_path / f"{omega}.jsonl"
         out = tmp_path / f"{omega}.json"
-        assert run_cli("run", "--instance", toy, "--omega", omega, "--epsilon", 0,
-                       "--trace", trace, "--out", out) == 0
+        masters.clear()
+        with wrapped_default_backend(sizes):
+            assert run_cli("run", "--instance", toy, "--omega", omega, "--epsilon", 0,
+                           "--trace", trace, "--out", out) == 0
         header, *iters = [json.loads(ln) for ln in trace.read_text().splitlines()]
+        # each record carries the size of the master it solved; the pattern
+        # master builds no model, so its records read 0
+        got = [(rec["vars"], rec["rows"], rec["nnz"]) for rec in iters]
+        assert got == (masters if master == "milp" else [(0, 0, 0)] * len(iters))
+        assert all(min(sz) > 0 for sz in masters)
         assert header["record"] == "header" and header["master"] == master
         assert header["backend"] == SolverConfig().backend
         assert header["pattern_solves"] == (2 ** 3 if master == "pattern" else 0)

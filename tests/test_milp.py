@@ -336,19 +336,68 @@ def test_robust_solves_match_enumeration():
 
 
 def test_highs_native_output_stays_off_stdout(capfd):
-    """HiGHS prints a line from native code after the solve error that the
-    scipy route retries; it must not reach file descriptor 1."""
+    """HiGHS prints a line from native code during the second master solve
+    of this PLM budgeted run; it must reach file descriptor 2, not 1."""
     from mprobust.engine import run_aq
-    from mprobust.uncertainty import OmegaSpec
+    from mprobust.generators import PartitionScheme, PlmParams, apply_partition, build_omega, gen_plm
+    from mprobust.robust import solve_robust
 
-    from helpers import random_instance
-
-    rng = np.random.default_rng(13)
-    for _ in range(2):
-        inst = random_instance(rng, n=5, K=2)
-        M = np.array([len(g) for g in inst.groups], dtype=float)
-        res = run_aq(inst, OmegaSpec.interval(np.zeros_like(M), 0.8 * M), epsilon=0.0,
-                     mode="variant")
-        assert res.stop_reason == "epsilon_met"
+    inst = apply_partition(gen_plm(PlmParams(20, 2, seed=0)), PartitionScheme("lo", 4), seed=0)
+    omega = build_omega(inst, "budgeted", delta=0.5)
+    eps = 0.01 * abs(solve_robust(inst, omega.start_gamma).value)
+    assert run_aq(inst, omega, epsilon=eps).stop_reason == "epsilon_met"
     out, err = capfd.readouterr()
+    assert "HighsMipSolverData" in err
     assert "HighsMipSolverData" not in out
+
+
+def _recorded_milp_options(monkeypatch):
+    """Wrap scipy.optimize.milp; returns the list of the options of each call."""
+    from scipy import optimize
+
+    seen = []
+    real = optimize.milp
+
+    def recorder(*args, options=None, **kwargs):
+        seen.append(dict(options))
+        return real(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(optimize, "milp", recorder)
+    return seen
+
+
+def test_highs_runs_without_feasibility_jump(monkeypatch):
+    """Every MIP solve turns HiGHS's feasibility-jump heuristic off, with
+    presolve off, and warns of nothing: scipy's note on the option it passes
+    through is silenced, and HiGHS knows the option (it raises an
+    OptimizeWarning on one it does not)."""
+    import warnings
+
+    seen = _recorded_milp_options(monkeypatch)
+    b = ModelBuilder()
+    y = [b.add_binary(obj=-1.0 - j) for j in range(5)]
+    b.add_row({j: 1.0 for j in y}, "<=", 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_milp(b.build())
+    assert sol.status == "optimal" and sol.objective == pytest.approx(-9.0)
+    assert len(seen) == 1
+    assert seen[0]["mip_heuristic_run_feasibility_jump"] is False
+    assert seen[0]["presolve"] is False
+
+
+def test_budgeted_plm_master_solve_error_is_retried(monkeypatch):
+    """With presolve off, HiGHS ends this PLM budgeted master in "Solve
+    error" (a node's point off a row by just over its tolerance, which its
+    final check rejects); the retry with presolve on solves it."""
+    from mprobust.engine import run_aq
+    from mprobust.generators import PartitionScheme, PlmParams, apply_partition, build_omega, gen_plm
+    from mprobust.robust import solve_robust
+
+    inst = apply_partition(gen_plm(PlmParams(8, 2, seed=1)), PartitionScheme("lo", 2), seed=1)
+    omega = build_omega(inst, "budgeted", delta=0.5)
+    eps = 0.01 * abs(solve_robust(inst, omega.start_gamma).value)
+    seen = _recorded_milp_options(monkeypatch)
+    assert run_aq(inst, omega, epsilon=eps).stop_reason == "epsilon_met"
+    # the seed's robust counterpart, then the master and its retry
+    assert [o["presolve"] for o in seen] == [False, False, True]

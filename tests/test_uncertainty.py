@@ -246,6 +246,25 @@ def test_sample_gamma_modes():
         sample_gamma(big, "vertices")
 
 
+def test_box_grid_matches_product_order():
+    """The grid and the interval vertices are itertools.product over the
+    per-axis linspace, bit for bit and in the same order, also on an axis
+    with lo == hi."""
+    from itertools import product
+
+    rng = np.random.default_rng(3)
+    for K in range(1, 8):
+        lo = rng.random(K) * 3.0
+        hi = lo + rng.random(K) * 2.0
+        hi[K // 2] = lo[K // 2]
+        box = OmegaSpec.interval(lo, hi)
+        for m in range(2, 6):
+            axes = [np.linspace(lo[k], hi[k], m) for k in range(K)]
+            assert np.array_equal(sample_gamma(box, "grid", m=m), np.array(list(product(*axes))))
+        corners = np.array(list(product(*zip(lo, hi))))
+        assert np.array_equal(sample_gamma(box, "vertices"), corners)
+
+
 def test_instance_validation_and_feasibility():
     with pytest.raises(ValueError):
         Instance(c_lower=np.array([1.0]), deviations=np.array([1.0]),
