@@ -137,6 +137,21 @@ def _require_history(history) -> list:
     return list(history)
 
 
+def _add_history_rows(b: ModelBuilder, rows) -> None:
+    """Add a master's history rows ``sigma + ... <= c_e``, with sigma
+    measured from c0 = min c_e.
+
+    The rows hold ``c_e - c0`` and a fixed last column carries c0 into the
+    objective, so the row constants stay near zero.  With constants near
+    1e4 and presolve off, HiGHS set sigma 1e-6 above such a row and then
+    rejected its own point ("Solve error") on PLM budgeted masters.
+    """
+    c0 = min(rhs for _, rhs in rows)
+    for row, rhs in rows:
+        b.add_row(row, "<=", rhs - c0)
+    b.add_continuous("sigma_ref", c0, c0, obj=1.0)
+
+
 def _std_blocks(b: ModelBuilder, inst: Instance, pi_obj=None):
     """The candidate's certificate in a maximizing master: the robust
     counterpart's columns and rows with its objective negated (pi pays
@@ -178,12 +193,14 @@ def build_q_general(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
          for k in range(inst.num_groups)]
     pi, rho, x = _std_blocks(b, inst)
+    rows = []
     for e in history:
         row = {sigma: 1.0}
         for k in range(inst.num_groups):
             if e.pi[k]:
                 row[gam[k]] = row.get(gam[k], 0.0) - float(e.pi[k])
-        b.add_row(row, "<=", _entry_const(inst, e))
+        rows.append((row, _entry_const(inst, e)))
+    _add_history_rows(b, rows)
     for k in range(inst.num_groups):
         b.add_row({w[k]: 1.0, gam[k]: -1.0, pi[k]: -float(U[k])}, ">=", -float(U[k]))
     return b.build(maximize=True)
@@ -198,14 +215,15 @@ def build_q_interval(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     b = ModelBuilder("q_interval")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
     pi, rho, x = _std_blocks(b, inst, pi_obj=L)
+    rows = []
     for e in history:
         row = {sigma: 1.0}
-        rhs = _entry_const(inst, e) + float(U @ e.pi)
         for k in range(inst.num_groups):
             f = (U[k] - L[k]) * e.pi[k]
             if f:
                 row[pi[k]] = row.get(pi[k], 0.0) + float(f)
-        b.add_row(row, "<=", rhs)
+        rows.append((row, _entry_const(inst, e) + float(U @ e.pi)))
+    _add_history_rows(b, rows)
     return b.build(maximize=True)
 
 
@@ -222,12 +240,14 @@ def build_q_segment(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
          for k in range(inst.num_groups)]
     pi, rho, x = _std_blocks(b, inst)
+    rows = []
     for e in history:
         coeff = float(g0 @ e.pi)
         row = {sigma: 1.0}
         if coeff:
             row[a] = -coeff
-        b.add_row(row, "<=", _entry_const(inst, e))
+        rows.append((row, _entry_const(inst, e)))
+    _add_history_rows(b, rows)
     for k in range(inst.num_groups):
         b.add_row({w[k]: 1.0, a: -float(g0[k]), pi[k]: -float(ah * g0[k])},
                   ">=", -float(ah * g0[k]))
@@ -249,12 +269,14 @@ def build_q_budgeted(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
          for k in range(inst.num_groups)]
     pi, rho, x = _std_blocks(b, inst)
     b.add_row({bk: 1.0 for bk in beta}, "<=", float(omega.budget))
+    rows = []
     for e in history:
         row = {sigma: 1.0}
         for k in range(inst.num_groups):
             if e.pi[k]:
                 row[beta[k]] = row.get(beta[k], 0.0) - float(e.pi[k])
-        b.add_row(row, "<=", _entry_const(inst, e) + float(base @ e.pi))
+        rows.append((row, _entry_const(inst, e) + float(base @ e.pi)))
+    _add_history_rows(b, rows)
     for k in range(inst.num_groups):
         b.add_row({w[k]: 1.0, beta[k]: -1.0, pi[k]: -float(UB[k])},
                   ">=", -float(spread[k]))
@@ -279,12 +301,14 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
          for j in cov}
     w, alpha, rho, x = add_variant_certificate(b, inst, np.zeros(inst.n),
                                                -np.ones(inst.n), -inst.c_lower)
+    rows = []
     for e in history:
         row = {sigma: 1.0}
         for k in range(inst.num_groups):
             if e.pi[k]:
                 row[gam[k]] = row.get(gam[k], 0.0) - float(e.pi[k])
-        b.add_row(row, "<=", _entry_const(inst, e, variant=True))
+        rows.append((row, _entry_const(inst, e, variant=True)))
+    _add_history_rows(b, rows)
     for j in cov:
         k = kof[j]
         b.add_row({z[j]: 1.0, gam[k]: -1.0, w[j]: -float(U[k])}, ">=", -float(U[k]))
@@ -625,13 +649,15 @@ def build_nominal_q_plus(x_model: MilpModel, lower, upper, history) -> MilpModel
         coeffs = {x[j]: float(x_model.row_coeffs[i, j])
                   for j in np.flatnonzero(x_model.row_coeffs[i])}
         b.add_row(coeffs, int(x_model.row_senses[i]), float(x_model.row_rhs[i]))
+    rows = []
     for xi in history:
         row = {sigma: 1.0}
         for j in range(x_model.num_vars):
             f = (upper[j] - lower[j]) * xi[j]
             if f:
                 row[x[j]] = row.get(x[j], 0.0) + float(f)
-        b.add_row(row, "<=", float(upper @ xi))
+        rows.append((row, float(upper @ xi)))
+    _add_history_rows(b, rows)
     return b.build(maximize=True)
 
 

@@ -11,12 +11,11 @@ solution by block name instead of by position.
 
 ``solve_milp(model, config)`` dispatches to a named backend.  The one
 shipped, ``scipy``, is HiGHS through ``scipy.optimize.milp``, run to a zero
-relative gap with presolve and the feasibility-jump heuristic off (a solve
-error is retried once with presolve on); its points are polished so that
-they meet ``SolverConfig.feas_tol`` (the binaries rounded, the continuous
-columns re-solved as an LP with the binaries fixed).  Other solvers attach
-through ``register_backend``; every backend's point is checked against the
-rows.
+relative gap with presolve and the feasibility-jump heuristic off; its
+points are polished so that they meet ``SolverConfig.feas_tol`` (the
+binaries rounded, the continuous columns re-solved as an LP with the
+binaries fixed).  Other solvers attach through ``register_backend``; every
+backend's point is checked against the rows.
 """
 
 from __future__ import annotations
@@ -298,15 +297,7 @@ def _scipy_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
         if res.status == 1:
             return MilpSolution(None, None, INCUMBENT_ONLY)
         return _failed(res.status, res.message, 0)
-    res = _highs_milp(mmin, cfg, presolve=False)
-    if res.status == 4 and cfg.node_limit is None:
-        # HiGHS (scipy 1.17.1) ends some models in "Solve error" with
-        # presolve off: a point found at a node violates a row by just over
-        # mip_feasibility_tolerance, and its final check rejects it (small PLM
-        # budgeted masters, test_budgeted_plm_master_solve_error_is_retried).
-        # Presolve on solves those, but fails on others, so a solve error
-        # gets the other setting.
-        res = _highs_milp(mmin, cfg, presolve=True)
+    res = _highs_milp(mmin, cfg)
     nodes = int(res.get("mip_node_count") or 0)
     # A node limit ends in HiGHS model status 16 ("Solution limit reached"),
     # which scipy 1.17.1 passes on as its catch-all status 4, with or
@@ -354,7 +345,7 @@ def _native_stdout_to_stderr():
         os.close(saved)
 
 
-def _highs_milp(mmin: MilpModel, cfg: SolverConfig, presolve: bool):
+def _highs_milp(mmin: MilpModel, cfg: SolverConfig):
     """scipy.optimize.milp on the min-sense model, run to a zero gap."""
     from scipy import optimize, sparse
 
@@ -363,9 +354,10 @@ def _highs_milp(mmin: MilpModel, cfg: SolverConfig, presolve: bool):
     ub = np.where(senses == GE, np.inf, rhs)
     constraints = optimize.LinearConstraint(sparse.csr_matrix(A), lb, ub) if mmin.num_rows else ()
     # HiGHS's default mip_rel_gap of 1e-4 would stop short of the optimum.
-    # The feasibility-jump heuristic runs before the root LP and costs more
-    # than the whole solve of most models here.
-    options = {"mip_rel_gap": 0.0, "presolve": presolve,
+    # Presolve slows the masters (run_aq on PLM l=10 segment: 2.6 s with it,
+    # 0.9 s without). The feasibility-jump heuristic runs before the root LP
+    # and costs more than the whole solve of most models here.
+    options = {"mip_rel_gap": 0.0, "presolve": False,
                "mip_heuristic_run_feasibility_jump": False}
     if cfg.time_limit is not None:
         options["time_limit"] = float(cfg.time_limit)
