@@ -4,9 +4,9 @@ Given a combinatorial minimization whose costs live in a locally budgeted
 uncertainty set parameterized by a budget vector, the package computes a
 small solution set such that for every budget vector in a chosen domain
 (box, segment, or budgeted polytope) some member is within epsilon of the
-robust optimum.  It bundles an exact LP/MILP solver, the cutting-plane
-master machinery, shortest-path and p-median instance generators,
-brute-force verification oracles, and a CLI harness.
+robust optimum.  It solves LPs and MILPs exactly with HiGHS through scipy,
+and holds the cutting-plane masters, shortest-path and p-median instance
+generators, brute-force verification oracles, and a CLI harness.
 """
 
 from .milp import (

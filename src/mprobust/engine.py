@@ -37,9 +37,8 @@ from .milp import (
 )
 from .oracle import PATTERN_MAX_K, PiEnumerationOracle
 from .robust import (
-    MODES, RobustSolution, _check_certificate, _declares_tu, _repair_rho,
-    add_selector_rows, add_standard_certificate, add_variant_certificate,
-    read_certificate, relax_rho_x, solve_robust,
+    MODES, RobustSolution, _add_x, _check_certificate, _declares_tu, _repair_rho,
+    add_standard_certificate, read_certificate, relax_rho_x, solve_robust,
 )
 from .uncertainty import (
     Instance, OmegaSpec, int_key, robustness_value, robustness_value_variant,
@@ -71,7 +70,6 @@ class HistoryEntry:
     x: np.ndarray
     gamma: np.ndarray
     q_value: Optional[float] = None   # master value when discovered; None for the seed
-    w: Optional[np.ndarray] = None    # variant selector certificate
 
 
 @dataclass
@@ -283,6 +281,34 @@ def build_q_budgeted(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     return b.build(maximize=True)
 
 
+def add_variant_certificate(b: ModelBuilder, inst: Instance, rho_obj, x_obj):
+    """Blocks ``w`` and ``alpha`` (selector binaries), ``rho`` (continuous),
+    each per covered index, and ``x``, with the rows of X.  Returns
+    (w, alpha, rho, x) column indices; ``add_selector_rows`` links them."""
+    cov = [int(j) for j in inst.covered]
+    w = {j: b.add_binary(f"w{j}", block="w") for j in cov}
+    alpha = {j: b.add_binary(f"a{j}", block="alpha") for j in cov}
+    rho = {j: b.add_continuous(f"rho{j}", 0.0, np.inf, obj=float(rho_obj[j]), block="rho")
+           for j in cov}
+    return w, alpha, rho, _add_x(b, inst, x_obj)
+
+
+def add_selector_rows(b: ModelBuilder, inst: Instance, w, alpha, rho, x) -> None:
+    """Per group, rho_j + sum_s d_s w_s >= d_j x_j for each index and at most
+    one alpha; per covered index, w_j >= alpha_j + x_j - 1."""
+    for k, g in enumerate(inst.groups):
+        wsum = {w[j]: float(inst.deviations[j]) for j in g}
+        for j in g:
+            row = dict(wsum)
+            row[rho[j]] = row.get(rho[j], 0.0) + 1.0
+            row[x[j]] = row.get(x[j], 0.0) - float(inst.deviations[j])
+            b.add_row(row, ">=", 0.0)
+        b.add_row({alpha[j]: 1.0 for j in g}, "<=", 1.0)
+    for j in inst.covered:
+        j = int(j)
+        b.add_row({w[j]: 1.0, alpha[j]: -1.0, x[j]: -1.0}, ">=", -1.0)
+
+
 def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     """Variant master: budgets multiply the 0-1 selector variables.
 
@@ -299,8 +325,7 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     gam = _omega_gamma_block(b, omega)
     z = {j: b.add_continuous(f"z{j}", 0.0, np.inf, obj=-float(inst.deviations[j]))
          for j in cov}
-    w, alpha, rho, x = add_variant_certificate(b, inst, np.zeros(inst.n),
-                                               -np.ones(inst.n), -inst.c_lower)
+    w, alpha, rho, x = add_variant_certificate(b, inst, -np.ones(inst.n), -inst.c_lower)
     rows = []
     for e in history:
         row = {sigma: 1.0}
@@ -437,8 +462,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     seed_s = time.monotonic() - t_seed
     init_value = seed.value
     history = [HistoryEntry(pi=seed.pi.copy(), rho=seed.rho.copy(),
-                            x=seed.x.copy(), gamma=gamma_init,
-                            q_value=None, w=None if seed.w is None else seed.w.copy())]
+                            x=seed.x.copy(), gamma=gamma_init, q_value=None)]
     if master is not None:
         master.add(history[0])
     q_values: list = []
@@ -498,8 +522,8 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         if master is not None:
             entry = _pattern_entry(inst, master, i, vq)
         else:
-            pi, rho, x, w = read_certificate(inst, model, sol.values, mode)
-            entry = HistoryEntry(pi=pi, rho=rho, x=x, gamma=gamma_star, q_value=vq, w=w)
+            pi, rho, x = read_certificate(inst, model, sol.values, mode)
+            entry = HistoryEntry(pi=pi, rho=rho, x=x, gamma=gamma_star, q_value=vq)
         key = _triple_key(entry)
         if key in seen:
             # exact arithmetic forbids a repeat with a positive gap: the

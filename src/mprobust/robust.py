@@ -1,15 +1,16 @@
 """The robust counterpart R(gamma): find x in X with minimal worst-case cost.
 
-Three interchangeable routes:
+Three interchangeable routes, all over the same column blocks ``pi``
+(per group), ``rho`` (per covered index) and ``x``:
 
-* ``standard`` - the 0-1 ILP over (pi, rho, x) obtained by dualizing the
-  inner worst-case LP and using that an optimal dual is 0-1.
+* ``standard`` - the 0-1 ILP obtained by dualizing the inner worst-case LP
+  and using that an optimal dual is 0-1.
 * ``tu_relaxed`` - same model with rho and x relaxed to [0, 1]; valid when
   the nominal constraint matrix is totally unimodular (network instances),
   where the relaxed optimum is integral and rho can be rebuilt from (pi, x).
-* ``variant`` - the fractional uncertainty model, reformulated through the
-  breakpoint structure of the inner minimization so that the budgets
-  multiply only 0-1 variables.
+* ``variant`` - the fractional uncertainty model as the continuous dual of
+  its inner LP (Bertsimas & Sim 2003): theta_k + rho_j >= d_j x_j with theta
+  (held in ``pi``) and rho continuous, so x holds the only binaries.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ class TuIntegralityError(RuntimeError):
 class RobustSolution:
     """Optimal robust solution plus its dual certificate.
 
-    ``pi`` is 0-1 in the standard forms and carries the per-group breakpoint
-    values in the variant form; ``rho`` follows the same convention.  ``w``
-    holds the variant's selector binaries (None otherwise).
+    ``pi`` and ``rho`` are 0-1 in the standard forms; in the variant form
+    they are the continuous dual (theta, rho), with each theta_k at a
+    breakpoint: 0 or some d_j x_j with j in group k.  ``rho`` spans all n
+    indices (zero outside the groups).
     """
 
     x: np.ndarray
@@ -49,7 +51,6 @@ class RobustSolution:
     rho: np.ndarray
     value: float
     formulation: str
-    w: Optional[np.ndarray] = None
 
 
 def cost_for_pi(inst: Instance, pi) -> np.ndarray:
@@ -75,47 +76,21 @@ def _add_x(b: ModelBuilder, inst: Instance, obj) -> list:
     return x
 
 
-def add_standard_certificate(b: ModelBuilder, inst: Instance, pi_obj, rho_obj, x_obj):
+def add_standard_certificate(b: ModelBuilder, inst: Instance, pi_obj, rho_obj, x_obj,
+                             binary: bool = True, x_coeff=None):
     """Blocks ``pi`` (per group), ``rho`` (per covered index, in sorted index
-    order) and ``x``, all binary, with the rows of X and the coupling rows
-    pi_k + rho_j - x_j >= 0.  Returns (pi, rho, x) column indices."""
-    pi = [b.add_binary(f"pi{k}", obj=float(pi_obj[k]), block="pi")
-          for k in range(inst.num_groups)]
-    rho = {int(j): b.add_binary(f"rho{j}", obj=float(rho_obj[j]), block="rho")
-           for j in inst.covered}
+    order) and ``x``, with the rows of X and the coupling rows pi_k + rho_j -
+    a_j x_j >= 0 (a = ``x_coeff``, or ones); pi and rho are binary, or
+    continuous and nonnegative if not ``binary``.  Returns (pi, rho, x)."""
+    add = b.add_binary if binary else b.add_continuous
+    pi = [add(f"pi{k}", obj=float(pi_obj[k]), block="pi") for k in range(inst.num_groups)]
+    rho = {int(j): add(f"rho{j}", obj=float(rho_obj[j]), block="rho") for j in inst.covered}
     x = _add_x(b, inst, x_obj)
     for k, g in enumerate(inst.groups):
         for j in g:
-            b.add_row({pi[k]: 1.0, rho[j]: 1.0, x[j]: -1.0}, ">=", 0.0)
+            a = 1.0 if x_coeff is None else float(x_coeff[j])
+            b.add_row({pi[k]: 1.0, rho[j]: 1.0, x[j]: -a}, ">=", 0.0)
     return pi, rho, x
-
-
-def add_variant_certificate(b: ModelBuilder, inst: Instance, w_obj, rho_obj, x_obj):
-    """Blocks ``w`` and ``alpha`` (selector binaries), ``rho`` (continuous),
-    each per covered index, and ``x``, with the rows of X.  Returns
-    (w, alpha, rho, x) column indices; ``add_selector_rows`` links them."""
-    cov = [int(j) for j in inst.covered]
-    w = {j: b.add_binary(f"w{j}", obj=float(w_obj[j]), block="w") for j in cov}
-    alpha = {j: b.add_binary(f"a{j}", block="alpha") for j in cov}
-    rho = {j: b.add_continuous(f"rho{j}", 0.0, np.inf, obj=float(rho_obj[j]), block="rho")
-           for j in cov}
-    return w, alpha, rho, _add_x(b, inst, x_obj)
-
-
-def add_selector_rows(b: ModelBuilder, inst: Instance, w, alpha, rho, x) -> None:
-    """Per group, rho_j + sum_s d_s w_s >= d_j x_j for each index and at most
-    one alpha; per covered index, w_j >= alpha_j + x_j - 1."""
-    for k, g in enumerate(inst.groups):
-        wsum = {w[j]: float(inst.deviations[j]) for j in g}
-        for j in g:
-            row = dict(wsum)
-            row[rho[j]] = row.get(rho[j], 0.0) + 1.0
-            row[x[j]] = row.get(x[j], 0.0) - float(inst.deviations[j])
-            b.add_row(row, ">=", 0.0)
-        b.add_row({alpha[j]: 1.0 for j in g}, "<=", 1.0)
-    for j in inst.covered:
-        j = int(j)
-        b.add_row({w[j]: 1.0, alpha[j]: -1.0, x[j]: -1.0}, ">=", -1.0)
 
 
 def build_robust_milp(inst: Instance, gamma) -> MilpModel:
@@ -130,19 +105,16 @@ def build_robust_milp(inst: Instance, gamma) -> MilpModel:
 
 
 def build_robust_variant_milp(inst: Instance, gamma) -> MilpModel:
-    """Variant R(gamma) with budgets on 0-1 selector variables.
+    """Variant R(gamma) through the continuous dual of its inner LP:
+    min gamma'theta + sum_j rho_j + c'x with theta_k + rho_j - d_j x_j >= 0.
 
-    Blocks ``w``, ``alpha``, ``rho``, ``x`` (see ``add_variant_certificate``).
-    Per group the term sum_{s} d_s w_s plays the role of the continuous dual
-    multiplier, restricted to its breakpoints.
+    Blocks ``pi`` (theta), ``rho`` (both continuous) and ``x``, as in
+    ``add_standard_certificate``.
     """
     gamma = _check_gamma(inst, gamma)
     b = ModelBuilder("robust_variant")
-    w_obj = np.zeros(inst.n)
-    for k, g in enumerate(inst.groups):
-        w_obj[list(g)] = gamma[k] * inst.deviations[list(g)]
-    cert = add_variant_certificate(b, inst, w_obj, np.ones(inst.n), inst.c_lower)
-    add_selector_rows(b, inst, *cert)
+    add_standard_certificate(b, inst, gamma, np.ones(inst.n), inst.c_lower,
+                             binary=False, x_coeff=inst.deviations)
     return b.build(maximize=False)
 
 
@@ -152,13 +124,14 @@ def relax_rho_x(model: MilpModel) -> MilpModel:
 
 
 def read_certificate(inst: Instance, model: MilpModel, values, mode: str) -> tuple:
-    """(pi, rho, x, w) from a solved robust counterpart or master of ``mode``.
+    """(pi, rho, x) from a solved robust counterpart or master of ``mode``.
 
-    x and the binaries are rounded; rho and w are spread over all n indices
-    (zero outside the groups).  A ``tu_relaxed`` solve must return an
-    integral x (else TuIntegralityError), and rho is rebuilt from (pi, x).
-    In ``variant`` mode pi holds the per-group breakpoint values
-    sum_j d_j w_j; elsewhere w is None.
+    x is rounded; rho is spread over all n indices (zero outside the
+    groups).  The variant master has selectors ``w`` in place of ``pi`` and
+    gives pi_k = sum_{j in P_k} d_j w_j; other variant models give the
+    continuous dual.  Elsewhere pi and rho are rounded, and a ``tu_relaxed``
+    solve must return an integral x (else TuIntegralityError), with rho
+    rebuilt from (pi, x).
     """
     values = np.asarray(values, dtype=float)
 
@@ -175,12 +148,14 @@ def read_certificate(inst: Instance, model: MilpModel, values, mode: str) -> tup
                 f"relaxed solve returned fractional x (max deviation {frac:.2e})")
     x = np.round(x)
     if mode == "variant":
+        if "w" not in model.blocks:
+            return values[model.blocks["pi"]], spread("rho"), x
         w = np.round(spread("w"))
         pi = np.array([float(inst.deviations[list(g)] @ w[list(g)]) for g in inst.groups])
-        return pi, spread("rho"), x, w
+        return pi, spread("rho"), x
     pi = np.round(values[model.blocks["pi"]])
     rho = _repair_rho(inst, pi, x) if mode == "tu_relaxed" else np.round(spread("rho"))
-    return pi, rho, x, None
+    return pi, rho, x
 
 
 def solve_robust(inst: Instance, gamma, mode: str = "standard",
@@ -198,9 +173,9 @@ def solve_robust(inst: Instance, gamma, mode: str = "standard",
         if mode == "tu_relaxed":
             model = relax_rho_x(model)
     sol = _solve_or_raise(model, config)
-    pi, rho, x, w = read_certificate(inst, model, sol.values, mode)
+    pi, rho, x = read_certificate(inst, model, sol.values, mode)
     out = RobustSolution(x=x, pi=pi, rho=rho, value=float(sol.objective),
-                         formulation=mode, w=w)
+                         formulation=mode)
     _check_certificate(inst, gamma, out,
                        robustness_value_variant if mode == "variant" else robustness_value)
     return out

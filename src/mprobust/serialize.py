@@ -125,7 +125,6 @@ def result_to_dict(res: MprsResult, instance_path: Optional[str] = None,
                 "x": _floats(e.x),
                 "gamma": _floats(e.gamma),
                 "q_value": None if e.q_value is None else float(e.q_value),
-                "w": None if e.w is None else _floats(e.w),
             }
             for e in res.history
         ],
@@ -144,8 +143,7 @@ def result_from_dict(d: dict, instance: Optional[Instance] = None) -> MprsResult
             rho=np.asarray(h["rho"], dtype=float),
             x=np.asarray(h["x"], dtype=float),
             gamma=np.asarray(h["gamma"], dtype=float),
-            q_value=h.get("q_value"),
-            w=None if h.get("w") is None else np.asarray(h["w"], dtype=float))
+            q_value=h.get("q_value"))
         for h in d["history"]
     ]
     return MprsResult(

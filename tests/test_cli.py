@@ -244,6 +244,15 @@ def test_mps_export_flag(tmp_path):
     rows = q.split("ROWS\n", 1)[1].split("COLUMNS\n", 1)[0].splitlines()
     assert sum(ln.startswith(" L ") for ln in rows) == load_json(res2)["iterations"]
 
+    # a variant run exports its robust counterpart as the continuous dual:
+    # the n x columns are its only binaries, no selector column is left
+    res3 = tmp_path / "res3.json"
+    assert run_cli("run", "--instance", toy, "--omega", "toy1", "--mode", "variant",
+                   "--epsilon", 0, "--mps-dir", mpsdir, "--out", res3) == 0
+    r = (mpsdir / "r_init.mps").read_text()
+    assert r.startswith("NAME          ROBUST_V")
+    assert sum(ln.startswith(" BV ") for ln in r.splitlines()) == load_json(toy)["n"]
+
 
 def test_run_trace_names_master(tmp_path):
     toy = tmp_path / "toy.json"

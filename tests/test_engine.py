@@ -25,7 +25,7 @@ def _history_at(inst, gammas, mode="standard"):
     for g in gammas:
         sol = solve_robust(inst, np.asarray(g, float), mode=mode)
         out.append(HistoryEntry(pi=sol.pi, rho=sol.rho, x=sol.x,
-                                gamma=np.asarray(g, float), w=sol.w))
+                                gamma=np.asarray(g, float)))
     return out
 
 
@@ -566,6 +566,7 @@ def test_model_blocks():
     from mprobust.robust import build_robust_milp, build_robust_variant_milp, relax_rho_x
 
     standard = {"pi": True, "rho": True, "x": True}
+    robust_variant = {"pi": False, "rho": False, "x": True}
     variant = {"w": True, "alpha": True, "rho": False, "x": True}
     relaxed = {"pi": True, "rho": False, "x": False}
     rng = np.random.default_rng(21)
@@ -579,7 +580,7 @@ def test_model_blocks():
         vhist = _history_at(inst, [omegas["interval"].start_gamma], mode="variant")
         robust = build_robust_milp(inst, M)
         cases = [(robust, standard), (relax_rho_x(robust), relaxed),
-                 (build_robust_variant_milp(inst, M), variant)]
+                 (build_robust_variant_milp(inst, M), robust_variant)]
         for kind, omega in omegas.items():
             gamma = {"gamma": False}
             cases.append((build_q_general(inst, omega, hist), {**standard, **gamma}))

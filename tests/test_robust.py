@@ -95,14 +95,36 @@ def test_variant_zero_deviation_degenerates():
 
 
 def test_variant_breakpoint_structure():
-    # single group: the implied multiplier lands on {0} or {d_j x_j}
+    # the continuous dual's theta_k lands on {0} or {d_j x_j : j in P_k}, rho is
+    # the tight max(0, d_j x_j - theta_k), and the certificate bounds the
+    # variant value at every gamma, with equality at the solve's own gamma
+    from mprobust.engine import HistoryEntry, stored_value
+
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        inst = random_instance(rng, n=5, K=1)
-        gamma = rng.uniform(0.1, 2.0, size=1)
+    toy, _, toy_omega2 = toy_instance(3)
+    cases = [(toy, toy_omega2.start_gamma)]
+    for K in (1, 2, 3):
+        for _ in range(6):
+            inst = random_instance(rng, n=6, K=K)
+            cases.append((inst, rng.uniform(0.1, 2.5, size=inst.num_groups)))
+            cases.append((inst, rng.integers(0, 3, size=inst.num_groups).astype(float)))
+    zero_groups = 0
+    for inst, gamma in cases:
         sol = solve_robust(inst, gamma, mode="variant")
-        candidates = {0.0} | {float(inst.deviations[j] * sol.x[j]) for j in inst.groups[0]}
-        assert any(abs(sol.pi[0] - c) < 1e-6 for c in candidates)
+        dx = inst.deviations * sol.x
+        for k, g in enumerate(inst.groups):
+            idx = list(g)
+            assert np.min(np.abs(sol.pi[k] - np.append(dx[idx], 0.0))) <= 1e-9
+            assert np.allclose(sol.rho[idx], np.maximum(0.0, dx[idx] - sol.pi[k]),
+                               rtol=0.0, atol=1e-9)
+            zero_groups += not sol.x[idx].any()
+        entry = HistoryEntry(pi=sol.pi, rho=sol.rho, x=sol.x, gamma=gamma)
+        assert stored_value(inst, entry, gamma, variant=True) == pytest.approx(
+            robustness_value_variant(inst, sol.x, gamma), rel=1e-12, abs=1e-9)
+        for other in rng.uniform(0.0, 3.0, size=(20, inst.num_groups)):
+            assert (stored_value(inst, entry, other, variant=True)
+                    >= robustness_value_variant(inst, sol.x, other) - 1e-9)
+    assert zero_groups > 0
 
 
 def test_pi_enumeration_equivalence():

@@ -87,3 +87,24 @@ def test_result_timing_totals_round_trip():
     # a MILP-master run builds no table
     toy, _, omega2 = toy_instance(2)
     assert run_aq(toy, OmegaSpec.segment(omega2.upper), epsilon=0.0).table_s == 0.0
+
+
+def test_result_with_selector_certificates_still_loads(tmp_path):
+    # earlier result files carry a "w" key in every history record: null, or
+    # the variant selector vector; they load, and verify passes on them
+    from mprobust.cli import main
+
+    inst, _, omega2 = toy_instance(2)
+    res = run_aq(inst, omega2, epsilon=0.0, mode="variant")
+    inst_path = tmp_path / "toy.json"
+    save_json(instance_to_dict(inst), inst_path)
+    d = result_to_dict(res, instance_path=str(inst_path))
+    assert "w" not in d["history"][0]
+    for i, h in enumerate(d["history"]):
+        h["w"] = None if i == 0 else [float(v) for v in h["x"]]
+    back = result_from_dict(d, instance=inst)
+    assert [e.pi.tolist() for e in back.history] == [e.pi.tolist() for e in res.history]
+    assert back.distinct_x == res.distinct_x
+    path = tmp_path / "old.json"
+    save_json(d, path)
+    assert main(["verify", "--result", str(path)]) == 0
