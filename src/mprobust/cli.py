@@ -41,9 +41,9 @@ from .serialize import (
 )
 # robustness_value stays bound here for perfbench, which hooks it by name
 from .uncertainty import (
-    Instance, OmegaSpec, capped_values, group_deviations, robustness_value,
-    robustness_value_variant, robustness_values, row_chunks, sample_gamma,
-    solution_signature, verify_feasible,
+    Instance, OmegaSpec, capped_grid_min, capped_values, group_deviations,
+    interval_axes, robustness_value, robustness_value_variant, robustness_values,
+    row_chunks, sample_gamma, solution_signature, verify_feasible,
 )
 
 EXIT_OK = 0
@@ -67,12 +67,15 @@ class CliError(Exception):
 
 def _reference_fn(inst: Instance, mode: str, config):
     """Batched robust-value reference ``ref(G) -> (S,)``: oracle when small,
-    solver otherwise; returns (ref, route)."""
+    solver otherwise; returns (ref, grid_ref, route).  ``grid_ref(axes)``
+    evaluates a product grid whole (``PiEnumerationOracle.robust_grid``);
+    it is None outside the pattern route."""
     variant = mode == "variant"
     if not variant and inst.num_groups <= 12:
         try:
             if has_structural_nominal(inst) or inst.n <= 24:
-                return PiEnumerationOracle(inst).robust_values, "pattern-oracle"
+                oracle = PiEnumerationOracle(inst)
+                return oracle.robust_values, oracle.robust_grid, "pattern-oracle"
         except ValueError:
             pass
     try:
@@ -90,14 +93,26 @@ def _reference_fn(inst: Instance, mode: str, config):
                     for rows in row_chunks(G.shape[0], X.shape[0]):
                         out[rows] = capped_values(base, room, G[rows]).min(axis=1)
                     return out
-            return by_enum, "enumeration"
+            return by_enum, None, "enumeration"
     except ValueError:
         pass
 
     def by_solver(G):
         return np.array([solve_robust(inst, g, mode="variant" if variant else "standard",
                                       config=config).value for g in G])
-    return by_solver, "solver"
+    return by_solver, None, "solver"
+
+
+def _nth_point(parts, i: int) -> list:
+    """Point i of the concatenated parts of ``verify_solution_set``."""
+    for points, gap, _ in parts:
+        if i < gap.shape[0]:
+            if isinstance(points, np.ndarray):
+                return [float(v) for v in points[i]]
+            at = np.unravel_index(i, [axis.shape[0] for axis in points])
+            return [float(axis[j]) for axis, j in zip(points, at)]
+        i -= gap.shape[0]
+    raise IndexError(i)
 
 
 def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
@@ -112,29 +127,48 @@ def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
     pi fixed, it falls in gamma_k where pi_k = 1 and rises where pi_k = 0),
     so checking every vertex against an exact reference proves the
     guarantee.  Only the solution vectors are consulted.
+
+    On an interval domain with the pattern reference, the grid and vertex
+    samples are product grids and are evaluated axis by axis
+    (``PiEnumerationOracle.robust_grid``, ``capped_grid_min``) without
+    listing their points; the other samples go through the batched
+    evaluators in row chunks.  Both routes give the same values to the bit.
     """
     X = np.array([np.asarray(x, dtype=float) for x in xs])
     if X.shape[0] == 0:
         raise CliError("empty solution set")
     variant = mode == "variant"
-    ref, route = _reference_fn(inst, mode, config)
-    samples = [sample_gamma(omega, "grid", m=grid_m)]
+    ref, grid_ref, route = _reference_fn(inst, mode, config)
     vertices = omega.kind != "segment" and omega.num_groups <= 20
-    if vertices:
-        samples.append(sample_gamma(omega, "vertices"))
+    kinds = ["grid", "vertices"] if vertices else ["grid"]
+    product = grid_ref is not None and omega.kind == "interval"
+    # (points, gap, opt) per part, in sample order; a product grid's points
+    # are its axes
+    parts = []
+    if product:
+        base, room = X @ inst.c_lower, X @ group_deviations(inst)
+        for kind in kinds:
+            axes = interval_axes(omega, kind, grid_m)
+            opt = grid_ref(axes).ravel()
+            parts.append((axes, capped_grid_min(base, room, axes).ravel() - opt, opt))
+    samples = [] if product else [sample_gamma(omega, kind, m=grid_m) for kind in kinds]
     if uniform > 0:
         samples.append(sample_gamma(omega, "uniform", seed=0, count=uniform))
-    G = np.vstack(samples)
-    gap = np.empty(G.shape[0])
-    opt = np.empty(G.shape[0])
-    for rows in row_chunks(G.shape[0], X.shape[0]):
-        if variant:
-            best = np.array([min(robustness_value_variant(inst, x, g) for x in X)
-                             for g in G[rows]])
-        else:
-            best = robustness_values(inst, X, G[rows]).min(axis=1)
-        opt[rows] = ref(G[rows])
-        gap[rows] = best - opt[rows]
+    if samples:
+        G = np.vstack(samples)
+        gap = np.empty(G.shape[0])
+        opt = np.empty(G.shape[0])
+        for rows in row_chunks(G.shape[0], X.shape[0]):
+            if variant:
+                best = np.array([min(robustness_value_variant(inst, x, g) for x in X)
+                                 for g in G[rows]])
+            else:
+                best = robustness_values(inst, X, G[rows]).min(axis=1)
+            opt[rows] = ref(G[rows])
+            gap[rows] = best - opt[rows]
+        parts.append((G, gap, opt))
+    gap = np.concatenate([p[1] for p in parts])
+    opt = np.concatenate([p[2] for p in parts])
     i = int(np.argmax(gap))
     scaled = opt > 1e-12
     worst_rel = max(0.0, float(np.max(gap[scaled] / opt[scaled]))) if scaled.any() else 0.0
@@ -142,8 +176,8 @@ def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
     return {
         "max_gap": worst,
         "max_relative_gap": worst_rel,
-        "witness_gamma": [float(v) for v in G[i]],
-        "checked": int(G.shape[0]),
+        "witness_gamma": _nth_point(parts, i),
+        "checked": int(gap.shape[0]),
         "reference": route,
         "exact": bool(omega.kind == "interval" and vertices and not variant
                       and route in ("pattern-oracle", "enumeration")),
@@ -293,6 +327,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
+# mean per-stage totals of a result's timing block (0 where a result has none)
+_LAYER_TIMES = ("seed_s", "table_s", "master_s")
+
+
 def cmd_report(args) -> int:
     rows = {}
     paths = sorted(Path(args.dir).glob("*.json"))
@@ -312,9 +350,9 @@ def cmd_report(args) -> int:
         raise CliError(f"no result files under {args.dir}")
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["instance", "omega", "mode", "epsilon",
+    writer.writerow(("instance", "omega", "mode", "epsilon",
                      "runs", "t_avg", "t_max", "s_min", "s_avg", "s_max",
-                     "eps1_avg"])
+                     "eps1_avg") + _LAYER_TIMES)
     for key in sorted(rows):
         ds = rows[key]
         times = [d["timing"]["elapsed"] for d in ds]
@@ -325,7 +363,8 @@ def cmd_report(args) -> int:
             round(float(np.mean(times)), 1), round(float(np.max(times)), 1),
             int(np.min(counts)), round(float(np.mean(counts)), 1), int(np.max(counts)),
             round(float(np.mean(firsts)), 1) if firsts else "",
-        ])
+        ] + [round(float(np.mean([d["timing"].get(name, 0.0) for d in ds])), 6)
+             for name in _LAYER_TIMES])
     text = buf.getvalue()
     if args.out:
         Path(args.out).write_text(text)

@@ -349,14 +349,15 @@ _MASTER_BUILDERS = {
 
 
 def _master_gamma(omega: OmegaSpec, mode: str, model: MilpModel, values) -> np.ndarray:
-    """The budget vector a solved master picks, read from its blocks."""
+    """The budget vector a solved master picks, read from its blocks; a
+    solver's -0.0 comes back as 0.0."""
     if mode == "variant":
-        return values[model.blocks["gamma"]]
+        return values[model.blocks["gamma"]] + 0.0
     if omega.kind == "interval":
         pi = np.round(values[model.blocks["pi"]])
         return omega.lower * pi + omega.upper * (1.0 - pi)
     if omega.kind == "segment":
-        return values[model.blocks["alpha"]][0] * omega.gamma0
+        return (values[model.blocks["alpha"]][0] + 0.0) * omega.gamma0
     return omega.gamma_base + values[model.blocks["beta"]]
 
 

@@ -352,15 +352,43 @@ class PiEnumerationOracle:
 
     def robust_value(self, gamma) -> float:
         gamma = np.asarray(gamma, dtype=float)
-        return float(np.min(self.patterns @ gamma + self.nominal_values))
+        return float(self.robust_values(gamma[None])[0])
 
     def robust_values(self, G) -> np.ndarray:
-        """Robust optimum at every budget row of G (S, K), in row chunks."""
+        """Robust optimum at every budget row of G (S, K), in row chunks.
+
+        The minimum over patterns of nominal(pi) + sum_k gamma_k pi_k is taken
+        one group at a time: from the table as a (2,)*K array, the leading
+        pi_k axis is replaced by min(A[pi_k = 0], A[pi_k = 1] + gamma_k).
+        Float addition is monotone, so this equals, to the bit, the pattern
+        minimum of the nominal value plus each active gamma_k in group order;
+        ``robust_grid`` makes the same additions.
+        """
         G = np.asarray(G, dtype=float)
+        K = self.patterns.shape[1]
+        if G.ndim != 2 or G.shape[1] != K:
+            raise ValueError(f"G has shape {G.shape}, expected (S, {K})")
         out = np.empty(G.shape[0])
         for rows in row_chunks(G.shape[0], self.patterns.shape[0]):
-            out[rows] = np.min(G[rows] @ self.patterns.T + self.nominal_values, axis=1)
+            A = self.nominal_values.reshape((2,) * K + (1,))
+            for k in range(K):
+                A = np.minimum(A[0], A[1] + G[rows, k])
+            out[rows] = A
         return out
+
+    def robust_grid(self, axes) -> np.ndarray:
+        """Robust optimum on the product grid of ``axes`` (one array of
+        budgets per group), shaped ``(len(axes[0]), ...)`` with the last axis
+        fastest; equals ``robust_values`` of the grid's points to the bit.
+        With two or more points per axis no temporary outgrows the output."""
+        K = self.patterns.shape[1]
+        if len(axes) != K:
+            raise ValueError(f"{len(axes)} grid axes for {K} groups")
+        A = self.nominal_values.reshape((2,) * K)
+        for axis in axes:
+            t = A[1][..., None] + axis
+            A = np.minimum(A[0][..., None], t, out=t)
+        return A
 
     def best_solution(self, gamma) -> np.ndarray:
         gamma = np.asarray(gamma, dtype=float)

@@ -147,15 +147,18 @@ def read_certificate(inst: Instance, model: MilpModel, values, mode: str) -> tup
             raise TuIntegralityError(
                 f"relaxed solve returned fractional x (max deviation {frac:.2e})")
     x = np.round(x)
-    if mode == "variant":
-        if "w" not in model.blocks:
-            return values[model.blocks["pi"]], spread("rho"), x
+    if mode != "variant":
+        pi = np.round(values[model.blocks["pi"]])
+        rho = _repair_rho(inst, pi, x) if mode == "tu_relaxed" else np.round(spread("rho"))
+    elif "w" in model.blocks:
         w = np.round(spread("w"))
         pi = np.array([float(inst.deviations[list(g)] @ w[list(g)]) for g in inst.groups])
-        return pi, spread("rho"), x
-    pi = np.round(values[model.blocks["pi"]])
-    rho = _repair_rho(inst, pi, x) if mode == "tu_relaxed" else np.round(spread("rho"))
-    return pi, rho, x
+        rho = spread("rho")
+    else:
+        pi, rho = values[model.blocks["pi"]], spread("rho")
+    # rounding keeps the sign of a solver's tiny negative values; adding 0.0
+    # turns every -0.0 into 0.0
+    return pi + 0.0, rho + 0.0, x + 0.0
 
 
 def solve_robust(inst: Instance, gamma, mode: str = "standard",

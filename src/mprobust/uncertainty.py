@@ -27,6 +27,7 @@ from .milp import EQ, GE, LE, MilpModel, ModelBuilder, SolverConfig, solve_milp
 
 MEMBERSHIP_TOL = 1e-9
 CHUNK_ELEMS = 1 << 18       # float64 entries per temporary of the batched evaluators
+GRID_MAX_POINTS = 2_000_000  # largest grid sample_gamma lists
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,6 +264,25 @@ def capped_values(base: np.ndarray, room: np.ndarray, G: np.ndarray) -> np.ndarr
     return out
 
 
+def capped_grid_min(base: np.ndarray, room: np.ndarray, axes) -> np.ndarray:
+    """``capped_values(base, room, G).min(axis=1)`` on the product grid G of
+    ``axes`` (one array of budgets per group), shaped ``(len(axes[0]), ...)``
+    with the last axis fastest, as ``_box_grid`` lists G.
+
+    Each solution's values are built as outer sums in group order, the same
+    float additions ``capped_values`` makes, so the result equals it to the
+    bit; a running minimum over the solutions keeps every temporary at the
+    grid's size.
+    """
+    best = None
+    for b, r in zip(base, room):
+        v = np.array(b, dtype=float)
+        for k, axis in enumerate(axes):
+            v = np.add.outer(v, np.minimum(axis, r[k]))
+        best = v if best is None else np.minimum(best, v, out=best)
+    return best
+
+
 def row_chunks(rows: int, width: int):
     """Slices of ``range(rows)`` whose (chunk, width) float arrays stay near 2 MB."""
     step = max(1, CHUNK_ELEMS // max(1, width))
@@ -355,11 +375,48 @@ def contains(omega: OmegaSpec, gamma, tol: float = MEMBERSHIP_TOL) -> bool:
     return bool(np.sum(np.clip(beta, 0.0, None)) <= omega.budget + tol * max(1.0, omega.budget))
 
 
+def _box_axes(lo: np.ndarray, hi: np.ndarray, m: int) -> list:
+    """The box grid's per-axis linspaces, m points each, endpoints included."""
+    return [np.linspace(lo[k], hi[k], m) for k in range(lo.shape[0])]
+
+
+def _grid_points(axes) -> np.ndarray:
+    """The points of the axes' product grid as rows, last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+
+
 def _box_grid(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     """The m**K points of the box's per-axis linspace grid, last axis fastest."""
-    K = lo.shape[0]
-    axes = [np.linspace(lo[k], hi[k], m) for k in range(K)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, K)
+    return _grid_points(_box_axes(lo, hi, m))
+
+
+def interval_axes(omega: OmegaSpec, mode: str, m: int = 5) -> list:
+    """The per-group axes whose product ``sample_gamma(omega, mode, m)``
+    lists (last axis fastest) on an interval domain: m points each for
+    ``grid``, the two bounds for ``vertices``."""
+    if omega.kind != "interval":
+        raise ValueError("product-grid axes apply to interval domains only")
+    K = omega.num_groups
+    if mode == "vertices":
+        if K > 20:
+            raise ValueError("vertex enumeration refused for K > 20")
+        m = 2
+    elif mode != "grid":
+        raise ValueError(f"unknown product-grid mode {mode!r}")
+    elif m < 2:
+        raise ValueError("grid needs m >= 2")
+    elif m ** K > GRID_MAX_POINTS:
+        raise ValueError("grid would be too large")
+    return _box_axes(omega.lower, omega.upper, m)
+
+
+def _within_budget(omega: OmegaSpec, P: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """``contains(omega, p)`` for every row p of P (N, K) on a budgeted domain."""
+    eps = tol * np.maximum(1.0, omega.upper_bound)
+    beta = P - omega.gamma_base
+    ok = np.all((P >= -eps) & (beta >= -eps) & (beta <= omega.spread + eps), axis=1)
+    total = np.sum(np.clip(beta, 0.0, None), axis=1)
+    return ok & (total <= omega.budget + tol * max(1.0, omega.budget))
 
 
 def sample_gamma(omega: OmegaSpec, mode: str, m: int = 5,
@@ -371,21 +428,19 @@ def sample_gamma(omega: OmegaSpec, mode: str, m: int = 5,
     for segments and for K > 20).
     """
     K = omega.num_groups
+    if omega.kind == "interval" and mode in ("grid", "vertices"):
+        return _grid_points(interval_axes(omega, mode, m))
     if mode == "grid":
         if m < 2:
             raise ValueError("grid needs m >= 2")
         if omega.kind == "segment":
             alphas = np.linspace(omega.alpha_lo, omega.alpha_hi, m)
             return np.array([a * omega.gamma0 for a in alphas])
-        if m ** K > 2_000_000:
+        if m ** K > GRID_MAX_POINTS:
             raise ValueError("grid would be too large")
-        if omega.kind == "interval":
-            return _box_grid(omega.lower, omega.upper, m)
         pts = _box_grid(omega.gamma_base, omega.gamma_base + omega.spread, m)
-        keep = [p for p in pts if contains(omega, p)]
-        verts = sample_gamma(omega, "vertices") if K <= 20 else [omega.gamma_base]
-        out = np.array(list(keep) + list(verts))
-        return np.unique(out, axis=0)
+        verts = sample_gamma(omega, "vertices") if K <= 20 else omega.gamma_base[None]
+        return np.unique(np.vstack([pts[_within_budget(omega, pts)], verts]), axis=0)
     if mode == "uniform":
         rng = np.random.default_rng(seed)
         if omega.kind == "interval":
@@ -405,8 +460,6 @@ def sample_gamma(omega: OmegaSpec, mode: str, m: int = 5,
     if mode == "vertices":
         if K > 20:
             raise ValueError("vertex enumeration refused for K > 20")
-        if omega.kind == "interval":
-            return _box_grid(omega.lower, omega.upper, 2)
         if omega.kind == "budgeted":
             pts = [omega.gamma_base.copy()]
             for k in range(K):

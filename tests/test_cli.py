@@ -215,6 +215,49 @@ def test_report_aggregation(tmp_path, capsys):
     assert row[5] == row[6] == "1.0"
 
 
+def test_report_layer_time_columns(tmp_path, capsys):
+    """``seed_s``, ``table_s`` and ``master_s`` are the mean totals of the
+    results' timing blocks; a result without them counts 0."""
+    toy = tmp_path / "toy.json"
+    run_cli("generate", "toy", "--n", 2, "--out", toy)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for i in range(2):
+        assert run_cli("run", "--instance", toy, "--omega", "toy2", "--epsilon", 0,
+                       "--out", runs / f"r{i}.json") == 0
+    capsys.readouterr()
+    assert run_cli("report", "--dir", runs) == 0
+    header, row = (line.split(",") for line in capsys.readouterr().out.strip().splitlines())
+    assert header[11:] == ["seed_s", "table_s", "master_s"] and row[4] == "2"
+    timings = [load_json(runs / f"r{i}.json")["timing"] for i in range(2)]
+    for name, got in zip(header[11:], row[11:]):
+        assert float(got) == round(float(np.mean([t[name] for t in timings])), 6)
+    assert float(row[12]) > 0       # the toy runs build a pattern table
+
+    old = tmp_path / "old"
+    old.mkdir()
+    d = load_json(runs / "r0.json")
+    d["timing"] = {"elapsed": 1.0}
+    save_json(d, old / "r.json")
+    assert run_cli("report", "--dir", old) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert row[11:] == ["0.0", "0.0", "0.0"]
+
+
+def test_variant_result_has_no_negative_zero(tmp_path):
+    """Rounded solver values are stored without a -0.0 sign (the toy n=3
+    ``toy2`` ``variant`` run used to store x = [-0.0, ...])."""
+    toy, out = tmp_path / "toy.json", tmp_path / "res.json"
+    run_cli("generate", "toy", "--n", 3, "--out", toy)
+    assert run_cli("run", "--instance", toy, "--omega", "toy2", "--mode", "variant",
+                   "--epsilon", 0, "--out", out) == 0
+    d = load_json(out)
+    assert d["history"]
+    for rec in d["history"]:
+        assert not np.signbit(rec["x"]).any()
+    assert "-0.0" not in out.read_text()
+
+
 def test_bad_inputs_exit_code(tmp_path):
     assert run_cli("run", "--instance", tmp_path / "nope.json",
                    "--omega", "interval", "--out", tmp_path / "x.json") == 4
@@ -405,6 +448,36 @@ def test_verify_batched_agrees_with_scalar_loop():
         cases += 1
         failing += not report["ok"]
     assert cases == 10 + 12 + 1 and failing > 0
+
+
+def test_verify_product_grid_agrees_with_scalar_loop():
+    """On SP 20 ``r`` K=6 interval (the online benchmark's shape), where the
+    grid and vertex samples go through the product-grid sweep, the report
+    equals a point-by-point loop: the set ``run_aq`` stores (zero gap, so the
+    witness is rounding noise) and a one-solution set that fails."""
+    from mprobust.cli import verify_solution_set
+    from mprobust.engine import run_aq
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, build_omega, gen_sp
+    from mprobust.oracle import PiEnumerationOracle, robustness_matrix
+    from mprobust.uncertainty import sample_gamma
+
+    inst = apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", 6), seed=0)
+    omega = build_omega(inst, "interval", delta=0.0)
+    oracle = PiEnumerationOracle(inst)
+    xs = run_aq(inst, omega, epsilon=0.0).solutions()
+    points = np.vstack([sample_gamma(omega, "grid", m=5), sample_gamma(omega, "vertices"),
+                        sample_gamma(omega, "uniform", seed=0, count=100)])
+    for X in (np.asarray(xs, dtype=float), np.asarray(xs[:1], dtype=float)):
+        report = verify_solution_set(inst, omega, X, 0.0)
+        gaps = [float(robustness_matrix(inst, X, g).min()) - oracle.robust_value(g)
+                for g in points]
+        i = int(np.argmax(gaps))
+        assert report["checked"] == len(points) == 5 ** 6 + 2 ** 6 + 100
+        assert report["reference"] == "pattern-oracle" and report["exact"] is True
+        assert report["witness_gamma"] == [float(v) for v in points[i]]
+        assert report["max_gap"] == gaps[i]
+        assert report["ok"] is bool(gaps[i] <= 1e-6)
+    assert len(xs) > 1 and report["ok"] is False
 
 
 def test_run_solver_limit_exit_code(tmp_path, capsys):

@@ -277,3 +277,46 @@ def test_sp_table_unchanged_across_chunk_boundaries(monkeypatch):
     chunked = PiEnumerationOracle(inst)
     assert np.array_equal(chunked.nominal_values, whole.nominal_values)
     assert np.array_equal(chunked.solutions, whole.solutions)
+
+
+def test_grid_sweeps_equal_pointwise_evaluators():
+    """On the materialized grid points, ``robust_grid`` equals ``robust_values``
+    and ``capped_grid_min`` equals ``robustness_values``, to the bit; and
+    ``robust_values`` equals the pattern minimum with each active gamma_k
+    added to the nominal value in group order.  Covers K = 1, m = 2, a
+    zero-width axis and a one-solution set."""
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+    from mprobust.uncertainty import (
+        OmegaSpec, _box_grid, capped_grid_min, group_deviations, interval_axes,
+        robustness_values,
+    )
+
+    rng = np.random.default_rng(17)
+    insts = [random_instance(rng, n=6, K=K) for K in (1, 2, 3, 4)]
+    insts += [apply_partition(gen_sp(SpParams(nv, seed=nv)), PartitionScheme("r", K), seed=nv)
+              for nv, K in ((12, 5), (20, 6))]
+    assert insts[0].num_groups == 1
+    for inst in insts:
+        K = inst.num_groups
+        oracle = PiEnumerationOracle(inst)
+        full = np.array(oracle.solution_set())
+        for m in (2, 3, 5):
+            lo = rng.uniform(0.0, 3.0, K)
+            hi = lo + rng.uniform(0.0, 4.0, K)
+            if m == 3:
+                hi[-1] = lo[-1]
+            axes = interval_axes(OmegaSpec.interval(lo, hi), "grid", m)
+            G = _box_grid(lo, hi, m)
+            opt = oracle.robust_values(G)
+            assert np.array_equal(oracle.robust_grid(axes).ravel(), opt)
+            by_loop = np.broadcast_to(oracle.nominal_values, (G.shape[0], 1 << K)).copy()
+            for k in range(K):
+                by_loop += G[:, k, None] * oracle.patterns[:, k]
+            assert np.array_equal(by_loop.min(axis=1), opt)
+            assert oracle.robust_value(G[-1]) == opt[-1]
+            for X in (full, full[:1]):
+                base, room = X @ inst.c_lower, X @ group_deviations(inst)
+                assert np.array_equal(capped_grid_min(base, room, axes).ravel(),
+                                      robustness_values(inst, X, G).min(axis=1))
+    with pytest.raises(ValueError):
+        PiEnumerationOracle(insts[1]).robust_grid([np.zeros(2)])

@@ -265,6 +265,43 @@ def test_box_grid_matches_product_order():
         assert np.array_equal(sample_gamma(box, "vertices"), corners)
 
 
+def test_budgeted_grid_equals_membership_loop():
+    """The budgeted grid keeps exactly the points a pointwise ``contains``
+    loop keeps, including points whose beta sums to the budget or lands
+    within the membership tolerance of it."""
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, build_omega, gen_sp
+    from mprobust.uncertainty import _box_grid, _within_budget
+
+    def by_loop(omega, m):
+        pts = _box_grid(omega.gamma_base, omega.gamma_base + omega.spread, m)
+        keep = [p for p in pts if contains(omega, p)]
+        return np.unique(np.array(keep + list(sample_gamma(omega, "vertices"))), axis=0)
+
+    sp = apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", 6), seed=0)
+    omegas = [
+        OmegaSpec.budgeted([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], 2.0),
+        OmegaSpec.budgeted([0.0, 0.5], [1.0, 3.0], 1.5 - 1e-9),     # sum 1.5 kept
+        OmegaSpec.budgeted([0.0, 0.5], [1.0, 3.0], 1.5 - 2e-9),     # sum 1.5 dropped
+        OmegaSpec.budgeted([0.3, 0.1, 0.2, 0.7], [0.3, 0.3, 0.9, 0.6], 0.9),
+        build_omega(sp, "budgeted", delta=1.0),
+    ]
+    on_boundary = 0
+    for omega in omegas:
+        for m in (2, 3, 5):
+            got = sample_gamma(omega, "grid", m=m)
+            assert np.array_equal(got, by_loop(omega, m))
+            on_boundary += int(np.sum(np.isclose((got - omega.gamma_base).sum(axis=1),
+                                                 omega.budget, rtol=0, atol=1e-8)))
+    assert on_boundary > 0
+    assert len(sample_gamma(omegas[1], "grid", m=3)) > len(sample_gamma(omegas[2], "grid", m=3))
+
+    rng = np.random.default_rng(9)
+    omega = omegas[3]
+    P = omega.gamma_base + rng.uniform(-0.2, 1.2, (400, 4)) * omega.spread
+    P[:50] -= 0.35                                  # some negative entries
+    assert _within_budget(omega, P).tolist() == [contains(omega, p) for p in P]
+
+
 def test_instance_validation_and_feasibility():
     with pytest.raises(ValueError):
         Instance(c_lower=np.array([1.0]), deviations=np.array([1.0]),
