@@ -303,9 +303,13 @@ def cmd_evaluate(args) -> int:
         raise CliError("give exactly one of --gamma or --cost")
     if args.gamma is not None:
         gamma = _parse_vector(args.gamma, inst.num_groups, "gamma")
+        if not np.all(gamma >= 0):      # NaN fails the comparison too
+            raise CliError(f"gamma entries must be nonnegative numbers or inf: {args.gamma}")
         idx, value = pick_best(res, gamma=gamma)
     else:
         cost = _parse_vector(args.cost, inst.n, "cost")
+        if not np.all(np.isfinite(cost)):
+            raise CliError(f"cost entries must be finite: {args.cost}")
         idx, value = pick_best(res, cost=cost)
     x = res.history[idx].x
     out = {

@@ -1,10 +1,14 @@
 """Random benchmark families and their budget-domain constructions.
 
 Shortest-path instances: uniform points in [0,10]^2, source/target = the
-farthest pair, complete digraph with the longest 70% of arcs removed,
-nominal cost = arc length, deviation = half the length.  Facility
-instances: uniform points in [0,100]^2 with uniform demands, assignment
-cost = distance times demand, deviation = half of it.
+farthest pair, nominal cost = arc length, deviation = half the length.  The
+graph keeps round(0.3 N(N-1)) arcs of the complete digraph on N nodes.  It
+removes arcs in the order (length descending, tail descending, head
+descending): of the two equally long directions of a pair the one with the
+larger tail goes first, so a surviving tied arc points from the smaller
+node to the larger.  Kept arcs are numbered in row-major (tail, head)
+order.  Facility instances: uniform points in [0,100]^2 with uniform
+demands, assignment cost = distance times demand, deviation = half of it.
 
 Partition schemes label items into K budget groups (empty groups are
 dropped and the groups renumbered): ``r``/``lo`` draw labels uniformly,
@@ -85,20 +89,22 @@ def _sp_attempt(num_nodes: int, seed: int):
                 best = (dist[i, j], i, j)
     v0, w0 = best[1], best[2]
 
-    arcs = [(u, v) for u in range(num_nodes) for v in range(num_nodes) if u != v]
-    total = len(arcs)
+    # arcs (u, v), u != v, in row-major order
+    tails, heads = np.nonzero(~np.eye(num_nodes, dtype=bool))
+    total = tails.size
     keep_count = int(round((1.0 - SP_REMOVAL_FRACTION) * total))
-    # ties (the two directions of a pair) drop the lexicographically later
-    # arc first, so a surviving tied arc points forward where possible
-    order = sorted(range(total), key=lambda a: (-dist[arcs[a][0], arcs[a][1]],
-                                                -arcs[a][0], -arcs[a][1]))
-    removed = set(order[: total - keep_count])
-    kept = [arcs[a] for a in range(total) if a not in removed]
+    # longest first; ties (the two directions of a pair) drop the
+    # lexicographically later arc first, so a surviving tied arc points
+    # forward where possible
+    order = np.lexsort((-heads, -tails, -dist[tails, heads]))
+    kept = np.ones(total, dtype=bool)
+    kept[order[: total - keep_count]] = False
+    tails, heads = tails[kept], heads[kept]
 
     reach = {v0}
     frontier = [v0]
     out = {}
-    for u, v in kept:
+    for u, v in zip(tails.tolist(), heads.tolist()):
         out.setdefault(u, []).append(v)
     while frontier:
         u = frontier.pop()
@@ -108,7 +114,7 @@ def _sp_attempt(num_nodes: int, seed: int):
                 frontier.append(v)
     if w0 not in reach:
         return None
-    return coords, dist, v0, w0, kept
+    return coords, dist, v0, w0, tails, heads
 
 
 def gen_sp(params: SpParams, max_retries: int = 100) -> Instance:
@@ -121,16 +127,17 @@ def gen_sp(params: SpParams, max_retries: int = 100) -> Instance:
         seed += 1
     else:
         raise RuntimeError("could not generate a connected instance")
-    coords, dist, v0, w0, arcs = got
-    n = len(arcs)
-    lengths = np.array([dist[u, v] for u, v in arcs])
+    coords, dist, v0, w0, tails, heads = got
+    n = tails.size
+    lengths = dist[tails, heads]
     rows = np.zeros((params.num_nodes, n))
+    cols = np.arange(n)
+    rows[tails, cols] = 1.0
+    rows[heads, cols] = -1.0
     rhs = np.zeros(params.num_nodes)
-    for a, (u, v) in enumerate(arcs):
-        rows[u, a] += 1.0
-        rows[v, a] -= 1.0
     rhs[v0] = 1.0
     rhs[w0] = -1.0
+    arcs = list(zip(tails.tolist(), heads.tolist()))
     return Instance(
         c_lower=lengths,
         deviations=DEVIATION_RATIO * lengths,
@@ -142,7 +149,7 @@ def gen_sp(params: SpParams, max_retries: int = 100) -> Instance:
             "kind": "SP", "tu": True,
             "num_nodes": params.num_nodes,
             "v0": int(v0), "w0": int(w0),
-            "arcs": [(int(u), int(v)) for u, v in arcs],
+            "arcs": arcs,
             "coords": coords.tolist(),
             "seed": params.seed, "effective_seed": seed,
         },
@@ -163,26 +170,25 @@ def gen_plm(params: PlmParams) -> Instance:
     c = np.zeros(n)
     c[: l * l] = cmat.reshape(-1)
     d = DEVIATION_RATIO * c
-    rows, senses, rhs = [], [], []
-    for i in range(l):
-        for j in range(l):
-            row = np.zeros(n)
-            row[i * l + j] = 1.0
-            row[l * l + i] = -1.0
-            rows.append(row); senses.append(LE); rhs.append(0.0)
-    row = np.zeros(n)
-    row[l * l:] = 1.0
-    rows.append(row); senses.append(EQ); rhs.append(float(p))
-    for j in range(l):
-        row = np.zeros(n)
-        row[j: l * l: l] = 1.0
-        rows.append(row); senses.append(EQ); rhs.append(1.0)
+    # per (i, j): x_ij - y_i <= 0; then sum_i y_i = p; per j: sum_i x_ij = 1
+    m = l * l + 1 + l
+    a = np.arange(l * l)            # assignment a = i * l + j
+    rows = np.zeros((m, n))
+    rows[a, a] = 1.0
+    rows[a, l * l + a // l] = -1.0
+    rows[l * l, l * l:] = 1.0
+    rows[l * l + 1 + a % l, a] = 1.0
+    senses = np.full(m, LE, dtype=np.int8)
+    senses[l * l:] = EQ
+    rhs = np.zeros(m)
+    rhs[l * l] = float(p)
+    rhs[l * l + 1:] = 1.0
     return Instance(
         c_lower=c, deviations=d,
         groups=(tuple(range(l * l)),),
-        x_coeffs=np.array(rows),
-        x_senses=np.array(senses, dtype=np.int8),
-        x_rhs=np.array(rhs),
+        x_coeffs=rows,
+        x_senses=senses,
+        x_rhs=rhs,
         metadata={
             "kind": "PLM", "tu": False,
             "l": l, "p": p, "y_offset": l * l,
@@ -238,8 +244,8 @@ def partition(inst: Instance, scheme: PartitionScheme, seed: int = 0) -> tuple:
             else:
                 coords = np.asarray(inst.metadata["coords"])
                 vals = np.sqrt(((coords - coords[w0]) ** 2).sum(axis=1))
-            node_bucket = _buckets(vals, scheme.K)
-            labels = np.array([node_bucket[u] for u, _ in arcs])
+            tails = np.asarray(arcs, dtype=int).reshape(-1, 2)[:, 0]
+            labels = _buckets(vals, scheme.K)[tails]
     else:
         l = int(inst.metadata["l"])
         if scheme.kind == "lo":
@@ -250,13 +256,10 @@ def partition(inst: Instance, scheme: PartitionScheme, seed: int = 0) -> tuple:
             row_labels = _buckets(dev.sum(axis=1), scheme.K)
         labels = np.repeat(row_labels, l)
 
-    base = inst.covered if kind == "PLM" else np.arange(inst.n)
-    groups = []
-    for k in range(scheme.K):
-        g = tuple(int(j) for j, lab in zip(base, labels) if lab == k)
-        if g:
-            groups.append(g)
-    return tuple(groups)
+    # labels cover the SP arcs, or the PLM assignments x_ij at i * l + j
+    index = np.arange(labels.size)
+    groups = (tuple(index[labels == k].tolist()) for k in range(scheme.K))
+    return tuple(g for g in groups if g)
 
 
 def apply_partition(inst: Instance, scheme: PartitionScheme, seed: int = 0) -> Instance:

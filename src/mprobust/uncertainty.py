@@ -19,6 +19,7 @@ Budget vectors are plain numpy arrays of length K (no wrapper class).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -46,6 +47,8 @@ class Instance:
     x_rhs: np.ndarray                   # (m,)
     metadata: dict = field(default_factory=dict)
     var_names: Optional[tuple] = None
+    _group_of: np.ndarray = field(init=False, repr=False)   # read-only, see group_of
+    _covered: np.ndarray = field(init=False, repr=False)    # read-only, see covered
 
     def __post_init__(self):
         c = np.asarray(self.c_lower, dtype=float)
@@ -57,23 +60,19 @@ class Instance:
             raise ValueError("c_lower and deviations must have equal length")
         if np.any(c < 0) or np.any(d < 0):
             raise ValueError("nominal costs and deviations must be nonnegative")
-        groups = tuple(tuple(int(j) for j in g) for g in self.groups)
+        groups = tuple(tuple(map(int, g)) for g in self.groups)
         object.__setattr__(self, "groups", groups)
-        seen = set()
-        for g in groups:
-            if not g:
-                raise ValueError("empty budget group")
-            for j in g:
-                if not 0 <= j < n:
-                    raise ValueError(f"group index {j} out of range")
-                if j in seen:
-                    raise ValueError(f"index {j} appears in two groups")
-                seen.add(j)
-        uncovered = [j for j in range(n) if j not in seen and d[j] > 0]
-        if uncovered:
-            raise ValueError(f"deviating indices outside every group: {uncovered}")
+        owner = _group_owner(groups, n)
+        uncovered = np.flatnonzero((owner < 0) & (d > 0))
+        if uncovered.size:
+            raise ValueError(f"deviating indices outside every group: {uncovered.tolist()}")
         if self.x_coeffs.shape[1] != n:
             raise ValueError("feasible-set rows must match the variable count")
+        covered = np.flatnonzero(owner >= 0)
+        owner.flags.writeable = False
+        covered.flags.writeable = False
+        object.__setattr__(self, "_group_of", owner)
+        object.__setattr__(self, "_covered", covered)
 
     @property
     def n(self) -> int:
@@ -85,18 +84,16 @@ class Instance:
 
     @property
     def covered(self) -> np.ndarray:
-        return np.asarray(sorted(j for g in self.groups for j in g), dtype=int)
+        """Indices inside some group, ascending (read-only)."""
+        return self._covered
 
     @property
     def kind(self) -> str:
         return self.metadata.get("kind", "CUSTOM")
 
     def group_of(self) -> np.ndarray:
-        """Per-index group id, -1 outside every group."""
-        out = np.full(self.n, -1, dtype=int)
-        for k, g in enumerate(self.groups):
-            out[list(g)] = k
-        return out
+        """Per-index group id, -1 outside every group (read-only)."""
+        return self._group_of
 
     def with_groups(self, groups) -> "Instance":
         return replace(self, groups=tuple(tuple(g) for g in groups))
@@ -111,6 +108,38 @@ class Instance:
             is_binary=np.ones(self.n, dtype=bool),
             row_coeffs=self.x_coeffs, row_senses=self.x_senses, row_rhs=self.x_rhs,
             var_names=self.var_names, name=self.metadata.get("kind", "instance"))
+
+
+def _group_owner(groups: tuple, n: int) -> np.ndarray:
+    """Per-index group id (-1 outside every group) of disjoint, nonempty
+    groups of indices in [0, n).
+
+    Raises ValueError on the first fault that a walk over the groups in
+    order, and over each group's indices in order, meets: an empty group,
+    an index out of range, or an index already met.
+    """
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    try:
+        flat = np.array(list(chain.from_iterable(groups)), dtype=np.int64)
+        valid = bool(sizes.all() and flat.min(initial=0) >= 0 and flat.max(initial=-1) < n
+                     and np.bincount(flat, minlength=n).max(initial=0) <= 1)
+    except OverflowError:       # an index beyond int64 is out of range
+        valid = False
+    if valid:
+        owner = np.full(n, -1, dtype=int)
+        owner[flat] = np.repeat(np.arange(len(groups)), sizes)
+        return owner
+    # some fault is there; the walk names the first one
+    seen = set()
+    for g in groups:
+        if not g:
+            raise ValueError("empty budget group")
+        for j in g:
+            if not 0 <= j < n:
+                raise ValueError(f"group index {j} out of range")
+            if j in seen:
+                raise ValueError(f"index {j} appears in two groups")
+            seen.add(j)
 
 
 def verify_feasible(inst: Instance, config: Optional[SolverConfig] = None) -> None:

@@ -132,6 +132,48 @@ def test_evaluate_scenarios(tmp_path, capsys):
     assert run_cli("evaluate", "--result", res, "--gamma", "1,2") == 4
 
 
+def test_evaluate_rejects_bad_vectors(tmp_path, capsys):
+    sp = tmp_path / "sp.json"
+    run_cli("generate", "sp", "--nodes", 8, "--seed", 5,
+            "--partition", "r", "--k", 2, "--out", sp)
+    res = tmp_path / "res.json"
+    run_cli("run", "--instance", sp, "--omega", "interval", "--delta", 0.5, "--out", res)
+    n, K = load_json(sp)["n"], load_json(sp)["K"]
+    capsys.readouterr()
+
+    def rejected(flag, text, why):
+        assert run_cli("evaluate", "--result", res, f"{flag}={text}") == 4
+        assert capsys.readouterr().err == f"error: {why}: {text}\n"
+
+    budgets = "gamma entries must be nonnegative numbers or inf"
+    rejected("--gamma", ",".join(["-5"] * K), budgets)      # would undercut the nominal cost
+    rejected("--gamma", ",".join(["nan"] + ["1"] * (K - 1)), budgets)
+    rejected("--gamma", ",".join(["-inf"] + ["1"] * (K - 1)), budgets)
+    costs = "cost entries must be finite"
+    for bad in ("nan", "inf", "-inf"):
+        rejected("--cost", ",".join([bad] + ["1"] * (n - 1)), costs)
+
+    assert run_cli("evaluate", "--result", res, "--gamma", ",".join(["inf"] * K)) == 0
+    assert json.loads(capsys.readouterr().out)["value"] > 0
+    assert run_cli("evaluate", "--result", res, "--gamma", ",".join(["0"] * K)) == 0
+    assert run_cli("evaluate", "--result", res, "--cost=" + ",".join(["-1"] * n)) == 0
+
+
+def test_run_rejects_duplicate_group_index(tmp_path, capsys):
+    sp = tmp_path / "sp.json"
+    run_cli("generate", "sp", "--nodes", 8, "--seed", 5,
+            "--partition", "r", "--k", 2, "--out", sp)
+    d = load_json(sp)
+    j = d["partition"][0][0]
+    d["partition"][-1].append(j)
+    save_json(d, sp)
+    capsys.readouterr()
+    assert run_cli("run", "--instance", sp, "--omega", "interval",
+                   "--out", tmp_path / "res.json") == 4
+    assert capsys.readouterr().err == (
+        f"error: cannot load instance {sp}: index {j} appears in two groups\n")
+
+
 def test_verify_pass_and_negative_control(tmp_path, capsys):
     toy = tmp_path / "toy.json"
     run_cli("generate", "toy", "--n", 2, "--out", toy)

@@ -322,6 +322,100 @@ def test_instance_validation_and_feasibility():
         verify_feasible(bad)
 
 
+def _instance(groups, n=3, deviations=None, width=None):
+    d = np.ones(n) if deviations is None else np.asarray(deviations, dtype=float)
+    return Instance(c_lower=np.ones(n), deviations=d, groups=groups,
+                    x_coeffs=np.zeros((0, n if width is None else width)),
+                    x_senses=np.zeros(0, dtype=np.int8), x_rhs=np.zeros(0))
+
+
+def _walk_fault(groups, n, d, width):
+    """The message of the first fault a walk over the groups meets (None if
+    valid): the reference the array checks of ``Instance`` must agree with."""
+    seen = set()
+    for g in groups:
+        if not g:
+            return "empty budget group"
+        for j in g:
+            if not 0 <= j < n:
+                return f"group index {j} out of range"
+            if j in seen:
+                return f"index {j} appears in two groups"
+            seen.add(j)
+    uncovered = [j for j in range(n) if j not in seen and d[j] > 0]
+    if uncovered:
+        return f"deviating indices outside every group: {uncovered}"
+    if width != n:
+        return "feasible-set rows must match the variable count"
+    return None
+
+
+@pytest.mark.parametrize("groups, kwargs, message", [
+    (((0, 1, 2), ()), {}, "empty budget group"),
+    (((0, 1, 3),), {}, "group index 3 out of range"),
+    (((0, -1, 2),), {}, "group index -1 out of range"),
+    (((0, 1, 2**70),), {}, f"group index {2**70} out of range"),
+    (((0, 1), (2, 1)), {}, "index 1 appears in two groups"),
+    (((1,),), {"deviations": [1.0, 1.0, 0.0, 2.0], "n": 4},
+     "deviating indices outside every group: [0, 3]"),
+    (((0, 1, 2),), {"width": 4}, "feasible-set rows must match the variable count"),
+    # several faults: the first one in group order wins
+    (((0, 5), ()), {}, "group index 5 out of range"),
+    (((0,), (), (5,)), {}, "empty budget group"),
+    (((0, 1), (1, 7)), {}, "index 1 appears in two groups"),
+    (((0, 7), (0,)), {}, "group index 7 out of range"),
+    (((2, 0, 2), (9,), ()), {}, "index 2 appears in two groups"),
+    (((0,),), {"width": 4}, "deviating indices outside every group: [1, 2]"),
+])
+def test_instance_error_messages(groups, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        _instance(groups, **kwargs)
+    assert str(err.value) == message
+
+
+def test_instance_checks_match_group_walk():
+    rng = np.random.default_rng(11)
+    valid = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 8))
+        d = rng.choice([0.0, 1.0], size=n, p=[0.3, 0.7])
+        width = n if rng.random() < 0.9 else n + 1
+        groups = tuple(tuple(int(j) for j in rng.integers(-1, n + 2, size=rng.integers(0, 4)))
+                       for _ in range(rng.integers(0, 4)))
+        if rng.random() < 0.5:          # mostly well-formed groups
+            perm = rng.permutation(n).tolist()
+            cuts = sorted(rng.integers(1, n + 1, size=rng.integers(0, 3)).tolist())
+            groups = tuple(tuple(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n]) if b > a)
+        expected = _walk_fault(groups, n, d, width)
+        if expected is None:
+            _instance(groups, n, d, width)
+            valid += 1
+        else:
+            with pytest.raises(ValueError) as err:
+                _instance(groups, n, d, width)
+            assert str(err.value) == expected
+    assert 50 < valid < 350
+
+
+def test_covered_and_group_of_match_their_definitions():
+    rng = np.random.default_rng(3)
+    partial = 0
+    for t in range(40):
+        inst = random_instance(rng, n=int(rng.integers(2, 12)), K=int(rng.integers(1, 5)),
+                               cover_all=bool(t % 2))
+        covered = np.asarray(sorted(j for g in inst.groups for j in g), dtype=int)
+        group_of = np.full(inst.n, -1, dtype=int)
+        for k, g in enumerate(inst.groups):
+            group_of[list(g)] = k
+        for got, want in ((inst.covered, covered), (inst.group_of(), group_of)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[...] = 0
+        assert inst.covered is inst.covered and inst.group_of() is inst.group_of()
+        partial += covered.size < inst.n
+    assert partial > 0
+
+
 def test_solution_signature_generic():
     inst, _, _ = toy_instance(2)
     assert solution_signature(inst, [0, 0, 1]) == (0, 0, 1)
