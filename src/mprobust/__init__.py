@@ -33,7 +33,7 @@ from .engine import (
     run_aq, run_multiparametric_nominal, pick_best, stored_value,
 )
 from .generators import (
-    SpParams, PlmParams, PartitionScheme,
+    GenerationError, SpParams, PlmParams, PartitionScheme,
     gen_sp, gen_plm, partition, apply_partition, build_omega,
 )
 from .oracle import (
@@ -60,7 +60,7 @@ __all__ = [
     "build_q_general", "build_q_interval", "build_q_segment", "build_q_budgeted",
     "build_q_variant", "build_nominal_q_plus", "build_nominal_q_general",
     "run_aq", "run_multiparametric_nominal", "pick_best", "stored_value",
-    "SpParams", "PlmParams", "PartitionScheme",
+    "GenerationError", "SpParams", "PlmParams", "PartitionScheme",
     "gen_sp", "gen_plm", "partition", "apply_partition", "build_omega",
     "PiEnumerationOracle",
     "enumerate_x", "brute_robust", "robustness_matrix", "nominal_minimize",

@@ -17,20 +17,22 @@ import csv
 import io
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .engine import Budget, MprsResult, pick_best, run_aq
+from .engine import Budget, MprsResult, _pattern_seed, pick_best, run_aq, uses_pattern_master
 from .generators import (
-    PartitionScheme, PlmParams, SpParams, apply_partition, build_omega,
+    GenerationError, PartitionScheme, PlmParams, SpParams, apply_partition, build_omega,
     gen_plm, gen_sp,
 )
 from .milp import SolverConfig, SolverLimitError, SolverNumericalError, write_mps
+# PiEnumerationOracle stays bound here for perfbench, which hooks it by name
 from .oracle import (
     MAX_ENUM, PiEnumerationOracle, enumerate_x, has_structural_nominal, robustness_matrix,
-    toy_instance,
+    shared_pattern_table, toy_instance,
 )
 from .robust import (
     TuIntegralityError, build_robust_milp, build_robust_variant_milp, solve_robust,
@@ -69,12 +71,13 @@ def _reference_fn(inst: Instance, mode: str, config):
     """Batched robust-value reference ``ref(G) -> (S,)``: oracle when small,
     solver otherwise; returns (ref, grid_ref, route).  ``grid_ref(axes)``
     evaluates a product grid whole (``PiEnumerationOracle.robust_grid``);
-    it is None outside the pattern route."""
+    it is None outside the pattern route.  The pattern route reads the
+    instance's shared table, which ``run_aq`` may already have built."""
     variant = mode == "variant"
     if not variant and inst.num_groups <= 12:
         try:
             if has_structural_nominal(inst) or inst.n <= 24:
-                oracle = PiEnumerationOracle(inst)
+                oracle = shared_pattern_table(inst)
                 return oracle.robust_values, oracle.robust_grid, "pattern-oracle"
         except ValueError:
             pass
@@ -233,6 +236,20 @@ def _omega_from_args(inst: Instance, args) -> OmegaSpec:
                        segment_scale=args.segment_scale)
 
 
+def _seed_value(inst: Instance, omega: OmegaSpec, args) -> float:
+    """Robust value at the domain's start vector, as ``run_aq`` will find it:
+    from the shared pattern table on a pattern-master run (``run_aq`` then
+    reuses the table), else from one robust MILP solve.  A table unfinished
+    at the time limit falls back to the MILP."""
+    if uses_pattern_master(inst, omega, args.mode):
+        try:
+            table = shared_pattern_table(inst, deadline=time.monotonic() + args.time_limit)
+            return _pattern_seed(inst, table, omega.start_gamma, args.mode).value
+        except TimeoutError:
+            pass
+    return solve_robust(inst, omega.start_gamma, mode=args.mode).value
+
+
 def cmd_run(args) -> int:
     inst = _load_instance(args.instance)
     omega = _omega_from_args(inst, args)
@@ -242,8 +259,7 @@ def cmd_run(args) -> int:
         eps_mode = {"kind": "absolute", "value": float(epsilon)}
     else:
         pct = args.epsilon_pct if args.epsilon_pct is not None else 1.0
-        seed_sol = solve_robust(inst, omega.start_gamma, mode=args.mode)
-        epsilon = (pct / 100.0) * seed_sol.value
+        epsilon = (pct / 100.0) * _seed_value(inst, omega, args)
         eps_mode = {"kind": "relative", "pct": float(pct)}
 
     trace_fh = open(args.trace, "w") if args.trace else None
@@ -455,7 +471,7 @@ def main(argv=None) -> int:
     except (SolverNumericalError, TuIntegralityError) as exc:
         print(f"solver fault: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAULT
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, GenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -22,6 +22,8 @@ pattern pi is fixed, the interval master's optimum is ``min_e [const_e +
 pi_e . gamma(pi)] - L . pi - nom(c(pi))``, and ``nom(c(pi))`` does not
 depend on the history, so the pattern oracle's table of 2^K nominal solves
 (``oracle.PiEnumerationOracle``) turns every master into a numpy argmax.
+The table is the instance's shared one (``oracle.shared_pattern_table``),
+so a later ``verify`` of the same instance in the process reuses it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .milp import (
     INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, SolverLimitError, solve_milp,
 )
-from .oracle import PATTERN_MAX_K, PiEnumerationOracle
+from .oracle import PATTERN_MAX_K, PiEnumerationOracle, shared_pattern_table
 from .robust import (
     MODES, RobustSolution, _add_x, _check_certificate, _declares_tu, _repair_rho,
     add_standard_certificate, read_certificate, relax_rho_x, solve_robust,
@@ -448,7 +450,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     if uses_pattern_master(inst, omega, mode):
         try:
             master = PatternMaster(
-                inst, omega, PiEnumerationOracle(inst, deadline=t0 + budget.time_limit))
+                inst, omega, shared_pattern_table(inst, deadline=t0 + budget.time_limit))
         except TimeoutError:
             pass  # the MILP seed follows, after which the loop stops on the limit
         table_s = time.monotonic() - t0

@@ -117,8 +117,13 @@ def _sp_attempt(num_nodes: int, seed: int):
     return coords, dist, v0, w0, tails, heads
 
 
+class GenerationError(RuntimeError):
+    """A generator found no instance for its parameters within its retries."""
+
+
 def gen_sp(params: SpParams, max_retries: int = 100) -> Instance:
-    """Random shortest-path instance; reseeds until the target is reachable."""
+    """Random shortest-path instance; reseeds until the target is reachable,
+    and raises GenerationError after ``max_retries`` failed seeds."""
     seed = params.seed
     for _ in range(max_retries):
         got = _sp_attempt(params.num_nodes, seed)
@@ -126,7 +131,7 @@ def gen_sp(params: SpParams, max_retries: int = 100) -> Instance:
             break
         seed += 1
     else:
-        raise RuntimeError("could not generate a connected instance")
+        raise GenerationError("could not generate a connected instance")
     coords, dist, v0, w0, tails, heads = got
     n = tails.size
     lengths = dist[tails, heads]

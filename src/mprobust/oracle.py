@@ -331,7 +331,6 @@ class PiEnumerationOracle:
         if K > PATTERN_MAX_K:
             raise ValueError(f"pattern enumeration refused for K > {PATTERN_MAX_K}")
         t0 = time.monotonic()
-        self.inst = inst
         P = 1 << K
         bits = np.arange(K - 1, -1, -1)
         self.patterns = ((np.arange(P)[:, None] >> bits) & 1).astype(float)
@@ -400,9 +399,33 @@ class PiEnumerationOracle:
         return [self.solutions[i].astype(float) for i in sorted(first)]
 
 
+# one finished pattern table per instance, shared by every reader in the
+# process; a table must not refer to its instance, or the entry never goes
+_PATTERN_TABLES: "weakref.WeakKeyDictionary[Instance, PiEnumerationOracle]" = (
+    weakref.WeakKeyDictionary())
+
+
+def shared_pattern_table(inst: Instance, deadline: Optional[float] = None) -> PiEnumerationOracle:
+    """The instance's pattern table, built on first use and shared after.
+
+    Only finished tables are kept: a TimeoutError at ``deadline`` (or the
+    ValueError of a refused table) propagates and caches nothing.  The
+    table's ``patterns``, ``nominal_values`` and ``solutions`` are
+    read-only, so no reader changes what the next one sees.  The
+    ``PiEnumerationOracle`` constructor still builds a fresh table.
+    """
+    table = _PATTERN_TABLES.get(inst)
+    if table is None:
+        table = PiEnumerationOracle(inst, deadline=deadline)
+        for a in (table.patterns, table.nominal_values, table.solutions):
+            a.flags.writeable = False
+        _PATTERN_TABLES[inst] = table
+    return table
+
+
 def exact_mprs_by_pi_enumeration(inst: Instance, omega: Optional[OmegaSpec] = None) -> list:
     """Solution set achieving gap 0 for every gamma (any omega over the groups)."""
-    return PiEnumerationOracle(inst).solution_set()
+    return shared_pattern_table(inst).solution_set()
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ class Instance:
             raise ValueError(f"deviating indices outside every group: {uncovered.tolist()}")
         if self.x_coeffs.shape[1] != n:
             raise ValueError("feasible-set rows must match the variable count")
+        m = self.x_coeffs.shape[0]
+        if np.shape(self.x_senses) != (m,) or np.shape(self.x_rhs) != (m,):
+            raise ValueError(f"x_senses {np.shape(self.x_senses)} and x_rhs "
+                             f"{np.shape(self.x_rhs)} must have shape ({m},), one entry "
+                             f"per row of x_coeffs")
         covered = np.flatnonzero(owner >= 0)
         owner.flags.writeable = False
         covered.flags.writeable = False

@@ -307,6 +307,55 @@ def test_bad_inputs_exit_code(tmp_path):
     assert run_cli("frobnicate") == 4
 
 
+def test_run_rejects_mismatched_row_lengths(tmp_path, capsys):
+    sp = tmp_path / "sp.json"
+    run_cli("generate", "sp", "--nodes", 8, "--seed", 5,
+            "--partition", "r", "--k", 2, "--out", sp)
+    d = load_json(sp)
+    d["constraints"]["rhs"].pop()
+    save_json(d, sp)
+    capsys.readouterr()
+    assert run_cli("run", "--instance", sp, "--omega", "interval",
+                   "--out", tmp_path / "res.json") == 4
+    assert capsys.readouterr().err == (
+        f"error: cannot load instance {sp}: x_senses (8,) and x_rhs (7,) must have "
+        "shape (8,), one entry per row of x_coeffs\n")
+
+
+def test_generate_unconnectable_sp_exit_code(tmp_path, capsys):
+    """Three nodes never connect the farthest pair: one line, exit 4."""
+    out = tmp_path / "sp.json"
+    capsys.readouterr()
+    assert run_cli("generate", "sp", "--nodes", 3, "--out", out) == 4
+    assert capsys.readouterr().err == "error: could not generate a connected instance\n"
+    assert not out.exists()
+
+
+def test_run_epsilon_pct_takes_seed_from_pattern_table(tmp_path):
+    """On a pattern-master run, ``--epsilon-pct`` reads the seed value from
+    the pattern table that ``run_aq`` then reuses: no robust MILP runs, and
+    epsilon is exactly pct% of the stored seed value."""
+    sp, out = tmp_path / "sp.json", tmp_path / "res.json"
+    run_cli("generate", "sp", "--nodes", 12, "--seed", 1, "--partition", "r", "--k", 4,
+            "--out", sp)
+    models = []
+
+    def record(inner):
+        def solve(model, cfg):
+            models.append(model.name)
+            return inner(model, cfg)
+        return solve
+
+    pct = 2.5
+    with wrapped_default_backend(record):
+        assert run_cli("run", "--instance", sp, "--omega", "interval", "--delta", 0.5,
+                       "--epsilon-pct", pct, "--out", out) == 0
+    assert models == []
+    d = load_json(out)
+    assert d["epsilon"] == (pct / 100.0) * d["init_value"]
+    assert d["epsilon_mode"] == {"kind": "relative", "pct": pct}
+
+
 def test_mps_export_flag(tmp_path):
     toy = tmp_path / "toy.json"
     run_cli("generate", "toy", "--n", 2, "--out", toy)

@@ -320,3 +320,90 @@ def test_grid_sweeps_equal_pointwise_evaluators():
                                       robustness_values(inst, X, G).min(axis=1))
     with pytest.raises(ValueError):
         PiEnumerationOracle(insts[1]).robust_grid([np.zeros(2)])
+
+
+def _sp20_r6():
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+
+    return apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", 6), seed=0)
+
+
+def test_shared_pattern_table_one_per_instance():
+    """One read-only table per instance object, equal to the bit to a fresh
+    build; an equal-content copy gets its own."""
+    from dataclasses import replace
+
+    from mprobust.oracle import shared_pattern_table
+
+    for inst in (_sp20_r6(), toy_instance(3)[0]):
+        table = shared_pattern_table(inst)
+        assert shared_pattern_table(inst) is table
+        copy = replace(inst)
+        assert shared_pattern_table(copy) is not table
+        fresh = PiEnumerationOracle(inst)
+        assert fresh is not table
+        for name in ("patterns", "nominal_values", "solutions"):
+            got, want = getattr(table, name), getattr(fresh, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0
+            assert want.flags.writeable
+
+
+def test_shared_pattern_table_keeps_only_finished_tables():
+    import time
+
+    from mprobust import oracle
+
+    inst = _sp20_r6()
+    with pytest.raises(TimeoutError):
+        oracle.shared_pattern_table(inst, deadline=time.monotonic() - 1.0)
+    assert inst not in oracle._PATTERN_TABLES
+    table = oracle.shared_pattern_table(inst, deadline=time.monotonic() + 60.0)
+    assert oracle._PATTERN_TABLES[inst] is table
+
+
+def test_shared_pattern_table_goes_with_its_instance():
+    import gc
+    import weakref
+
+    from mprobust import oracle
+
+    inst = _sp20_r6()
+    table = weakref.ref(oracle.shared_pattern_table(inst))
+    before = len(oracle._PATTERN_TABLES)
+    del inst
+    gc.collect()
+    assert table() is None
+    assert len(oracle._PATTERN_TABLES) == before - 1
+
+
+def test_run_aq_and_verify_build_one_table(monkeypatch):
+    """``run_aq`` then ``verify_solution_set`` on one instance build its
+    pattern table once, and the report equals one from a cold cache."""
+    from dataclasses import replace
+
+    from mprobust import oracle
+    from mprobust.cli import verify_solution_set
+    from mprobust.engine import run_aq
+    from mprobust.generators import build_omega
+
+    builds = []
+
+    def counted(inst, patterns, deadline):
+        builds.append(inst)
+        return table_of(inst, patterns, deadline)
+
+    table_of = oracle._sp_pattern_table
+    monkeypatch.setattr(oracle, "_sp_pattern_table", counted)
+    inst = _sp20_r6()
+    omega = build_omega(inst, "interval", delta=0.5)
+    res = run_aq(inst, omega, epsilon=1.0)
+    warm = verify_solution_set(inst, omega, res.solutions(), res.epsilon)
+    assert len(builds) == 1
+    cold = verify_solution_set(replace(inst), omega, res.solutions(), res.epsilon)
+    assert len(builds) == 2
+    assert warm == cold
+    assert warm["reference"] == "pattern-oracle" and warm["exact"] is True

@@ -373,6 +373,23 @@ def test_instance_error_messages(groups, kwargs, message):
     assert str(err.value) == message
 
 
+def test_instance_row_shapes():
+    """``x_senses`` and ``x_rhs`` need one entry per row of ``x_coeffs``."""
+    with pytest.raises(ValueError) as err:
+        Instance(c_lower=np.ones(2), deviations=np.ones(2), groups=((0, 1),),
+                 x_coeffs=np.ones((2, 2)), x_senses=np.zeros(1, np.int8), x_rhs=np.ones(3))
+    assert str(err.value) == ("x_senses (1,) and x_rhs (3,) must have shape (2,), "
+                              "one entry per row of x_coeffs")
+    for senses, rhs in ((np.zeros(2, np.int8), np.ones((2, 1))),
+                        (np.zeros((1, 2), np.int8), np.ones(2))):
+        with pytest.raises(ValueError, match="one entry per row of x_coeffs"):
+            Instance(c_lower=np.ones(2), deviations=np.ones(2), groups=((0, 1),),
+                     x_coeffs=np.ones((2, 2)), x_senses=senses, x_rhs=rhs)
+    ok = Instance(c_lower=np.ones(2), deviations=np.ones(2), groups=((0, 1),),
+                  x_coeffs=np.ones((2, 2)), x_senses=np.zeros(2, np.int8), x_rhs=np.ones(2))
+    assert ok.x_rhs.shape == (2,)
+
+
 def test_instance_checks_match_group_walk():
     rng = np.random.default_rng(11)
     valid = 0
