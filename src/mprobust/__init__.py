@@ -24,7 +24,7 @@ from .uncertainty import (
 )
 from .robust import (
     RobustSolution, TuIntegralityError,
-    build_robust_milp, build_robust_variant_milp, cost_for_pi, solve_robust,
+    build_robust_milp, build_robust_variant_milp, solve_robust,
 )
 from .engine import (
     Budget, HistoryEntry, MprsResult, NominalMprsResult,
@@ -37,7 +37,7 @@ from .generators import (
     gen_sp, gen_plm, partition, apply_partition, build_omega,
 )
 from .oracle import (
-    PiEnumerationOracle,
+    PiEnumerationOracle, cost_for_pi,
     enumerate_x, brute_robust, robustness_matrix, nominal_minimize,
     exact_mprs_by_pi_enumeration, piecewise_f, piecewise_breakpoints,
     toy_instance,

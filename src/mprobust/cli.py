@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import Budget, MprsResult, _pattern_seed, pick_best, run_aq, uses_pattern_master
+from .engine import Budget, MprsResult, pick_best, run_aq, uses_pattern_master
 from .generators import (
     GenerationError, PartitionScheme, PlmParams, SpParams, apply_partition, build_omega,
     gen_plm, gen_sp,
@@ -237,14 +237,15 @@ def _omega_from_args(inst: Instance, args) -> OmegaSpec:
 
 
 def _seed_value(inst: Instance, omega: OmegaSpec, args) -> float:
-    """Robust value at the domain's start vector, as ``run_aq`` will find it:
-    from the shared pattern table on a pattern-master run (``run_aq`` then
-    reuses the table), else from one robust MILP solve.  A table unfinished
-    at the time limit falls back to the MILP."""
+    """Robust value at the domain's start vector, as ``run_aq`` will find it.
+
+    On a pattern-master run the shared pattern table is built first, with
+    the run's time limit as its deadline, so ``solve_robust`` reads it and
+    ``run_aq`` reuses it; a table unfinished at the deadline leaves
+    ``solve_robust`` to its own route."""
     if uses_pattern_master(inst, omega, args.mode):
         try:
-            table = shared_pattern_table(inst, deadline=time.monotonic() + args.time_limit)
-            return _pattern_seed(inst, table, omega.start_gamma, args.mode).value
+            shared_pattern_table(inst, deadline=time.monotonic() + args.time_limit)
         except TimeoutError:
             pass
     return solve_robust(inst, omega.start_gamma, mode=args.mode).value

@@ -23,7 +23,8 @@ pi_e . gamma(pi)] - L . pi - nom(c(pi))``, and ``nom(c(pi))`` does not
 depend on the history, so the pattern oracle's table of 2^K nominal solves
 (``oracle.PiEnumerationOracle``) turns every master into a numpy argmax.
 The table is the instance's shared one (``oracle.shared_pattern_table``),
-so a later ``verify`` of the same instance in the process reuses it.
+so ``solve_robust`` answers the seed from it and a later ``verify`` of the
+same instance in the process reuses it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ import numpy as np
 from .milp import (
     INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, SolverLimitError, solve_milp,
 )
-from .oracle import PATTERN_MAX_K, PiEnumerationOracle, shared_pattern_table
+from .oracle import PATTERN_KINDS, PATTERN_MAX_K, PiEnumerationOracle, shared_pattern_table
 from .robust import (
-    MODES, RobustSolution, _add_x, _check_certificate, _declares_tu, _repair_rho,
-    add_standard_certificate, read_certificate, relax_rho_x, solve_robust,
+    MODES, _add_x, _declares_tu, _repair_rho, add_standard_certificate, read_certificate,
+    relax_rho_x, solve_robust,
 )
 from .uncertainty import (
     Instance, OmegaSpec, int_key, robustness_value, robustness_value_variant,
@@ -48,13 +49,6 @@ from .uncertainty import (
 )
 
 STOP_TOL = 1e-9
-
-# Instance kinds whose 2^K nominal problems the pattern table solves at a
-# measured cost: one batched Bellman-Ford kernel on shortest-path instances,
-# enumeration on the toy family.  The p-median scan costs comb(l, p) passes
-# per pattern and has no measured crossover yet, so those instances stay on
-# the MILP master.
-PATTERN_KINDS = ("SP", "TOY")
 
 
 @dataclass
@@ -452,16 +446,13 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
             master = PatternMaster(
                 inst, omega, shared_pattern_table(inst, deadline=t0 + budget.time_limit))
         except TimeoutError:
-            pass  # the MILP seed follows, after which the loop stops on the limit
+            pass  # the seed still follows, after which the loop stops on the limit
         table_s = time.monotonic() - t0
     t_seed = time.monotonic()
-    if master is not None:
-        seed = _pattern_seed(inst, master.table, gamma_init, mode)
-    else:
-        # every artifact needs the seed, so it gets the whole limit even
-        # after an unfinished pattern table
-        seed = solve_robust(inst, gamma_init, mode=mode,
-                            config=_time_left(config, budget, time.monotonic()))
+    # every artifact needs the seed, so it gets the whole limit even after an
+    # unfinished pattern table; a finished one serves it without a MILP
+    seed = solve_robust(inst, gamma_init, mode=mode,
+                        config=_time_left(config, budget, time.monotonic()))
     seed_s = time.monotonic() - t_seed
     init_value = seed.value
     history = [HistoryEntry(pi=seed.pi.copy(), rho=seed.rho.copy(),
@@ -564,19 +555,6 @@ def _master_value(sol) -> float:
     if sol.status == INCUMBENT_ONLY:
         return np.inf if sol.best_bound is None else float(sol.best_bound)
     return float(sol.objective)
-
-
-def _pattern_seed(inst: Instance, table: PiEnumerationOracle, gamma_init: np.ndarray,
-                  mode: str) -> RobustSolution:
-    """Robust optimum at the start vector: the pattern minimizing gamma.pi + N[pi]."""
-    i = int(np.argmin(table.patterns @ gamma_init + table.nominal_values))
-    pi = table.patterns[i].copy()
-    x = table.solutions[i].astype(float)
-    seed = RobustSolution(x=x, pi=pi, rho=_repair_rho(inst, pi, x),
-                          value=float(gamma_init @ pi + table.nominal_values[i]),
-                          formulation=mode)
-    _check_certificate(inst, gamma_init, seed, robustness_value)
-    return seed
 
 
 def _pattern_entry(inst: Instance, master: PatternMaster, i: int, vq: float) -> HistoryEntry:

@@ -19,7 +19,6 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from .robust import cost_for_pi
 from .uncertainty import (
     Instance, OmegaSpec, robustness_value, robustness_value_variant, row_chunks,
 )
@@ -34,6 +33,25 @@ MAX_MEDIAN_SUBSETS = 200_000    # median subsets the facility scan may visit
 # the MILP master on shortest-path instances (CHANGES.md), the pattern
 # master still won at K = 16.
 PATTERN_MAX_K = 16
+# Instance kinds whose 2^K nominal problems the pattern table solves at a
+# measured cost: one batched Bellman-Ford kernel on shortest-path instances,
+# enumeration on the toy family.  The p-median scan costs comb(l, p) passes
+# per pattern and has no measured crossover yet, so those instances stay on
+# the MILP routes.
+PATTERN_KINDS = ("SP", "TOY")
+
+
+def cost_for_pi(inst: Instance, pi) -> np.ndarray:
+    """c(pi): nominal cost in groups with an active budget, worst case elsewhere."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (inst.num_groups,):
+        raise ValueError("pi dimension mismatch")
+    c = inst.c_lower + inst.deviations
+    for k, g in enumerate(inst.groups):
+        if pi[k] > 0.5:
+            idx = list(g)
+            c[idx] = inst.c_lower[idx]
+    return c
 
 
 def toy_instance(n: int):
@@ -389,10 +407,27 @@ class PiEnumerationOracle:
             A = np.minimum(A[0][..., None], t, out=t)
         return A
 
-    def best_solution(self, gamma) -> np.ndarray:
+    def best_pattern(self, gamma) -> tuple:
+        """(index, value) of the pattern minimizing nominal(pi) + gamma . pi.
+
+        A pattern's value is its nominal value plus each active gamma_k,
+        added in group order as ``robust_values`` adds them, so the value
+        equals ``robust_value(gamma)`` to the bit; ties go to the first
+        index.  Inactive groups add nothing, so an infinite budget only
+        rules out the patterns that activate it.
+        """
         gamma = np.asarray(gamma, dtype=float)
-        i = int(np.argmin(self.patterns @ gamma + self.nominal_values))
-        return self.solutions[i].astype(float)
+        K = self.patterns.shape[1]
+        if gamma.shape != (K,):
+            raise ValueError(f"gamma has shape {gamma.shape}, expected ({K},)")
+        A = self.nominal_values.reshape((2,) * K).copy()
+        for k in range(K):
+            A[(slice(None),) * k + (1,)] += gamma[k]
+        i = int(np.argmin(A))
+        return i, float(A.flat[i])
+
+    def best_solution(self, gamma) -> np.ndarray:
+        return self.solutions[self.best_pattern(gamma)[0]].astype(float)
 
     def solution_set(self) -> list:
         _, first = np.unique(self.solutions, axis=0, return_index=True)
@@ -421,6 +456,11 @@ def shared_pattern_table(inst: Instance, deadline: Optional[float] = None) -> Pi
             a.flags.writeable = False
         _PATTERN_TABLES[inst] = table
     return table
+
+
+def cached_pattern_table(inst: Instance) -> Optional[PiEnumerationOracle]:
+    """The instance's finished shared table, or None; builds nothing."""
+    return _PATTERN_TABLES.get(inst)
 
 
 def exact_mprs_by_pi_enumeration(inst: Instance, omega: Optional[OmegaSpec] = None) -> list:

@@ -1,7 +1,7 @@
 """The robust counterpart R(gamma): find x in X with minimal worst-case cost.
 
-Three interchangeable routes, all over the same column blocks ``pi``
-(per group), ``rho`` (per covered index) and ``x``:
+Three interchangeable MILP formulations, all over the same column blocks
+``pi`` (per group), ``rho`` (per covered index) and ``x``:
 
 * ``standard`` - the 0-1 ILP obtained by dualizing the inner worst-case LP
   and using that an optimal dual is 0-1.
@@ -11,10 +11,25 @@ Three interchangeable routes, all over the same column blocks ``pi``
 * ``variant`` - the fractional uncertainty model as the continuous dual of
   its inner LP (Bertsimas & Sim 2003): theta_k + rho_j >= d_j x_j with theta
   (held in ``pi``) and rho continuous, so x holds the only binaries.
+
+With the 0-1 dual fixed to a pattern pi, the ``standard`` optimum is
+gamma . pi + N(pi), where N(pi) is the nominal optimum of ``cost_for_pi``:
+R(gamma) is a minimum over the 2^K patterns (the locally budgeted form of
+Bertsimas & Sim's "n + 1 nominal problems").  So ``solve_robust`` in
+``standard`` and ``tu_relaxed`` mode answers from the instance's pattern
+table (``oracle.shared_pattern_table``) whenever one is cached, and builds
+it first on ``PATTERN_KINDS`` instances with at most ``TABLE_MAX_K``
+groups, where one table build costs less than one robust MILP.  The
+answer is the pattern with the smallest nominal value plus each active
+gamma_k, added in group order (``PiEnumerationOracle.best_pattern``; ties
+go to the first pattern), so its value equals the table's
+``robust_value`` to the bit.  The ``variant`` mode, p-median and generic
+instances and larger K without a cached table solve the MILP.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,12 +39,22 @@ from .milp import (
     INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, SolverLimitError,
     relax_binaries, solve_milp,
 )
+from .oracle import (
+    PATTERN_KINDS, PiEnumerationOracle, cached_pattern_table, shared_pattern_table,
+)
 from .uncertainty import (
     Instance, _check_gamma, robustness_value, robustness_value_variant,
 )
 
 
 MODES = ("standard", "tu_relaxed", "variant")
+
+# Largest K at which ``solve_robust`` builds a missing pattern table rather
+# than solve the robust MILP.  Measured on SP 20/25/30 instances (partitions
+# ``r`` and ``d``, seed 0, min of 3, on a 2-core VM): the table build is
+# faster at every K <= 8, by 1.3x at the closest (SP 30 ``r``, K = 8: 12.8
+# against 16.3 ms); at K = 9 to 12 the MILP wins 8 of the 12 ``r`` cases.
+TABLE_MAX_K = 8
 
 
 class TuIntegralityError(RuntimeError):
@@ -51,19 +76,6 @@ class RobustSolution:
     rho: np.ndarray
     value: float
     formulation: str
-
-
-def cost_for_pi(inst: Instance, pi) -> np.ndarray:
-    """c(pi): nominal cost in groups with an active budget, worst case elsewhere."""
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (inst.num_groups,):
-        raise ValueError("pi dimension mismatch")
-    c = inst.c_lower + inst.deviations
-    for k, g in enumerate(inst.groups):
-        if pi[k] > 0.5:
-            idx = list(g)
-            c[idx] = inst.c_lower[idx]
-    return c
 
 
 def _add_x(b: ModelBuilder, inst: Instance, obj) -> list:
@@ -163,12 +175,53 @@ def read_certificate(inst: Instance, model: MilpModel, values, mode: str) -> tup
 
 def solve_robust(inst: Instance, gamma, mode: str = "standard",
                  config: Optional[SolverConfig] = None) -> RobustSolution:
-    """Solve R(gamma) in the requested formulation."""
+    """Solve R(gamma) in the requested formulation.
+
+    Budgets must be finite and nonnegative.  In ``standard`` and
+    ``tu_relaxed`` mode the answer comes from the instance's pattern table
+    when one is cached or the instance qualifies for one (see the module
+    docstring); a table is then built with ``config.time_limit`` as its
+    deadline, and a table unfinished at the deadline leaves the solve to
+    the MILP, under the same limit.  The table's pattern gives the 0-1
+    certificate pi, its nominal solution x, and rho rebuilt from (pi, x).
+    """
     gamma = _check_gamma(inst, gamma)
+    bad = ~np.isfinite(gamma) | (gamma < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"budget gamma[{k}] = {gamma[k]} is not finite and nonnegative")
     if mode not in MODES:
         raise ValueError(f"unknown robust mode {mode!r}")
     if mode == "tu_relaxed" and not _declares_tu(inst):
         raise ValueError("tu_relaxed requires an instance declared totally unimodular")
+    table = None if mode == "variant" else _pattern_table(inst, config)
+    if table is None:
+        return _solve_robust_milp(inst, gamma, mode, config)
+    i, value = table.best_pattern(gamma)
+    pi = table.patterns[i].copy()
+    x = table.solutions[i].astype(float)
+    out = RobustSolution(x=x, pi=pi, rho=_repair_rho(inst, pi, x), value=value,
+                         formulation=mode)
+    _check_certificate(inst, gamma, out, robustness_value)
+    return out
+
+
+def _pattern_table(inst: Instance, config) -> Optional[PiEnumerationOracle]:
+    """The shared pattern table ``solve_robust`` reads, or None for the MILP."""
+    table = cached_pattern_table(inst)
+    if table is not None or inst.kind not in PATTERN_KINDS or inst.num_groups > TABLE_MAX_K:
+        return table
+    limit = None if config is None else config.time_limit
+    try:
+        return shared_pattern_table(
+            inst, deadline=None if limit is None else time.monotonic() + limit)
+    except TimeoutError:
+        return None
+
+
+def _solve_robust_milp(inst: Instance, gamma, mode: str = "standard",
+                       config: Optional[SolverConfig] = None) -> RobustSolution:
+    """R(gamma) through the MILP of ``mode``, with its certificate checked."""
     if mode == "variant":
         model = build_robust_variant_milp(inst, gamma)
     else:

@@ -591,7 +591,12 @@ def test_run_solver_limit_exit_code(tmp_path, capsys):
     assert last["status"] == "incumbent_only"
     assert d["q_values"][-1] == last["q_value"] > 0
     assert len(d["q_values"]) == d["iterations"]
-    # a seed solve at a limit: one line on stderr, no result
+    # a seed solve at a limit: one line on stderr, no result; above
+    # TABLE_MAX_K groups the seed is a robust MILP
+    from mprobust.robust import TABLE_MAX_K
+
+    run_cli("generate", "sp", "--nodes", 20, "--seed", 0, "--partition", "r",
+            "--k", TABLE_MAX_K + 1, "--out", sp)
     capsys.readouterr()
     seed_out = tmp_path / "seed.json"
     with wrapped_default_backend(lambda inner: lambda model, cfg: inner(

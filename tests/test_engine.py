@@ -679,8 +679,11 @@ def test_time_limit_reaches_the_solver():
 
 def test_seed_at_solver_limit_raises_typed_error():
     from mprobust.milp import SolverConfig, SolverLimitError
+    from mprobust.robust import TABLE_MAX_K
 
-    inst = apply_partition(gen_sp(SpParams(12, seed=0)), PartitionScheme("r", 3), seed=0)
+    # above TABLE_MAX_K groups the seed is a robust MILP
+    inst = apply_partition(gen_sp(SpParams(12, seed=0)),
+                           PartitionScheme("r", TABLE_MAX_K + 1), seed=0)
     with pytest.raises(SolverLimitError):
         run_aq(inst, build_omega(inst, "segment"), epsilon=0.0,
                config=SolverConfig(node_limit=0))

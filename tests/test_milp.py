@@ -317,7 +317,7 @@ def test_robust_solves_match_enumeration():
     relative) on small shortest-path and toy instances."""
     from mprobust.generators import PartitionScheme, SpParams, apply_partition, build_omega, gen_sp
     from mprobust.oracle import enumerate_x, robustness_matrix, toy_instance
-    from mprobust.robust import solve_robust
+    from mprobust.robust import _solve_robust_milp
 
     cases = []
     for seed, (kind, K) in enumerate([("r", 3), ("d", 3), ("p", 2)]):
@@ -331,7 +331,7 @@ def test_robust_solves_match_enumeration():
         X = enumerate_x(inst)
         for mode in ("standard", "variant"):
             ref = robustness_matrix(inst, X, gamma, variant=mode == "variant").min()
-            got = solve_robust(inst, gamma, mode=mode).value
+            got = _solve_robust_milp(inst, gamma, mode=mode).value
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 

@@ -120,6 +120,34 @@ def test_pi_enumeration_oracle_matches_brute_force():
             assert robustness_value(inst, xb, gamma) == pytest.approx(want, abs=1e-9)
 
 
+def test_best_solution_with_infinite_budgets():
+    """An infinite budget rules out the patterns that activate it: no
+    0 * inf = nan in the pattern argmin, whose solution reaches the robust
+    optimum, and whose value is ``robust_value`` to the bit."""
+    import warnings
+
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+
+    rng = np.random.default_rng(31)
+    for seed in range(6):
+        for scheme in ("r", "p", "d"):
+            inst = apply_partition(gen_sp(SpParams(14, seed=seed)),
+                                   PartitionScheme(scheme, 4), seed=seed)
+            oracle = PiEnumerationOracle(inst)
+            K = inst.num_groups
+            for _ in range(20):
+                gamma = rng.uniform(0, 5, size=K)
+                gamma[rng.integers(K)] = np.inf
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    want = oracle.robust_value(gamma)
+                    i, value = oracle.best_pattern(gamma)
+                    xb = oracle.best_solution(gamma)
+                assert value == want
+                assert robustness_value(inst, xb, gamma) == pytest.approx(want, rel=1e-12)
+                assert np.array_equal(xb, oracle.solutions[i])
+
+
 def test_exact_mprs_zero_gap_on_toy():
     inst, omega1, omega2 = toy_instance(2)
     xs = exact_mprs_by_pi_enumeration(inst, omega2)
@@ -219,7 +247,7 @@ def test_sp_graph_built_once_per_instance(monkeypatch):
 
 def _dijkstra_table(inst, patterns):
     """Per-pattern ``nominal_minimize`` (Dijkstra): the table's reference."""
-    from mprobust.robust import cost_for_pi
+    from mprobust.oracle import cost_for_pi
 
     solved = [nominal_minimize(inst, cost_for_pi(inst, p)) for p in patterns]
     return np.array([v for v, _ in solved]), np.array([x for _, x in solved])

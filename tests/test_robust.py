@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mprobust.oracle import (
-    brute_robust, enumerate_x, nominal_minimize, toy_instance,
+    brute_robust, cost_for_pi, enumerate_x, nominal_minimize, toy_instance,
 )
 from mprobust.robust import (
-    RobustSolution, build_robust_milp, build_robust_variant_milp,
-    cost_for_pi, solve_robust,
+    RobustSolution, _solve_robust_milp, build_robust_milp, build_robust_variant_milp,
+    solve_robust,
 )
 from mprobust.milp import solve_milp
 from mprobust.uncertainty import robustness_value, robustness_value_variant
@@ -180,8 +180,8 @@ def test_tu_relaxed_matches_standard_on_sp():
         X = enumerate_x(inst)
         for _ in range(3):
             gamma = rng.uniform(0, 3, size=inst.num_groups)
-            std = solve_robust(inst, gamma, mode="standard")
-            tu = solve_robust(inst, gamma, mode="tu_relaxed")
+            std = _solve_robust_milp(inst, gamma, mode="standard")
+            tu = _solve_robust_milp(inst, gamma, mode="tu_relaxed")
             want, _ = brute_robust(inst, gamma, X=X)
             assert std.value == pytest.approx(want, abs=1e-6)
             assert tu.value == pytest.approx(want, abs=1e-6)
@@ -190,3 +190,122 @@ def test_tu_relaxed_matches_standard_on_sp():
             assert tu.value == pytest.approx(
                 float(gamma @ tu.pi + inst.deviations @ tu.rho + inst.c_lower @ tu.x),
                 abs=1e-6)
+
+
+def _sp(nodes, scheme, K, seed=0):
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+
+    return apply_partition(gen_sp(SpParams(nodes, seed=seed)), PartitionScheme(scheme, K),
+                           seed=seed)
+
+
+def test_table_route_matches_milp_route():
+    """The pattern-table route of ``solve_robust`` against the robust MILP
+    on SP 8-20 and the toy family: values within 1e-9 relative and equal to
+    the table's ``robust_value`` to the bit, with a tight 0-1 certificate."""
+    from mprobust.generators import build_omega
+    from mprobust.oracle import shared_pattern_table
+    from mprobust.robust import TABLE_MAX_K
+
+    rng = np.random.default_rng(29)
+    cases = []
+    for nodes, scheme in ((8, "r"), (14, "p"), (20, "d"), (20, "r")):
+        for K in range(1, TABLE_MAX_K + 1):
+            inst = _sp(nodes, scheme, K, seed=K)
+            K = inst.num_groups     # a partition may come out with fewer groups
+            omega = build_omega(inst, "interval", delta=0.5)
+            corners = np.where(rng.random((2, K)) < 0.5, omega.lower, omega.upper)
+            gammas = np.vstack([np.zeros(K), omega.lower, omega.upper, corners,
+                                omega.lower + rng.random((2, K)) * (omega.upper - omega.lower)])
+            cases.append((inst, gammas))
+    for n in (1, 3, 6):
+        inst, omega1, omega2 = toy_instance(n)
+        cases.append((inst, np.vstack([np.zeros(n + 1), omega1.lower, omega1.upper,
+                                       omega2.upper, rng.uniform(0, 3, size=(2, n + 1))])))
+    for inst, gammas in cases:
+        for gamma in gammas:
+            want = _solve_robust_milp(inst, gamma).value
+            for mode in ("standard", "tu_relaxed") if inst.kind == "SP" else ("standard",):
+                sol = solve_robust(inst, gamma, mode=mode)
+                assert sol.formulation == mode
+                assert sol.value == pytest.approx(want, rel=1e-9, abs=1e-9)
+                assert sol.value == shared_pattern_table(inst).robust_value(gamma)
+                assert set(np.unique(np.r_[sol.pi, sol.rho, sol.x])) <= {0.0, 1.0}
+                assert sol.value == pytest.approx(
+                    float(gamma @ sol.pi + inst.deviations @ sol.rho + inst.c_lower @ sol.x),
+                    rel=1e-12, abs=1e-12)
+                assert sol.value == pytest.approx(robustness_value(inst, sol.x, gamma),
+                                                  rel=1e-12, abs=1e-12)
+
+
+def test_milp_calls_by_route():
+    """No robust MILP on small-K pattern kinds or a cached table; one on
+    ``variant``, on p-median, above TABLE_MAX_K without a table and after a
+    table unfinished at the time limit."""
+    from dataclasses import replace
+
+    from mprobust import oracle
+    from mprobust.generators import PartitionScheme, PlmParams, apply_partition, gen_plm
+    from mprobust.milp import _BACKENDS, SolverConfig, register_backend
+    from mprobust.robust import TABLE_MAX_K
+
+    calls = []
+    scipy = _BACKENDS["scipy"]
+
+    def counted(model, cfg):
+        # the limit is dropped, so a solve after a timed-out table finishes
+        calls.append(model.name)
+        return scipy(model, replace(cfg, time_limit=None))
+
+    def count(inst, mode="standard", time_limit=None):
+        calls.clear()
+        gamma = np.full(inst.num_groups, 0.7)
+        sol = solve_robust(inst, gamma, mode=mode,
+                           config=SolverConfig(backend="counted", time_limit=time_limit))
+        assert sol.value == pytest.approx(_solve_robust_milp(inst, gamma, mode).value,
+                                          rel=1e-9)
+        return len(calls)
+
+    def plm():
+        return apply_partition(gen_plm(PlmParams(4, 2, seed=0)), PartitionScheme("lo", 2),
+                               seed=0)
+
+    register_backend("counted", counted)
+    try:
+        assert count(_sp(12, "r", TABLE_MAX_K)) == 0
+        assert count(_sp(12, "d", 3), mode="tu_relaxed") == 0
+        assert count(toy_instance(4)[0]) == 0
+        assert count(_sp(12, "r", 3), mode="variant") == 1
+        assert count(plm()) == 1
+        big = _sp(12, "r", TABLE_MAX_K + 1)
+        assert count(big) == 1
+        assert oracle.cached_pattern_table(big) is None
+        # a cached table serves any instance, whatever its kind or K
+        oracle.shared_pattern_table(big)
+        assert count(big) == 0
+        cached_plm = plm()
+        oracle.shared_pattern_table(cached_plm)
+        assert count(cached_plm) == 0
+        late = _sp(12, "r", 3)
+        assert count(late, time_limit=0.0) == 1
+        assert oracle.cached_pattern_table(late) is None
+    finally:
+        _BACKENDS.pop("counted", None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
+def test_budgets_must_be_finite_and_nonnegative(bad):
+    """Both routes reject the same budgets with the same one-line error."""
+    from mprobust.robust import TABLE_MAX_K
+
+    messages = set()
+    for inst, mode in ((_sp(10, "r", 3), "standard"), (_sp(10, "r", 3), "tu_relaxed"),
+                       (_sp(10, "r", 3), "variant"), (_sp(10, "r", TABLE_MAX_K + 1), "standard")):
+        gamma = np.ones(inst.num_groups)
+        gamma[1] = bad
+        with pytest.raises(ValueError) as err:
+            solve_robust(inst, gamma, mode=mode)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    (msg,) = messages
+    assert msg.startswith("budget gamma[1] = ") and "\n" not in msg
