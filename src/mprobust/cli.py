@@ -35,7 +35,8 @@ from .oracle import (
     shared_pattern_table, toy_instance,
 )
 from .robust import (
-    TuIntegralityError, build_robust_milp, build_robust_variant_milp, solve_robust,
+    TuIntegralityError, _solve_robust_milp, build_robust_milp, build_robust_variant_milp,
+    solve_robust,
 )
 from .serialize import (
     dumps_canonical, instance_from_dict, instance_to_dict, load_json,
@@ -72,7 +73,8 @@ def _reference_fn(inst: Instance, mode: str, config):
     solver otherwise; returns (ref, grid_ref, route).  ``grid_ref(axes)``
     evaluates a product grid whole (``PiEnumerationOracle.robust_grid``);
     it is None outside the pattern route.  The pattern route reads the
-    instance's shared table, which ``run_aq`` may already have built."""
+    instance's shared table, which ``run_aq`` may already have built; the
+    solver route solves the robust MILP, never that table."""
     variant = mode == "variant"
     if not variant and inst.num_groups <= 12:
         try:
@@ -101,8 +103,8 @@ def _reference_fn(inst: Instance, mode: str, config):
         pass
 
     def by_solver(G):
-        return np.array([solve_robust(inst, g, mode="variant" if variant else "standard",
-                                      config=config).value for g in G])
+        return np.array([_solve_robust_milp(inst, g, "variant" if variant else "standard",
+                                            config).value for g in G])
     return by_solver, None, "solver"
 
 

@@ -19,12 +19,11 @@ Bertsimas & Sim's "n + 1 nominal problems").  So ``solve_robust`` in
 ``standard`` and ``tu_relaxed`` mode answers from the instance's pattern
 table (``oracle.shared_pattern_table``) whenever one is cached, and builds
 it first on ``PATTERN_KINDS`` instances with ``TABLE_MIN_K`` to
-``TABLE_MAX_K`` groups, where one table build costs less than one robust
-MILP.  The
-answer is the pattern with the smallest nominal value plus each active
-gamma_k, added in group order (``PiEnumerationOracle.best_pattern``; ties
-go to the first pattern), so its value equals the table's
-``robust_value`` to the bit.  The ``variant`` mode, p-median and generic
+``TABLE_MAX_K`` groups (the upper bound is a measured crossover against
+one robust MILP).  The answer is the pattern with the smallest nominal
+value plus each active gamma_k, added in group order
+(``PiEnumerationOracle.best_pattern``; ties go to the first pattern), so
+its value equals the table's ``robust_value`` to the bit.  The ``variant`` mode, p-median and generic
 instances, and K outside those bounds without a cached table solve the
 MILP.
 """
@@ -32,7 +31,7 @@ MILP.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -52,11 +51,13 @@ from .uncertainty import (
 MODES = ("standard", "tu_relaxed", "variant")
 
 # Largest K at which ``solve_robust`` builds a missing pattern table rather
-# than solve the robust MILP.  Measured on SP 20/25/30 instances (partitions
-# ``r`` and ``d``, seed 0, min of 3, on a 2-core VM): the table build is
-# faster at every K <= 8, by 1.3x at the closest (SP 30 ``r``, K = 8: 12.8
-# against 16.3 ms); at K = 9 to 12 the MILP wins 8 of the 12 ``r`` cases.
-TABLE_MAX_K = 8
+# than solve the robust MILP: the largest K at which one table build beat
+# one robust MILP in most measured cases.  SP 20/25/30, partitions ``r``
+# and ``d``, seeds 0-2, interval start vector with delta = 0.5, min of 3 on
+# a 2-core VM: the table won every case at K <= 8, 15 of 17 at K = 9
+# (worst loss 29 against 17 ms) and 7 of 16 at K = 10.  The table's time
+# doubles with each K; the MILP's varies from 6 ms to 2 s.
+TABLE_MAX_K = 9
 
 # Smallest K at which ``solve_robust`` builds a missing pattern table.  The
 # table would be faster below it too (SP 10-20, K = 2-3: 0.3-0.5 against
@@ -192,9 +193,9 @@ def solve_robust(inst: Instance, gamma, mode: str = "standard",
     Budgets must be finite and nonnegative.  In ``standard`` and
     ``tu_relaxed`` mode the answer comes from the instance's pattern table
     when one is cached or the instance qualifies for one (see the module
-    docstring); a table is then built with ``config.time_limit`` as its
-    deadline, and a table unfinished at the deadline leaves the solve to
-    the MILP, under the same limit.  The table's pattern gives the 0-1
+    docstring).  ``config.time_limit`` bounds the whole call: it is the
+    deadline of a table build, and a table unfinished then leaves the solve
+    to the MILP with the time left.  The table's pattern gives the 0-1
     certificate pi, its nominal solution x, and rho rebuilt from (pi, x).
     """
     gamma = _check_gamma(inst, gamma)
@@ -206,8 +207,13 @@ def solve_robust(inst: Instance, gamma, mode: str = "standard",
         raise ValueError(f"unknown robust mode {mode!r}")
     if mode == "tu_relaxed" and not _declares_tu(inst):
         raise ValueError("tu_relaxed requires an instance declared totally unimodular")
-    table = None if mode == "variant" else _pattern_table(inst, config)
+    deadline = None
+    if config is not None and config.time_limit is not None:
+        deadline = time.monotonic() + config.time_limit
+    table = None if mode == "variant" else _pattern_table(inst, deadline)
     if table is None:
+        if deadline is not None:
+            config = replace(config, time_limit=max(0.0, deadline - time.monotonic()))
         return _solve_robust_milp(inst, gamma, mode, config)
     i, value = table.best_pattern(gamma)
     pi = table.patterns[i].copy()
@@ -218,16 +224,14 @@ def solve_robust(inst: Instance, gamma, mode: str = "standard",
     return out
 
 
-def _pattern_table(inst: Instance, config) -> Optional[PiEnumerationOracle]:
+def _pattern_table(inst: Instance, deadline: Optional[float]) -> Optional[PiEnumerationOracle]:
     """The shared pattern table ``solve_robust`` reads, or None for the MILP."""
     table = cached_pattern_table(inst)
     if (table is not None or inst.kind not in PATTERN_KINDS
             or not TABLE_MIN_K <= inst.num_groups <= TABLE_MAX_K):
         return table
-    limit = None if config is None else config.time_limit
     try:
-        return shared_pattern_table(
-            inst, deadline=None if limit is None else time.monotonic() + limit)
+        return shared_pattern_table(inst, deadline=deadline)
     except TimeoutError:
         return None
 

@@ -626,3 +626,39 @@ def test_run_solver_fault_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver fault: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_verify_solver_reference_solves_the_milp():
+    """Above 12 groups verify's reference is the robust MILP, one backend
+    call per checked point, even after ``run_aq``'s pattern master has
+    cached the instance's table: the reference never reads that table."""
+    from mprobust.cli import verify_solution_set
+    from mprobust.engine import run_aq, uses_pattern_master
+    from mprobust.generators import (
+        PartitionScheme, SpParams, apply_partition, build_omega, gen_sp,
+    )
+    from mprobust.oracle import cached_pattern_table
+    from mprobust.robust import _solve_robust_milp
+
+    inst = apply_partition(gen_sp(SpParams(14, seed=0)), PartitionScheme("r", 13), seed=0)
+    assert inst.num_groups == 13
+    omega = build_omega(inst, "interval", delta=0.5)
+    assert uses_pattern_master(inst, omega, "standard")
+    eps = 0.05 * _solve_robust_milp(inst, omega.start_gamma).value
+    res = run_aq(inst, omega, epsilon=eps)
+    assert cached_pattern_table(inst) is not None
+    calls = []
+
+    def counted(original):
+        def backend(model, cfg):
+            calls.append(model.name)
+            return original(model, cfg)
+        return backend
+
+    # a segment through the box keeps the sample small; the route is the same
+    line = build_omega(inst, "segment", segment_scale=1.5)
+    with wrapped_default_backend(counted):
+        report = verify_solution_set(inst, line, res.solutions(), 0.0, grid_m=3, uniform=4)
+    assert report["reference"] == "solver" and report["exact"] is False
+    assert calls == ["robust"] * report["checked"] and report["checked"] > 0
+

@@ -242,7 +242,8 @@ def test_table_route_matches_milp_route():
 def test_milp_calls_by_route():
     """No robust MILP on pattern kinds with TABLE_MIN_K to TABLE_MAX_K groups
     or on a cached table; one on ``variant``, on p-median, outside those K
-    bounds without a table and after a table unfinished at the time limit."""
+    bounds without a table and after a table unfinished at the time limit,
+    which then gets only the time left."""
     from dataclasses import replace
 
     from mprobust import oracle
@@ -250,16 +251,18 @@ def test_milp_calls_by_route():
     from mprobust.milp import _BACKENDS, SolverConfig, register_backend
     from mprobust.robust import TABLE_MAX_K, TABLE_MIN_K
 
-    calls = []
+    calls, limits = [], []
     scipy = _BACKENDS["scipy"]
 
     def counted(model, cfg):
         # the limit is dropped, so a solve after a timed-out table finishes
         calls.append(model.name)
+        limits.append(cfg.time_limit)
         return scipy(model, replace(cfg, time_limit=None))
 
     def count(inst, mode="standard", time_limit=None):
         calls.clear()
+        limits.clear()
         gamma = np.full(inst.num_groups, 0.7)
         sol = solve_robust(inst, gamma, mode=mode,
                            config=SolverConfig(backend="counted", time_limit=time_limit))
@@ -291,8 +294,12 @@ def test_milp_calls_by_route():
         oracle.shared_pattern_table(cached_plm)
         assert count(cached_plm) == 0
         late = _sp(12, "r", TABLE_MIN_K)
-        assert count(late, time_limit=0.0) == 1
-        assert oracle.cached_pattern_table(late) is None
+        for time_limit in (0.0, 1e-6):
+            assert count(late, time_limit=time_limit) == 1
+            assert oracle.cached_pattern_table(late) is None
+            assert limits == [0.0]      # the table spent the limit
+        assert count(_sp(12, "r", TABLE_MAX_K + 1), time_limit=5.0) == 1
+        assert 4.0 < limits[0] <= 5.0   # no table tried: about the whole limit
     finally:
         _BACKENDS.pop("counted", None)
 
@@ -300,10 +307,13 @@ def test_milp_calls_by_route():
 @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
 def test_budgets_must_be_finite_and_nonnegative(bad):
     """Both routes reject the same budgets with the same one-line error."""
+    from mprobust.oracle import shared_pattern_table
     from mprobust.robust import TABLE_MAX_K
 
+    tabled = _sp(10, "r", 3)
+    shared_pattern_table(tabled)        # standard and tu_relaxed take the table route
     messages = set()
-    for inst, mode in ((_sp(10, "r", 3), "standard"), (_sp(10, "r", 3), "tu_relaxed"),
+    for inst, mode in ((tabled, "standard"), (tabled, "tu_relaxed"),
                        (_sp(10, "r", 3), "variant"), (_sp(10, "r", TABLE_MAX_K + 1), "standard")):
         gamma = np.ones(inst.num_groups)
         gamma[1] = bad
