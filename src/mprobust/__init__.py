@@ -19,8 +19,7 @@ from .milp import (
 from .uncertainty import (
     Instance, OmegaSpec,
     robustness_value, robustness_value_variant, robustness_values,
-    worst_case_cost_vector, contains, sample_gamma, solution_signature, verify_feasible,
-    build_w_lp, build_dw_lp,
+    contains, sample_gamma, solution_signature, verify_feasible,
 )
 from .robust import (
     RobustSolution, TuIntegralityError,
@@ -30,7 +29,7 @@ from .engine import (
     Budget, HistoryEntry, MprsResult, NominalMprsResult,
     build_q_general, build_q_interval, build_q_segment, build_q_budgeted,
     build_q_variant, build_nominal_q_plus, build_nominal_q_general,
-    run_aq, run_multiparametric_nominal, pick_best, stored_value,
+    run_aq, run_multiparametric_nominal, pick_best,
 )
 from .generators import (
     GenerationError, SpParams, PlmParams, PartitionScheme,
@@ -51,15 +50,13 @@ __all__ = [
     "write_mps", "mps_string",
     "Instance", "OmegaSpec",
     "robustness_value", "robustness_value_variant", "robustness_values",
-    "worst_case_cost_vector",
     "contains", "sample_gamma", "solution_signature", "verify_feasible",
-    "build_w_lp", "build_dw_lp",
     "RobustSolution", "TuIntegralityError",
     "build_robust_milp", "build_robust_variant_milp", "cost_for_pi", "solve_robust",
     "Budget", "HistoryEntry", "MprsResult", "NominalMprsResult",
     "build_q_general", "build_q_interval", "build_q_segment", "build_q_budgeted",
     "build_q_variant", "build_nominal_q_plus", "build_nominal_q_general",
-    "run_aq", "run_multiparametric_nominal", "pick_best", "stored_value",
+    "run_aq", "run_multiparametric_nominal", "pick_best",
     "GenerationError", "SpParams", "PlmParams", "PartitionScheme",
     "gen_sp", "gen_plm", "partition", "apply_partition", "build_omega",
     "PiEnumerationOracle",

@@ -107,14 +107,6 @@ class MprsResult:
         return [np.asarray(t, dtype=float) for t in self.distinct_x]
 
 
-def stored_value(inst: Instance, entry: HistoryEntry, gamma, variant: bool) -> float:
-    """Certified upper bound of the entry's robustness at gamma."""
-    gamma = np.asarray(gamma, dtype=float)
-    if variant:
-        return float(gamma @ entry.pi + entry.rho.sum() + inst.c_lower @ entry.x)
-    return float(gamma @ entry.pi + inst.deviations @ entry.rho + inst.c_lower @ entry.x)
-
-
 # ---------------------------------------------------------------------------
 # master builders (standard certificates)
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def _shared_sp_arcs(inst: Instance) -> _SpArcs:
     return a
 
 
-def _sp_paths(inst: Instance, C: np.ndarray) -> np.ndarray:
+def _sp_paths(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> np.ndarray:
     """A shortest v0-w0 path for every cost row of C (R, n), as (R, n) 0-1 floats.
 
     Synchronous Bellman-Ford: each pass relaxes every arc for every row at
@@ -142,7 +142,8 @@ def _sp_paths(inst: Instance, C: np.ndarray) -> np.ndarray:
     predecessor arc (the first in-arc reaching the minimum) changes only on a
     strict improvement, so zero-cost arcs cannot close a cycle in the walk
     back from w0.  The arrays are node- and arc-major, so each reduction
-    runs over contiguous rows of length R.
+    runs over contiguous rows of length R.  Each pass first reads the clock
+    and raises TimeoutError once ``time.monotonic()`` is past ``deadline``.
     """
     a = _shared_sp_arcs(inst)
     v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
@@ -153,6 +154,8 @@ def _sp_paths(inst: Instance, C: np.ndarray) -> np.ndarray:
     cost = np.ascontiguousarray(C.T[a.order])
     pos = np.arange(m)[:, None]
     for _ in range(dist.shape[0]):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("pattern table unfinished at the deadline")
         cand = dist[a.sorted_tail] + cost
         best = np.minimum.reduceat(cand, a.starts, axis=0)
         u, r = np.nonzero(best < dist[a.heads])
@@ -176,7 +179,8 @@ def _sp_paths(inst: Instance, C: np.ndarray) -> np.ndarray:
 
 def _sp_pattern_table(inst: Instance, patterns: np.ndarray, deadline: Optional[float]):
     """(values, solutions) of every pattern's nominal problem on a
-    shortest-path instance, one ``_sp_paths`` call per row chunk."""
+    shortest-path instance, one ``_sp_paths`` call per row chunk, which
+    checks ``deadline`` once per Bellman-Ford pass."""
     P, n = patterns.shape[0], inst.n
     # indices outside every group (group -1) read the trailing column of ones
     # and keep their nominal cost, as in ``cost_for_pi``
@@ -185,13 +189,11 @@ def _sp_pattern_table(inst: Instance, patterns: np.ndarray, deadline: Optional[f
     values = np.empty(P)
     solutions = np.empty((P, n), dtype=np.uint8)
     for rows in row_chunks(P, n):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("pattern table unfinished at the deadline")
         # C-contiguous rows: the dot products below must take BLAS's route,
         # as nominal_minimize's do, for the values to agree to the bit
         on = np.ascontiguousarray(ext[rows][:, group_of])
         C = inst.c_lower + inst.deviations * (1.0 - on)
-        X = _sp_paths(inst, C)
+        X = _sp_paths(inst, C, deadline)
         values[rows] = [float(C[p] @ X[p]) for p in range(C.shape[0])]
         solutions[rows] = X
     return values, solutions

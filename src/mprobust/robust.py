@@ -259,12 +259,12 @@ def _declares_tu(inst: Instance) -> bool:
 
 
 def _repair_rho(inst: Instance, pi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Optimal rho given (pi, x): rho_j = (1 - pi_k) x_j on covered indices."""
-    rho = np.zeros(inst.n)
-    for k, g in enumerate(inst.groups):
-        idx = list(g)
-        rho[idx] = (1.0 - pi[k]) * x[idx]
-    return rho
+    """Optimal rho given (pi, x): rho_j = (1 - pi_k) x_j on covered indices.
+
+    An index outside every group (group -1) reads the appended 1.0, so its
+    rho is 0 * x_j = 0.0 for the 0-1 x.
+    """
+    return (1.0 - np.append(pi, 1.0)[inst.group_of()]) * x
 
 
 def _solve_or_raise(model: MilpModel, config):

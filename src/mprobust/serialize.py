@@ -4,11 +4,19 @@ Field order is fixed by the writers (load -> save is byte-identical);
 floats go through Python's shortest round-trip repr, so no precision is
 lost.  Infinities in the relative-bound column are stored as the string
 "inf".
+
+The canonical bytes are those of ``json.dumps(d, indent=2,
+allow_nan=False) + "\n"``.  ``dumps_canonical`` writes them itself, because
+``json.dumps`` leaves its C encoder whenever ``indent`` is set and then
+formats every float of a result in Python; ``tests/test_serialize.py``
+pins the equality and ``tests/test_fingerprint.py`` the generated families.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -21,7 +29,7 @@ RESULT_FORMAT = "mprs-result-v1"
 
 
 def _floats(a) -> list:
-    return [float(v) for v in np.asarray(a).ravel()]
+    return np.asarray(a, dtype=float).ravel().tolist()
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -165,8 +173,64 @@ def result_from_dict(d: dict, instance: Optional[Instance] = None) -> MprsResult
         instance=instance)
 
 
+def _float_text(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(v))
+    return float.__repr__(v)
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _encode(k, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _encode(o, indent: str) -> str:
+    """``o`` as ``json.dumps(o, indent=2, allow_nan=False)`` writes it at
+    nesting ``indent``; the type tests run in ``json.encoder``'s order."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, o))
+        if kinds == {float}:
+            if not all(map(math.isfinite, o)):
+                for v in o:
+                    _float_text(v)
+            body = sep.join(map(float.__repr__, o))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, o))
+        else:
+            body = sep.join([_encode(v, inner) for v in o])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([_key_text(k) + ": " + _encode(v, inner)
+                                     for k, v in o.items()])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def dumps_canonical(d: dict) -> str:
-    return json.dumps(d, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(d, indent=2, allow_nan=False) + "\\n"``, byte for byte."""
+    return _encode(d, "") + "\n"
 
 
 def save_json(d: dict, path) -> None:

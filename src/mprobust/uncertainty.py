@@ -10,8 +10,7 @@ vector ``gamma`` (one entry per group) the uncertain cost vector ranges over
 
 Worst-case cost of a fixed solution has a closed form in both cases (group
 cap / fractional knapsack); ``robustness_values`` evaluates the standard
-form for a batch of solutions at a batch of budget vectors.  The LP forms
-are kept only as cross-checks.
+form for a batch of solutions at a batch of budget vectors.
 
 Budget vectors are plain numpy arrays of length K (no wrapper class).
 """
@@ -24,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .milp import EQ, GE, LE, MilpModel, ModelBuilder, SolverConfig, solve_milp
+from .milp import MilpModel, SolverConfig, solve_milp
 
 MEMBERSHIP_TOL = 1e-9
 CHUNK_ELEMS = 1 << 18       # float64 entries per temporary of the batched evaluators
@@ -354,35 +353,6 @@ def robustness_value_variant(inst: Instance, x, gamma) -> float:
     return total
 
 
-def worst_case_cost_vector(inst: Instance, x, gamma, variant: bool = False) -> np.ndarray:
-    """A cost vector in the uncertainty set attaining the worst case for x."""
-    x = _check_x(inst, x)
-    gamma = _check_gamma(inst, gamma)
-    lam = np.zeros(inst.n)
-    for k, g in enumerate(inst.groups):
-        rem = gamma[k]
-        if variant:
-            active = sorted((j for j in g if x[j] > 0.5),
-                            key=lambda j: -inst.deviations[j])
-            for j in active:
-                take = min(1.0, rem)
-                lam[j] = take
-                rem -= take
-                if rem <= 0:
-                    break
-        else:
-            for j in g:
-                if x[j] > 0.5:
-                    take = min(inst.deviations[j], rem)
-                    lam[j] = take
-                    rem -= take
-                    if rem <= 0:
-                        break
-    if variant:
-        return inst.c_lower + lam * inst.deviations
-    return inst.c_lower + lam
-
-
 def contains(omega: OmegaSpec, gamma, tol: float = MEMBERSHIP_TOL) -> bool:
     """Membership test with scaled tolerance on equalities and bounds."""
     g = np.asarray(gamma, dtype=float)
@@ -503,43 +473,3 @@ def sample_gamma(omega: OmegaSpec, mode: str, m: int = 5,
             return np.unique(np.array(pts), axis=0)
         raise ValueError("vertices mode applies to interval/budgeted domains only")
     raise ValueError(f"unknown sampling mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# LP cross-check forms (test oracles; closed forms above are the evaluators)
-# ---------------------------------------------------------------------------
-
-def build_w_lp(inst: Instance, x, gamma, variant: bool = False) -> MilpModel:
-    """Primal worst-case LP in the deviation variables.
-
-    Objective value of the solved LP plus ``c_lower @ x`` equals the
-    robustness of x.
-    """
-    x = _check_x(inst, x)
-    gamma = _check_gamma(inst, gamma)
-    b = ModelBuilder("w_lp")
-    lam = {}
-    for j in range(inst.n):
-        hi = 1.0 if variant else inst.deviations[j]
-        coef = inst.deviations[j] * x[j] if variant else x[j]
-        lam[j] = b.add_continuous(f"lam{j}", 0.0, hi, obj=coef)
-    for k, g in enumerate(inst.groups):
-        b.add_row({lam[j]: 1.0 for j in g}, "<=", gamma[k])
-    return b.build(maximize=True)
-
-
-def build_dw_lp(inst: Instance, x, gamma, variant: bool = False) -> MilpModel:
-    """Dual worst-case LP in (pi, rho); value + ``c_lower @ x`` = robustness."""
-    x = _check_x(inst, x)
-    gamma = _check_gamma(inst, gamma)
-    b = ModelBuilder("dw_lp")
-    pi = [b.add_continuous(f"pi{k}", 0.0, np.inf, obj=gamma[k])
-          for k in range(inst.num_groups)]
-    rho = {}
-    for k, g in enumerate(inst.groups):
-        for j in g:
-            cost = 1.0 if variant else inst.deviations[j]
-            rho[j] = b.add_continuous(f"rho{j}", 0.0, np.inf, obj=cost)
-            rhs = inst.deviations[j] * x[j] if variant else x[j]
-            b.add_row({pi[k]: 1.0, rho[j]: 1.0}, ">=", rhs)
-    return b.build(maximize=False)

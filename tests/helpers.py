@@ -2,7 +2,10 @@
 
 LP references go through scipy (HiGHS) or plain linear algebra (vertex
 enumeration); MILP references enumerate binary assignments exhaustively and
-complete each with a scipy LP solve.
+complete each with a scipy LP solve.  The worst-case cross-checks (a
+replayed worst-case cost vector, the primal and dual worst-case LPs, and a
+history entry's certified value) stand beside the closed-form evaluators
+of ``mprobust.uncertainty`` as independent references.
 """
 
 import itertools
@@ -11,7 +14,10 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.optimize import linprog
 
-from mprobust.milp import _BACKENDS, GE, LE, EQ, MilpModel, SolverConfig, register_backend
+from mprobust.milp import (
+    _BACKENDS, GE, LE, EQ, MilpModel, ModelBuilder, SolverConfig, register_backend,
+)
+from mprobust.uncertainty import _check_gamma, _check_x
 
 
 @contextmanager
@@ -191,3 +197,76 @@ def primal_dual_pair(rng, n=6, m=4):
         is_binary=np.zeros(m, dtype=bool),
         row_coeffs=A.T, row_senses=np.full(n, LE, dtype=np.int8), row_rhs=c)
     return primal, dual
+
+
+def stored_value(inst, entry, gamma, variant: bool) -> float:
+    """Certified upper bound of the entry's robustness at gamma."""
+    gamma = np.asarray(gamma, dtype=float)
+    if variant:
+        return float(gamma @ entry.pi + entry.rho.sum() + inst.c_lower @ entry.x)
+    return float(gamma @ entry.pi + inst.deviations @ entry.rho + inst.c_lower @ entry.x)
+
+
+def worst_case_cost_vector(inst, x, gamma, variant: bool = False) -> np.ndarray:
+    """A cost vector in the uncertainty set attaining the worst case for x."""
+    x = _check_x(inst, x)
+    gamma = _check_gamma(inst, gamma)
+    lam = np.zeros(inst.n)
+    for k, g in enumerate(inst.groups):
+        rem = gamma[k]
+        if variant:
+            active = sorted((j for j in g if x[j] > 0.5),
+                            key=lambda j: -inst.deviations[j])
+            for j in active:
+                take = min(1.0, rem)
+                lam[j] = take
+                rem -= take
+                if rem <= 0:
+                    break
+        else:
+            for j in g:
+                if x[j] > 0.5:
+                    take = min(inst.deviations[j], rem)
+                    lam[j] = take
+                    rem -= take
+                    if rem <= 0:
+                        break
+    if variant:
+        return inst.c_lower + lam * inst.deviations
+    return inst.c_lower + lam
+
+
+def build_w_lp(inst, x, gamma, variant: bool = False) -> MilpModel:
+    """Primal worst-case LP in the deviation variables.
+
+    Objective value of the solved LP plus ``c_lower @ x`` equals the
+    robustness of x.
+    """
+    x = _check_x(inst, x)
+    gamma = _check_gamma(inst, gamma)
+    b = ModelBuilder("w_lp")
+    lam = {}
+    for j in range(inst.n):
+        hi = 1.0 if variant else inst.deviations[j]
+        coef = inst.deviations[j] * x[j] if variant else x[j]
+        lam[j] = b.add_continuous(f"lam{j}", 0.0, hi, obj=coef)
+    for k, g in enumerate(inst.groups):
+        b.add_row({lam[j]: 1.0 for j in g}, "<=", gamma[k])
+    return b.build(maximize=True)
+
+
+def build_dw_lp(inst, x, gamma, variant: bool = False) -> MilpModel:
+    """Dual worst-case LP in (pi, rho); value + ``c_lower @ x`` = robustness."""
+    x = _check_x(inst, x)
+    gamma = _check_gamma(inst, gamma)
+    b = ModelBuilder("dw_lp")
+    pi = [b.add_continuous(f"pi{k}", 0.0, np.inf, obj=gamma[k])
+          for k in range(inst.num_groups)]
+    rho = {}
+    for k, g in enumerate(inst.groups):
+        for j in g:
+            cost = 1.0 if variant else inst.deviations[j]
+            rho[j] = b.add_continuous(f"rho{j}", 0.0, np.inf, obj=cost)
+            rhs = inst.deviations[j] * x[j] if variant else x[j]
+            b.add_row({pi[k]: 1.0, rho[j]: 1.0}, ">=", rhs)
+    return b.build(maximize=False)

@@ -6,7 +6,7 @@ import pytest
 from mprobust.engine import (
     Budget, build_nominal_q_general, build_nominal_q_plus, build_q_budgeted,
     build_q_general, build_q_interval, build_q_segment, build_q_variant,
-    pick_best, run_aq, run_multiparametric_nominal, stored_value,
+    pick_best, run_aq, run_multiparametric_nominal,
 )
 from mprobust.generators import PartitionScheme, SpParams, apply_partition, build_omega, gen_sp
 from mprobust.milp import solve_milp
@@ -16,7 +16,7 @@ from mprobust.uncertainty import (
     OmegaSpec, contains, robustness_value, robustness_value_variant, sample_gamma,
 )
 
-from helpers import random_instance
+from helpers import random_instance, stored_value
 
 
 def _history_at(inst, gammas, mode="standard"):
@@ -147,7 +147,6 @@ def test_degenerate_domains_stop_immediately():
 def test_pinned_segment_is_fixed_gamma_gap():
     # alpha_lo = alpha_hi pins the domain, but the seed still comes from
     # gamma = 0, so the first master value is exactly the gap at the point
-    from mprobust.engine import stored_value
     inst, _, _ = toy_instance(2)
     omega = OmegaSpec.segment(np.array([2.0, 1.0, 0.5]), 0.5, 0.5)
     gamma_hat = 0.5 * omega.gamma0
@@ -205,7 +204,6 @@ def test_variant_zero_deviation_one_iteration():
 def test_variant_master_matches_grid_scan():
     rng = np.random.default_rng(27)
     inst = random_instance(rng, n=5, K=2)
-    from mprobust.engine import stored_value
     sizes = np.array([len(g) for g in inst.groups], dtype=float)
     omega = OmegaSpec.interval(np.zeros(2), sizes)
     hist = _history_at(inst, [omega.start_gamma], mode="variant")
@@ -226,7 +224,6 @@ def test_variant_master_matches_grid_scan():
 def test_first_master_value_bounds_grid_gap():
     rng = np.random.default_rng(31)
     inst = random_instance(rng, n=6, K=2)
-    from mprobust.engine import stored_value
     M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.2
     omega = OmegaSpec.interval(0.1 * M, 1.1 * M)
     res = run_aq(inst, omega, epsilon=0.0)
@@ -414,9 +411,9 @@ def test_pattern_table_stops_at_time_limit(monkeypatch):
     chunks = []
     inner = oracle._sp_paths
 
-    def counted(*args, **kwargs):
+    def counted(inst, C, deadline):
         chunks.append(1)
-        return inner(*args, **kwargs)
+        return inner(inst, C, deadline)
 
     monkeypatch.setattr(oracle, "_sp_paths", counted)
     records = []

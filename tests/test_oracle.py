@@ -393,6 +393,39 @@ def test_shared_pattern_table_keeps_only_finished_tables():
     assert oracle._PATTERN_TABLES[inst] is table
 
 
+def test_sp_table_deadline_cuts_inside_a_chunk(monkeypatch):
+    """A deadline that passes during the first Bellman-Ford pass of a
+    one-chunk table stops it at the next pass: the table reads the clock
+    once per pass, and each reading below advances it by one."""
+    import itertools
+    from types import SimpleNamespace
+
+    from mprobust import oracle
+    from mprobust.uncertainty import row_chunks
+
+    inst = _sp20_r6()
+    patterns = PiEnumerationOracle(inst).patterns
+    assert len(row_chunks(patterns.shape[0], inst.n)) == 1
+
+    def tick_clock():
+        ticks = itertools.count(1)
+        reads = []
+        monkeypatch.setattr(oracle, "time", SimpleNamespace(
+            monotonic=lambda: reads.append(1) or float(next(ticks))))
+        return reads
+
+    reads = tick_clock()
+    oracle._sp_pattern_table(inst, patterns, deadline=float("inf"))
+    passes = len(reads)
+    assert passes >= 3
+    reads = tick_clock()
+    with pytest.raises(TimeoutError):
+        # read 1 (1.0) lets pass 1 run; the deadline passes during it, and
+        # read 2 (2.0), before pass 2, raises
+        oracle._sp_pattern_table(inst, patterns, deadline=1.5)
+    assert len(reads) == 2 < passes
+
+
 def test_shared_pattern_table_goes_with_its_instance():
     import gc
     import weakref

@@ -13,7 +13,7 @@ from mprobust.robust import (
 from mprobust.milp import solve_milp
 from mprobust.uncertainty import robustness_value, robustness_value_variant
 
-from helpers import random_instance
+from helpers import random_instance, stored_value
 
 
 def test_toy_model_shape():
@@ -98,7 +98,7 @@ def test_variant_breakpoint_structure():
     # the continuous dual's theta_k lands on {0} or {d_j x_j : j in P_k}, rho is
     # the tight max(0, d_j x_j - theta_k), and the certificate bounds the
     # variant value at every gamma, with equality at the solve's own gamma
-    from mprobust.engine import HistoryEntry, stored_value
+    from mprobust.engine import HistoryEntry
 
     rng = np.random.default_rng(11)
     toy, _, toy_omega2 = toy_instance(3)
@@ -197,6 +197,51 @@ def _sp(nodes, scheme, K, seed=0):
 
     return apply_partition(gen_sp(SpParams(nodes, seed=seed)), PartitionScheme(scheme, K),
                            seed=seed)
+
+
+def _uncover(inst, idx):
+    """``inst`` with the indices ``idx`` given zero deviation and taken out
+    of their groups (emptied groups go)."""
+    from dataclasses import replace
+
+    d = inst.deviations.copy()
+    d[list(idx)] = 0.0
+    groups = [tuple(j for j in g if j not in idx) for g in inst.groups]
+    return replace(inst, deviations=d, groups=tuple(g for g in groups if g))
+
+
+def test_repair_rho_matches_group_loop():
+    """The vectorized rho equals the per-group loop byte for byte, with 0.0
+    on indices outside every group."""
+    from mprobust.engine import run_aq
+    from mprobust.generators import (
+        PartitionScheme, PlmParams, apply_partition, build_omega, gen_plm,
+    )
+    from mprobust.robust import _repair_rho
+
+    def loop(inst, pi, x):
+        rho = np.zeros(inst.n)
+        for k, g in enumerate(inst.groups):
+            idx = list(g)
+            rho[idx] = (1.0 - pi[k]) * x[idx]
+        return rho
+
+    rng = np.random.default_rng(5)
+    sp = _uncover(_sp(12, "r", 3), {0, 7, 11})
+    plm = apply_partition(gen_plm(PlmParams(5, 2, seed=0)), PartitionScheme("lo", 2), seed=0)
+    toy = _uncover(toy_instance(3)[0], {3})
+    cases = []
+    for inst in (sp, plm, toy):
+        assert (inst.group_of() < 0).any()
+        K = inst.num_groups
+        for pi in (np.zeros(K), np.ones(K), rng.uniform(0.0, 1.0, K), rng.uniform(-2.0, 3.0, K)):
+            cases.append((inst, pi, rng.integers(0, 2, inst.n).astype(float)))
+        res = run_aq(inst, build_omega(inst, "interval", delta=0.5), epsilon=0.0)
+        cases += [(inst, e.pi, e.x) for e in res.history]
+    for inst, pi, x in cases:
+        got, want = _repair_rho(inst, pi, x), loop(inst, pi, x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got[inst.group_of() < 0].any()
 
 
 def test_table_route_matches_milp_route():

@@ -1,10 +1,16 @@
-"""Canonical JSON round-trips."""
+"""Canonical JSON round-trips, and the canonical writer against ``json.dumps``."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mprobust.engine import run_aq
-from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+from mprobust.engine import Budget, run_aq
+from mprobust.generators import (
+    PartitionScheme, PlmParams, SpParams, apply_partition, build_omega, gen_plm, gen_sp,
+)
 from mprobust.oracle import toy_instance
 from mprobust.serialize import (
     dumps_canonical, instance_from_dict, instance_to_dict, load_json,
@@ -108,3 +114,79 @@ def test_result_with_selector_certificates_still_loads(tmp_path):
     path = tmp_path / "old.json"
     save_json(d, path)
     assert main(["verify", "--result", str(path)]) == 0
+
+
+def _reference(d) -> str:
+    return json.dumps(d, indent=2, allow_nan=False) + "\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                                1e16, -1e16, 1e22, 1.7976931348623157e308, 0.1, 1.0])
+_STRINGS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\x08\t\n\r\x1f\x7f", "é中ü😀",
+                     "\u2028\u2029", "\ud800", "/"]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    _FINITE, _EDGE_FLOATS, _FINITE.map(np.float64), _STRINGS)
+_KEYS = st.one_of(_STRINGS, st.integers(), _FINITE, st.booleans(), st.none())
+_JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5),
+    st.lists(inner, max_size=5).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=5),
+    # homogeneous rows, as the writers emit them
+    st.lists(st.one_of(_FINITE, _EDGE_FLOATS), max_size=8),
+    st.lists(st.integers(), max_size=8),
+    st.lists(st.booleans(), max_size=4),
+), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_dumps_canonical_is_json_dumps(d):
+    assert dumps_canonical(d) == _reference(d)
+
+
+def test_dumps_canonical_on_written_dicts(tmp_path):
+    """Instances of every family and results of every mode and domain kind
+    write json.dumps' bytes, and load -> save keeps them."""
+    sp = apply_partition(gen_sp(SpParams(8, seed=1)), PartitionScheme("d", 2), seed=1)
+    plm = apply_partition(gen_plm(PlmParams(3, 2, seed=0)), PartitionScheme("lo", 2), seed=0)
+    dicts = [instance_to_dict(inst) for inst in (sp, plm, toy_instance(3)[0])]
+    for mode in ("standard", "tu_relaxed", "variant"):
+        for kind in ("interval", "segment", "budgeted"):
+            omega = build_omega(sp, kind, delta=0.5)
+            res = run_aq(sp, omega, epsilon=0.0, mode=mode, budget=Budget(max_iters=3))
+            dicts.append(result_to_dict(res, instance_path="sp.json"))
+            dicts.append(omega_to_dict(omega))
+    path = tmp_path / "out.json"
+    for d in dicts:
+        text = dumps_canonical(d)
+        assert text == _reference(d)
+        save_json(d, path)
+        assert path.read_text() == text
+        save_json(load_json(path), path)
+        assert path.read_text() == text
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_dumps_canonical_rejects_nonfinite_floats(bad):
+    for d in ({"v": bad}, {"v": [1.0, 2.0, bad]}, {"v": [1, "a", bad]}, {bad: 1}):
+        with pytest.raises(ValueError) as want:
+            _reference(d)
+        with pytest.raises(ValueError) as got:
+            dumps_canonical(d)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("d", [{"v": np.int64(1)}, {"v": [1, np.int64(2)]},
+                               {"v": [np.bool_(True)]}, {"v": {1, 2}},
+                               {(1, 2): 1}, {"v": np.zeros(2)}])
+def test_dumps_canonical_rejects_unsupported_objects(d):
+    with pytest.raises(TypeError) as want:
+        _reference(d)
+    with pytest.raises(TypeError) as got:
+        dumps_canonical(d)
+    assert str(got.value) == str(want.value)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from mprobust.milp import solve_lp
 from mprobust.oracle import toy_instance
 from mprobust.uncertainty import (
-    Instance, OmegaSpec, build_dw_lp, build_w_lp, contains,
+    Instance, OmegaSpec, contains,
     robustness_value, robustness_value_variant, robustness_values, sample_gamma,
-    solution_signature, verify_feasible, worst_case_cost_vector,
+    solution_signature, verify_feasible,
 )
 
-from helpers import random_instance
+from helpers import build_dw_lp, build_w_lp, random_instance, worst_case_cost_vector
 
 
 def test_toy_worked_values():
