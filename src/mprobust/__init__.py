@@ -27,8 +27,8 @@ from .robust import (
 )
 from .engine import (
     Budget, HistoryEntry, MprsResult, NominalMprsResult,
-    build_q_general, build_q_interval, build_q_segment, build_q_budgeted,
-    build_q_variant, build_nominal_q_plus, build_nominal_q_general,
+    build_q_general, build_q_interval, build_q_variant,
+    build_nominal_q_plus, build_nominal_q_general,
     run_aq, run_multiparametric_nominal, pick_best,
 )
 from .generators import (
@@ -54,8 +54,8 @@ __all__ = [
     "RobustSolution", "TuIntegralityError",
     "build_robust_milp", "build_robust_variant_milp", "cost_for_pi", "solve_robust",
     "Budget", "HistoryEntry", "MprsResult", "NominalMprsResult",
-    "build_q_general", "build_q_interval", "build_q_segment", "build_q_budgeted",
-    "build_q_variant", "build_nominal_q_plus", "build_nominal_q_general",
+    "build_q_general", "build_q_interval", "build_q_variant",
+    "build_nominal_q_plus", "build_nominal_q_general",
     "run_aq", "run_multiparametric_nominal", "pick_best",
     "GenerationError", "SpParams", "PlmParams", "PartitionScheme",
     "gen_sp", "gen_plm", "partition", "apply_partition", "build_omega",

@@ -18,12 +18,13 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .engine import Budget, MprsResult, pick_best, run_aq, uses_pattern_master
+from .engine import Budget, MprsResult, _build_master, pick_best, run_aq, uses_pattern_master
 from .generators import (
     GenerationError, PartitionScheme, PlmParams, SpParams, apply_partition, build_omega,
     gen_plm, gen_sp,
@@ -215,7 +216,6 @@ def cmd_generate(args) -> int:
         md = dict(inst.metadata)
         md["toy_omega1"] = omega_to_dict(omega1)
         md["toy_omega2"] = omega_to_dict(omega2)
-        from dataclasses import replace
         inst = replace(inst, metadata=md)
     if args.family != "toy" and args.k is not None:
         scheme = PartitionScheme(args.partition or default_scheme, args.k)
@@ -288,7 +288,6 @@ def cmd_run(args) -> int:
         rmodel = (build_robust_variant_milp if args.mode == "variant"
                   else build_robust_milp)(inst, omega.start_gamma)
         write_mps(rmodel, outdir / "r_init.mps")
-        from .engine import _build_master
         qmodel = _build_master(inst, omega, res.history, args.mode)
         write_mps(qmodel, outdir / "q_final.mps")
     print(f"stop={res.stop_reason} iterations={res.iterations} "

@@ -8,13 +8,13 @@ certificate.  The master's optimum is itself a robust solution for the
 gamma it returns, so each iteration appends one certified entry; the loop
 stops once the certified worst-case gap drops to epsilon.
 
-Masters, one per domain kind: a pure 0-1 master for interval domains, a
-scalar-alpha master for segments, a slack-budget master for budgeted
-domains, and the selector-variable master for the fractional uncertainty
-variant (any domain).  ``build_q_general``, which embeds any linear domain,
-is kept as a cross-check for the specialized forms; the loop never builds
-it.  Every master names its column blocks, and one certificate reader
-(``robust.read_certificate``) turns a solved master into the next entry.
+Masters: a pure 0-1 master for interval domains; ``build_q_general`` for
+segments and budgeted domains, which writes each gamma_k as an affine form
+over the domain's own columns (the position alpha on a segment, the slacks
+beta on a budgeted domain); and the selector-variable master for the
+fractional uncertainty variant (any domain).  Every master names its column
+blocks, and one certificate reader (``robust.read_certificate``) turns a
+solved master into the next entry.
 
 On an interval domain with few enough groups (see ``uses_pattern_master``)
 the 0-1 master is replaced by the pattern master: once the activation
@@ -40,8 +40,8 @@ from .milp import (
 )
 from .oracle import PATTERN_KINDS, PATTERN_MAX_K, PiEnumerationOracle, shared_pattern_table
 from .robust import (
-    MODES, _add_x, _declares_tu, _repair_rho, add_standard_certificate, read_certificate,
-    relax_rho_x, solve_robust,
+    MODES, _add_x, _declares_tu, _repair_rho, _solve_robust_milp, add_standard_certificate,
+    read_certificate, relax_rho_x, solve_robust,
 )
 from .uncertainty import (
     Instance, OmegaSpec, int_key, robustness_value, robustness_value_variant,
@@ -166,29 +166,61 @@ def _omega_gamma_block(b: ModelBuilder, omega: OmegaSpec):
     return gam
 
 
-def build_q_general(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
-    """Generic master over (sigma, gamma, w, pi, rho, x) for any linear domain.
+def _omega_affine_block(b: ModelBuilder, omega: OmegaSpec) -> tuple:
+    """The domain's own columns, with gamma an affine form over them.
 
-    The loop never builds it: it cross-checks the specialized masters.
+    Returns (cols, coef, base) with ``gamma_k = base_k + sum_j coef[j, k]
+    * cols[j]``: an interval has a column ``g_k`` per group (block
+    ``gamma``), a segment the one position column alpha (block
+    ``position``) with gamma = alpha * gamma0, and a budgeted domain the
+    slacks ``b_k`` (block ``beta``) with gamma = base + beta under the row
+    sum beta <= budget.
+    """
+    K = omega.num_groups
+    if omega.kind == "segment":
+        a = b.add_continuous("alpha", omega.alpha_lo, omega.alpha_hi, block="position")
+        return [a], omega.gamma0[None, :], np.zeros(K)
+    if omega.kind == "interval":
+        cols = [b.add_continuous(f"g{k}", float(omega.lower[k]), float(omega.upper[k]),
+                                 block="gamma") for k in range(K)]
+        return cols, np.eye(K), np.zeros(K)
+    cols = [b.add_continuous(f"b{k}", 0.0, float(omega.spread[k]), block="beta")
+            for k in range(K)]
+    b.add_row({c: 1.0 for c in cols}, "<=", float(omega.budget))
+    return cols, np.eye(K), omega.gamma_base
+
+
+def build_q_general(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
+    """Standard master over (sigma, domain columns, w, pi, rho, x) for any
+    linear domain; the loop builds it for segments and budgeted domains.
+
+    Each stored entry caps sigma at its certified value ``c_e + pi_e .
+    gamma``, and w_k >= gamma_k - U_k (1 - pi_k) linearizes the candidate's
+    gamma_k pi_k, both written through the domain's affine form of gamma.
     """
     history = _require_history(history)
     U = omega.upper_bound
     b = ModelBuilder("q_general")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    gam = _omega_gamma_block(b, omega)
+    cols, coef, base = _omega_affine_block(b, omega)
     w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
          for k in range(inst.num_groups)]
     pi, rho, x = _std_blocks(b, inst)
     rows = []
     for e in history:
         row = {sigma: 1.0}
-        for k in range(inst.num_groups):
-            if e.pi[k]:
-                row[gam[k]] = row.get(gam[k], 0.0) - float(e.pi[k])
-        rows.append((row, _entry_const(inst, e)))
+        for col, a in zip(cols, coef):
+            f = float(a @ e.pi)
+            if f:
+                row[col] = -f
+        rows.append((row, _entry_const(inst, e) + float(base @ e.pi)))
     _add_history_rows(b, rows)
     for k in range(inst.num_groups):
-        b.add_row({w[k]: 1.0, gam[k]: -1.0, pi[k]: -float(U[k])}, ">=", -float(U[k]))
+        row = {w[k]: 1.0, pi[k]: -float(U[k])}
+        for col, a in zip(cols, coef):
+            if a[k]:
+                row[col] = -float(a[k])
+        b.add_row(row, ">=", float(base[k] - U[k]))
     return b.build(maximize=True)
 
 
@@ -210,62 +242,6 @@ def build_q_interval(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
                 row[pi[k]] = row.get(pi[k], 0.0) + float(f)
         rows.append((row, _entry_const(inst, e) + float(U @ e.pi)))
     _add_history_rows(b, rows)
-    return b.build(maximize=True)
-
-
-def build_q_segment(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
-    """Segment master with the scalar position variable alpha."""
-    if omega.kind != "segment":
-        raise ValueError("segment master needs a segment domain")
-    history = _require_history(history)
-    g0 = omega.gamma0
-    ah = omega.alpha_hi
-    b = ModelBuilder("q_segment")
-    sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    a = b.add_continuous("alpha", omega.alpha_lo, omega.alpha_hi, block="alpha")
-    w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
-         for k in range(inst.num_groups)]
-    pi, rho, x = _std_blocks(b, inst)
-    rows = []
-    for e in history:
-        coeff = float(g0 @ e.pi)
-        row = {sigma: 1.0}
-        if coeff:
-            row[a] = -coeff
-        rows.append((row, _entry_const(inst, e)))
-    _add_history_rows(b, rows)
-    for k in range(inst.num_groups):
-        b.add_row({w[k]: 1.0, a: -float(g0[k]), pi[k]: -float(ah * g0[k])},
-                  ">=", -float(ah * g0[k]))
-    return b.build(maximize=True)
-
-
-def build_q_budgeted(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
-    """Budgeted master with per-group slack variables beta."""
-    if omega.kind != "budgeted":
-        raise ValueError("budgeted master needs a budgeted domain")
-    history = _require_history(history)
-    base, spread = omega.gamma_base, omega.spread
-    UB = base + spread
-    b = ModelBuilder("q_budgeted")
-    sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    beta = [b.add_continuous(f"b{k}", 0.0, float(spread[k]), block="beta")
-            for k in range(inst.num_groups)]
-    w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
-         for k in range(inst.num_groups)]
-    pi, rho, x = _std_blocks(b, inst)
-    b.add_row({bk: 1.0 for bk in beta}, "<=", float(omega.budget))
-    rows = []
-    for e in history:
-        row = {sigma: 1.0}
-        for k in range(inst.num_groups):
-            if e.pi[k]:
-                row[beta[k]] = row.get(beta[k], 0.0) - float(e.pi[k])
-        rows.append((row, _entry_const(inst, e) + float(base @ e.pi)))
-    _add_history_rows(b, rows)
-    for k in range(inst.num_groups):
-        b.add_row({w[k]: 1.0, beta[k]: -1.0, pi[k]: -float(UB[k])},
-                  ">=", -float(spread[k]))
     return b.build(maximize=True)
 
 
@@ -329,13 +305,6 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     return b.build(maximize=True)
 
 
-_MASTER_BUILDERS = {
-    "interval": build_q_interval,
-    "segment": build_q_segment,
-    "budgeted": build_q_budgeted,
-}
-
-
 def _master_gamma(omega: OmegaSpec, mode: str, model: MilpModel, values) -> np.ndarray:
     """The budget vector a solved master picks, read from its blocks; a
     solver's -0.0 comes back as 0.0."""
@@ -345,7 +314,7 @@ def _master_gamma(omega: OmegaSpec, mode: str, model: MilpModel, values) -> np.n
         pi = np.round(values[model.blocks["pi"]])
         return omega.lower * pi + omega.upper * (1.0 - pi)
     if omega.kind == "segment":
-        return (values[model.blocks["alpha"]][0] + 0.0) * omega.gamma0
+        return (values[model.blocks["position"]][0] + 0.0) * omega.gamma0
     return omega.gamma_base + values[model.blocks["beta"]]
 
 
@@ -433,18 +402,21 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     gamma_init = np.asarray(omega.start_gamma, dtype=float)
     master = None
     table_s = 0.0
+    solve_seed = solve_robust
     if uses_pattern_master(inst, omega, mode):
         try:
             master = PatternMaster(
                 inst, omega, shared_pattern_table(inst, deadline=t0 + budget.time_limit))
         except TimeoutError:
-            pass  # the seed still follows, after which the loop stops on the limit
+            # the seed still follows, after which the loop stops on the limit;
+            # it goes straight to the MILP, not to a second build of the table
+            solve_seed = _solve_robust_milp
         table_s = time.monotonic() - t0
     t_seed = time.monotonic()
     # every artifact needs the seed, so it gets the whole limit even after an
     # unfinished pattern table; a finished one serves it without a MILP
-    seed = solve_robust(inst, gamma_init, mode=mode,
-                        config=_time_left(config, budget, time.monotonic()))
+    seed = solve_seed(inst, gamma_init, mode=mode,
+                      config=_time_left(config, budget, time.monotonic()))
     seed_s = time.monotonic() - t_seed
     init_value = seed.value
     history = [HistoryEntry(pi=seed.pi.copy(), rho=seed.rho.copy(),
@@ -573,7 +545,9 @@ def _solve_milp_master(inst, omega, history, mode, config) -> tuple:
 def _build_master(inst, omega, history, mode) -> MilpModel:
     if mode == "variant":
         return build_q_variant(inst, omega, history)
-    return _MASTER_BUILDERS[omega.kind](inst, omega, history)
+    if omega.kind == "interval":
+        return build_q_interval(inst, omega, history)
+    return build_q_general(inst, omega, history)
 
 
 def _triple_key(e: HistoryEntry) -> tuple:

@@ -46,12 +46,18 @@ def cost_for_pi(inst: Instance, pi) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (inst.num_groups,):
         raise ValueError("pi dimension mismatch")
-    c = inst.c_lower + inst.deviations
-    for k, g in enumerate(inst.groups):
-        if pi[k] > 0.5:
-            idx = list(g)
-            c[idx] = inst.c_lower[idx]
-    return c
+    return _pattern_costs(inst, pi[None, :])[0]
+
+
+def _pattern_costs(inst: Instance, patterns: np.ndarray) -> np.ndarray:
+    """c(pi) of every row of ``patterns`` (P, K), a group counting as active
+    where pi_k > 0.5.  Indices outside every group (group -1) read a trailing
+    active column; they carry no deviation, so they keep their nominal cost.
+    The rows are C-contiguous: a dot product with one must take BLAS's route,
+    as ``nominal_minimize``'s do, for pattern values to agree to the bit."""
+    on = np.hstack([patterns > 0.5, np.ones((patterns.shape[0], 1), dtype=bool)])
+    return np.ascontiguousarray(
+        inst.c_lower + inst.deviations * (1.0 - on[:, inst.group_of()]))
 
 
 def toy_instance(n: int):
@@ -182,17 +188,10 @@ def _sp_pattern_table(inst: Instance, patterns: np.ndarray, deadline: Optional[f
     shortest-path instance, one ``_sp_paths`` call per row chunk, which
     checks ``deadline`` once per Bellman-Ford pass."""
     P, n = patterns.shape[0], inst.n
-    # indices outside every group (group -1) read the trailing column of ones
-    # and keep their nominal cost, as in ``cost_for_pi``
-    ext = np.hstack([patterns, np.ones((P, 1))])
-    group_of = inst.group_of()
     values = np.empty(P)
     solutions = np.empty((P, n), dtype=np.uint8)
     for rows in row_chunks(P, n):
-        # C-contiguous rows: the dot products below must take BLAS's route,
-        # as nominal_minimize's do, for the values to agree to the bit
-        on = np.ascontiguousarray(ext[rows][:, group_of])
-        C = inst.c_lower + inst.deviations * (1.0 - on)
+        C = _pattern_costs(inst, patterns[rows])
         X = _sp_paths(inst, C, deadline)
         values[rows] = [float(C[p] @ X[p]) for p in range(C.shape[0])]
         solutions[rows] = X
@@ -361,12 +360,13 @@ class PiEnumerationOracle:
             X = enumerate_x(inst) if inst.kind != "PLM" else None
             self.nominal_values = np.empty(P)
             self.solutions = np.empty((P, inst.n), dtype=np.uint8)
-            for i in range(P):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError("pattern table unfinished at the deadline")
-                self.nominal_values[i], x = nominal_minimize(
-                    inst, cost_for_pi(inst, self.patterns[i]), X=X)
-                self.solutions[i] = np.round(x)
+            for rows in row_chunks(P, inst.n):
+                C = _pattern_costs(inst, self.patterns[rows])
+                for i, c in zip(range(rows.start, rows.stop), C):
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise TimeoutError("pattern table unfinished at the deadline")
+                    self.nominal_values[i], x = nominal_minimize(inst, c, X=X)
+                    self.solutions[i] = np.round(x)
         self.build_s = time.monotonic() - t0
 
     def robust_value(self, gamma) -> float:

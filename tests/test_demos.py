@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""The package's public surface: every demo script runs to completion
+against the source tree, and every exported name resolves."""
 
 import os
 import subprocess
@@ -17,3 +18,11 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_all_exports_resolve():
+    import mprobust
+
+    missing = [name for name in mprobust.__all__ if not hasattr(mprobust, name)]
+    assert missing == []
+    assert len(set(mprobust.__all__)) == len(mprobust.__all__)

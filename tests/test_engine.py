@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mprobust.engine import (
-    Budget, build_nominal_q_general, build_nominal_q_plus, build_q_budgeted,
-    build_q_general, build_q_interval, build_q_segment, build_q_variant,
-    pick_best, run_aq, run_multiparametric_nominal,
+    Budget, build_nominal_q_general, build_nominal_q_plus, build_q_general,
+    build_q_interval, build_q_variant, pick_best, run_aq, run_multiparametric_nominal,
 )
 from mprobust.generators import PartitionScheme, SpParams, apply_partition, build_omega, gen_sp
 from mprobust.milp import solve_milp
@@ -86,25 +85,32 @@ def test_budget_exceeded_partial_result():
 
 
 def test_master_value_nonnegative_and_agreement():
+    """The general master against independent references: the 0-1 interval
+    master on a box, and a dense alpha scan of the gap on a segment (the
+    budgeted reference is ``test_budgeted_with_slack_budget_equals_interval``)."""
     rng = np.random.default_rng(3)
+    alphas = np.linspace(0.1, 0.9, 801)
     for trial in range(6):
         inst = random_instance(rng, n=6, K=2)
+        X = enumerate_x(inst)
         M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.5
-        omegas = {
-            "interval": OmegaSpec.interval(0.3 * M, 1.3 * M),
-            "segment": OmegaSpec.segment(M, 0.1, 0.9),
-            "budgeted": OmegaSpec.budgeted(0.4 * M, 0.8 * M, float(0.8 * M.mean())),
-        }
-        builders = {"interval": build_q_interval, "segment": build_q_segment,
-                    "budgeted": build_q_budgeted}
-        for kind, omega in omegas.items():
-            hist = _history_at(inst, [omega.start_gamma,
-                                      omega.upper_bound])
-            spec = solve_milp(builders[kind](inst, omega, hist))
-            gen = solve_milp(build_q_general(inst, omega, hist))
-            assert spec.status == "optimal" and gen.status == "optimal"
-            assert spec.objective >= -1e-9
-            assert spec.objective == pytest.approx(gen.objective, abs=1e-6)
+        box = OmegaSpec.interval(0.3 * M, 1.3 * M)
+        hist = _history_at(inst, [box.start_gamma, box.upper_bound])
+        ref = solve_milp(build_q_interval(inst, box, hist))
+        gen = solve_milp(build_q_general(inst, box, hist))
+        assert ref.status == "optimal" and gen.status == "optimal"
+        assert ref.objective >= -1e-9
+        assert gen.objective == pytest.approx(ref.objective, abs=1e-6)
+
+        seg = OmegaSpec.segment(M, 0.1, 0.9)
+        hist = _history_at(inst, [seg.start_gamma, seg.upper_bound])
+        sol = solve_milp(build_q_general(inst, seg, hist))
+        assert sol.status == "optimal" and sol.objective >= -1e-9
+        scan = max(min(stored_value(inst, e, a * M, variant=False) for e in hist)
+                   - brute_robust(inst, a * M, X=X)[0] for a in alphas)
+        # both terms grow with alpha at slopes in [0, sum M], so the gap
+        # moves by at most sum(M) * step between grid points
+        assert scan - 1e-6 <= sol.objective <= scan + M.sum() * (alphas[1] - alphas[0])
 
 
 def test_budgeted_with_slack_budget_equals_interval():
@@ -115,7 +121,7 @@ def test_budgeted_with_slack_budget_equals_interval():
     bud = OmegaSpec.budgeted(base, spread, float(spread.sum() + 1.0))
     box = OmegaSpec.interval(base, base + spread)
     hist = _history_at(inst, [base])
-    vb = solve_milp(build_q_budgeted(inst, bud, hist)).objective
+    vb = solve_milp(build_q_general(inst, bud, hist)).objective
     vi = solve_milp(build_q_interval(inst, box, hist)).objective
     assert vb == pytest.approx(vi, abs=1e-6)
 
@@ -166,12 +172,33 @@ def test_budgeted_master_product_variable_replay():
     M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.2
     omega = OmegaSpec.budgeted(0.3 * M, 0.8 * M, float(M.mean()))
     hist = _history_at(inst, [omega.start_gamma, omega.upper_bound])
-    sol = solve_milp(build_q_budgeted(inst, omega, hist))
+    sol = solve_milp(build_q_general(inst, omega, hist))
     beta = sol.values[1:1 + K]
     w = sol.values[1 + K:1 + 2 * K]
     pi = np.round(sol.values[1 + 2 * K:1 + 3 * K])
     gamma = omega.gamma_base + beta
     assert np.allclose(w, gamma * pi, atol=1e-7)
+
+
+def test_master_gamma_reads_the_domain_columns():
+    """A solved general master's gamma is alpha * gamma0 to the bit on a
+    segment, and lies in the domain on a budgeted one."""
+    from mprobust.engine import _master_gamma
+
+    rng = np.random.default_rng(23)
+    for trial in range(4):
+        inst = random_instance(rng, n=6, K=2)
+        M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.5
+        for omega in (OmegaSpec.segment(M, 0.1, 0.9),
+                      OmegaSpec.budgeted(0.4 * M, 0.8 * M, float(0.6 * M.mean()))):
+            model = build_q_general(inst, omega, _history_at(inst, [omega.start_gamma]))
+            sol = solve_milp(model)
+            assert sol.status == "optimal"
+            gamma = _master_gamma(omega, "standard", model, sol.values)
+            assert contains(omega, gamma)
+            if omega.kind == "segment":
+                alpha = sol.values[model.blocks["position"]][0]
+                assert gamma.tobytes() == (alpha * omega.gamma0).tobytes()
 
 
 def test_variant_master_product_variable_replay():
@@ -400,6 +427,28 @@ def test_pattern_master_routing():
     assert not uses_pattern_master(inst, OmegaSpec.interval(0.1 * M, 1.1 * M), "standard")
 
 
+def test_timed_out_table_is_not_rebuilt_for_the_seed(monkeypatch):
+    """After ``run_aq``'s own pattern table times out, the seed goes straight
+    to the robust MILP instead of building the same table again."""
+    from mprobust import oracle
+    from mprobust.robust import TABLE_MAX_K, TABLE_MIN_K, _solve_robust_milp
+
+    inst = apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", 6), seed=0)
+    assert TABLE_MIN_K <= inst.num_groups <= TABLE_MAX_K
+    omega = build_omega(inst, "interval", delta=0.5)
+    builds = []
+
+    def timed_out(inst, deadline=None):
+        builds.append(deadline)
+        raise TimeoutError("pattern table unfinished at the deadline")
+
+    monkeypatch.setattr(oracle, "PiEnumerationOracle", timed_out)
+    res = run_aq(inst, omega, epsilon=0.0, budget=Budget(max_iters=0))
+    assert len(builds) == 1
+    assert res.stop_reason == "budget_exceeded" and res.iterations == 1
+    assert res.init_value == pytest.approx(_solve_robust_milp(inst, omega.start_gamma).value)
+
+
 def test_pattern_table_stops_at_time_limit(monkeypatch):
     """A table left unfinished at the time limit ends the run on the limit."""
     from mprobust import oracle
@@ -578,21 +627,21 @@ def test_model_blocks():
         robust = build_robust_milp(inst, M)
         cases = [(robust, standard), (relax_rho_x(robust), relaxed),
                  (build_robust_variant_milp(inst, M), robust_variant)]
+        # the general master's domain columns: gamma, the segment position
+        # alpha, or the budgeted slacks beta
+        domain = {"interval": "gamma", "segment": "position", "budgeted": "beta"}
         for kind, omega in omegas.items():
-            gamma = {"gamma": False}
-            cases.append((build_q_general(inst, omega, hist), {**standard, **gamma}))
-            cases.append((build_q_variant(inst, omega, vhist), {**variant, **gamma}))
-        cases += [
-            (build_q_interval(inst, omegas["interval"], hist), standard),
-            (build_q_segment(inst, omegas["segment"], hist), {**standard, "alpha": False}),
-            (build_q_budgeted(inst, omegas["budgeted"], hist), {**standard, "beta": False}),
-        ]
-        cases += [(relax_rho_x(m), {**relaxed, **{k: v for k, v in want.items()
-                                                  if k in ("alpha", "beta")}})
-                  for m, want in cases[-3:]]
+            general = build_q_general(inst, omega, hist)
+            cases.append((general, {**standard, domain[kind]: False}))
+            cases.append((build_q_variant(inst, omega, vhist), {**variant, "gamma": False}))
+            if kind != "interval":
+                cases.append((relax_rho_x(general), {**relaxed, domain[kind]: False}))
+        interval = build_q_interval(inst, omegas["interval"], hist)
+        cases += [(interval, standard), (relax_rho_x(interval), relaxed)]
         sizes = {"pi": K, "rho": nc, "x": n, "w": nc, "gamma": K, "beta": K,
-                 "alpha": nc}
-        prefix = {"pi": "pi", "rho": "rho", "x": "x", "w": "w", "gamma": "g", "beta": "b"}
+                 "alpha": nc, "position": 1}
+        prefix = {"pi": "pi", "rho": "rho", "x": "x", "w": "w", "gamma": "g", "beta": "b",
+                  "position": "alpha"}
         for model, want in cases:
             assert set(model.blocks) == set(want), model.name
             cols = np.concatenate([model.blocks[b] for b in want])
@@ -600,8 +649,7 @@ def test_model_blocks():
             assert cols.min() >= 0 and cols.max() < model.num_vars
             for b, binary in want.items():
                 idx = model.blocks[b]
-                size = 1 if (b == "alpha" and model.name == "q_segment") else sizes[b]
-                assert idx.size == size, (model.name, b)
+                assert idx.size == sizes[b], (model.name, b)
                 assert np.all(model.is_binary[idx] == binary), (model.name, b)
                 if b in prefix:
                     assert all(model.var_name(j).startswith(prefix[b]) for j in idx)

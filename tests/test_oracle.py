@@ -434,6 +434,8 @@ def test_shared_pattern_table_goes_with_its_instance():
 
     inst = _sp20_r6()
     table = weakref.ref(oracle.shared_pattern_table(inst))
+    # instances an earlier test left unreachable must go before the count
+    gc.collect()
     before = len(oracle._PATTERN_TABLES)
     del inst
     gc.collect()
