@@ -14,7 +14,7 @@ from .milp import (
     MilpModel, ModelBuilder, MilpSolution, SolverConfig,
     ModelError, SolverLimitError, SolverNumericalError,
     solve_lp, solve_milp, relax_binaries, register_backend,
-    write_mps, mps_string,
+    write_mps,
 )
 from .uncertainty import (
     Instance, OmegaSpec,
@@ -28,7 +28,7 @@ from .robust import (
 from .engine import (
     Budget, HistoryEntry, MprsResult, NominalMprsResult,
     build_q_general, build_q_interval, build_q_variant,
-    build_nominal_q_plus, build_nominal_q_general,
+    build_nominal_q_plus,
     run_aq, run_multiparametric_nominal, pick_best,
 )
 from .generators import (
@@ -47,7 +47,7 @@ __all__ = [
     "MilpModel", "ModelBuilder", "MilpSolution", "SolverConfig",
     "ModelError", "SolverLimitError", "SolverNumericalError",
     "solve_lp", "solve_milp", "relax_binaries", "register_backend",
-    "write_mps", "mps_string",
+    "write_mps",
     "Instance", "OmegaSpec",
     "robustness_value", "robustness_value_variant", "robustness_values",
     "contains", "sample_gamma", "solution_signature", "verify_feasible",
@@ -55,7 +55,7 @@ __all__ = [
     "build_robust_milp", "build_robust_variant_milp", "cost_for_pi", "solve_robust",
     "Budget", "HistoryEntry", "MprsResult", "NominalMprsResult",
     "build_q_general", "build_q_interval", "build_q_variant",
-    "build_nominal_q_plus", "build_nominal_q_general",
+    "build_nominal_q_plus",
     "run_aq", "run_multiparametric_nominal", "pick_best",
     "GenerationError", "SpParams", "PlmParams", "PartitionScheme",
     "gen_sp", "gen_plm", "partition", "apply_partition", "build_omega",

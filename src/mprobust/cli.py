@@ -241,16 +241,19 @@ def _omega_from_args(inst: Instance, args) -> OmegaSpec:
 def _seed_value(inst: Instance, omega: OmegaSpec, args) -> float:
     """Robust value at the domain's start vector, as ``run_aq`` will find it.
 
-    On a pattern-master run the shared pattern table is built first, with
-    the run's time limit as its deadline, so ``solve_robust`` reads it and
-    ``run_aq`` reuses it; a table unfinished at the deadline leaves
-    ``solve_robust`` to its own route."""
+    The seed gets the run's time limit, as ``run_aq``'s does.  On a
+    pattern-master run the shared pattern table is built first, with that
+    limit as its deadline, so ``solve_robust`` reads it and ``run_aq``
+    reuses it; a table unfinished at the deadline sends the seed straight
+    to the robust MILP, as in ``run_aq``."""
+    solve = solve_robust
     if uses_pattern_master(inst, omega, args.mode):
         try:
             shared_pattern_table(inst, deadline=time.monotonic() + args.time_limit)
         except TimeoutError:
-            pass
-    return solve_robust(inst, omega.start_gamma, mode=args.mode).value
+            solve = _solve_robust_milp
+    return solve(inst, omega.start_gamma, mode=args.mode,
+                 config=SolverConfig(time_limit=args.time_limit)).value
 
 
 def cmd_run(args) -> int:

@@ -12,9 +12,14 @@ Masters: a pure 0-1 master for interval domains; ``build_q_general`` for
 segments and budgeted domains, which writes each gamma_k as an affine form
 over the domain's own columns (the position alpha on a segment, the slacks
 beta on a budgeted domain); and the selector-variable master for the
-fractional uncertainty variant (any domain).  Every master names its column
-blocks, and one certificate reader (``robust.read_certificate``) turns a
-solved master into the next entry.
+fractional uncertainty variant (any domain).  Each stored entry caps the
+master's value sigma at its certified value ``c_e + p_e . gamma``:
+``add_free_caps`` writes the caps with gamma free in the domain (general
+and variant masters), ``add_vertex_caps`` with gamma at the box vertex the
+candidate's 0-1 columns pick (interval and cost-box masters), and
+``add_product_rows`` the big-M rows for gamma_k times a 0-1 selector.
+Every master names its column blocks, and one certificate reader
+(``robust.read_certificate``) turns a solved master into the next entry.
 
 On an interval domain with few enough groups (see ``uses_pattern_master``)
 the 0-1 master is replaced by the pattern master: once the activation
@@ -123,9 +128,8 @@ def _require_history(history) -> list:
     return list(history)
 
 
-def _add_history_rows(b: ModelBuilder, rows) -> None:
-    """Add a master's history rows ``sigma + ... <= c_e``, with sigma
-    measured from c0 = min c_e.
+def _add_caps(b: ModelBuilder, rows) -> None:
+    """Add the caps ``sigma + ... <= c_e``, with sigma measured from c0 = min c_e.
 
     The rows hold ``c_e - c0`` and a fixed last column carries c0 into the
     objective, so the row constants stay near zero.  With constants near
@@ -136,6 +140,52 @@ def _add_history_rows(b: ModelBuilder, rows) -> None:
     for row, rhs in rows:
         b.add_row(row, "<=", rhs - c0)
     b.add_continuous("sigma_ref", c0, c0, obj=1.0)
+
+
+def add_free_caps(b: ModelBuilder, sigma: int, gamma_form: tuple, entries) -> None:
+    """One cap ``sigma <= c_e + p_e . gamma`` per (c_e, p_e) in ``entries``,
+    with gamma free in the domain: ``gamma_form`` = (cols, coef, base) gives
+    ``gamma_k = base_k + sum_j coef[j, k] * cols[j]``."""
+    cols, coef, base = gamma_form
+    rows = []
+    for const, p in entries:
+        row = {sigma: 1.0}
+        for col, a in zip(cols, coef):
+            f = float(a @ p)
+            if f:
+                row[col] = -f
+        rows.append((row, const + float(base @ p)))
+    _add_caps(b, rows)
+
+
+def add_vertex_caps(b: ModelBuilder, sigma: int, y, lower, upper, entries) -> None:
+    """One cap ``sigma <= c_e + p_e . gamma`` per (c_e, p_e) in ``entries``,
+    with gamma at the box vertex ``gamma_j = L_j y_j + U_j (1 - y_j)`` that
+    the candidate's own 0-1 columns ``y`` pick: the row holds
+    ``(U_j - L_j) p_j`` on y_j and the constant ``c_e + U . p_e``."""
+    y = np.asarray(y)
+    width = upper - lower
+    rows = []
+    for const, p in entries:
+        f = width * p
+        nz = np.flatnonzero(f)
+        row = {sigma: 1.0}
+        row.update(zip(y[nz].tolist(), f[nz].tolist()))
+        rows.append((row, const + float(upper @ p)))
+    _add_caps(b, rows)
+
+
+def add_product_rows(b: ModelBuilder, prods, sels, groups, upper, gamma_form: tuple) -> None:
+    """``prod_i >= gamma_k - U_k (1 - sel_i)`` with k = ``groups[i]``, so that
+    a maximized ``-prod_i`` reads gamma_k * sel_i for a 0-1 selector;
+    ``gamma_form`` is as in ``add_free_caps``."""
+    cols, coef, base = gamma_form
+    for p, s, k in zip(prods, sels, groups):
+        row = {p: 1.0, s: -float(upper[k])}
+        for col, a in zip(cols, coef):
+            if a[k]:
+                row[col] = -float(a[k])
+        b.add_row(row, ">=", float(base[k] - upper[k]))
 
 
 def _std_blocks(b: ModelBuilder, inst: Instance, pi_obj=None):
@@ -150,6 +200,7 @@ def _omega_gamma_block(b: ModelBuilder, omega: OmegaSpec):
     """Continuous gamma variables (block ``gamma``) constrained to the domain."""
     K = omega.num_groups
     U = omega.upper_bound
+    b.declare_block("gamma")
     if omega.kind == "interval":
         return [b.add_continuous(f"g{k}", float(omega.lower[k]), float(U[k]), block="gamma")
                 for k in range(K)]
@@ -181,9 +232,11 @@ def _omega_affine_block(b: ModelBuilder, omega: OmegaSpec) -> tuple:
         a = b.add_continuous("alpha", omega.alpha_lo, omega.alpha_hi, block="position")
         return [a], omega.gamma0[None, :], np.zeros(K)
     if omega.kind == "interval":
+        b.declare_block("gamma")
         cols = [b.add_continuous(f"g{k}", float(omega.lower[k]), float(omega.upper[k]),
                                  block="gamma") for k in range(K)]
         return cols, np.eye(K), np.zeros(K)
+    b.declare_block("beta")
     cols = [b.add_continuous(f"b{k}", 0.0, float(omega.spread[k]), block="beta")
             for k in range(K)]
     b.add_row({c: 1.0 for c in cols}, "<=", float(omega.budget))
@@ -199,28 +252,14 @@ def build_q_general(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     gamma_k pi_k, both written through the domain's affine form of gamma.
     """
     history = _require_history(history)
-    U = omega.upper_bound
     b = ModelBuilder("q_general")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    cols, coef, base = _omega_affine_block(b, omega)
+    form = _omega_affine_block(b, omega)
     w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
          for k in range(inst.num_groups)]
     pi, rho, x = _std_blocks(b, inst)
-    rows = []
-    for e in history:
-        row = {sigma: 1.0}
-        for col, a in zip(cols, coef):
-            f = float(a @ e.pi)
-            if f:
-                row[col] = -f
-        rows.append((row, _entry_const(inst, e) + float(base @ e.pi)))
-    _add_history_rows(b, rows)
-    for k in range(inst.num_groups):
-        row = {w[k]: 1.0, pi[k]: -float(U[k])}
-        for col, a in zip(cols, coef):
-            if a[k]:
-                row[col] = -float(a[k])
-        b.add_row(row, ">=", float(base[k] - U[k]))
+    add_free_caps(b, sigma, form, [(_entry_const(inst, e), e.pi) for e in history])
+    add_product_rows(b, w, pi, range(inst.num_groups), omega.upper_bound, form)
     return b.build(maximize=True)
 
 
@@ -229,19 +268,11 @@ def build_q_interval(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     if omega.kind != "interval":
         raise ValueError("interval master needs an interval domain")
     history = _require_history(history)
-    L, U = omega.lower, omega.upper
     b = ModelBuilder("q_interval")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    pi, rho, x = _std_blocks(b, inst, pi_obj=L)
-    rows = []
-    for e in history:
-        row = {sigma: 1.0}
-        for k in range(inst.num_groups):
-            f = (U[k] - L[k]) * e.pi[k]
-            if f:
-                row[pi[k]] = row.get(pi[k], 0.0) + float(f)
-        rows.append((row, _entry_const(inst, e) + float(U @ e.pi)))
-    _add_history_rows(b, rows)
+    pi, rho, x = _std_blocks(b, inst, pi_obj=omega.lower)
+    add_vertex_caps(b, sigma, pi, omega.lower, omega.upper,
+                    [(_entry_const(inst, e), e.pi) for e in history])
     return b.build(maximize=True)
 
 
@@ -250,6 +281,7 @@ def add_variant_certificate(b: ModelBuilder, inst: Instance, rho_obj, x_obj):
     each per covered index, and ``x``, with the rows of X.  Returns
     (w, alpha, rho, x) column indices; ``add_selector_rows`` links them."""
     cov = [int(j) for j in inst.covered]
+    b.declare_block("w", "alpha", "rho")
     w = {j: b.add_binary(f"w{j}", block="w") for j in cov}
     alpha = {j: b.add_binary(f"a{j}", block="alpha") for j in cov}
     rho = {j: b.add_continuous(f"rho{j}", 0.0, np.inf, obj=float(rho_obj[j]), block="rho")
@@ -281,41 +313,38 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     linearized with the domain upper bound as the big constant.
     """
     history = _require_history(history)
-    U = omega.upper_bound
-    kof = inst.group_of()
+    K = inst.num_groups
     cov = [int(j) for j in inst.covered]
     b = ModelBuilder("q_variant")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    gam = _omega_gamma_block(b, omega)
+    # gamma is its own columns; a base of -0.0, the exact additive identity
+    # (0.0 would turn a -U_k of U_k = 0 into 0.0), leaves every constant as is
+    form = (_omega_gamma_block(b, omega), np.eye(K), np.full(K, -0.0))
     z = {j: b.add_continuous(f"z{j}", 0.0, np.inf, obj=-float(inst.deviations[j]))
          for j in cov}
     w, alpha, rho, x = add_variant_certificate(b, inst, -np.ones(inst.n), -inst.c_lower)
-    rows = []
-    for e in history:
-        row = {sigma: 1.0}
-        for k in range(inst.num_groups):
-            if e.pi[k]:
-                row[gam[k]] = row.get(gam[k], 0.0) - float(e.pi[k])
-        rows.append((row, _entry_const(inst, e, variant=True)))
-    _add_history_rows(b, rows)
-    for j in cov:
-        k = kof[j]
-        b.add_row({z[j]: 1.0, gam[k]: -1.0, w[j]: -float(U[k])}, ">=", -float(U[k]))
+    add_free_caps(b, sigma, form, [(_entry_const(inst, e, variant=True), e.pi)
+                                   for e in history])
+    add_product_rows(b, [z[j] for j in cov], [w[j] for j in cov], inst.group_of()[cov],
+                     omega.upper_bound, form)
     add_selector_rows(b, inst, w, alpha, rho, x)
     return b.build(maximize=True)
 
 
-def _master_gamma(omega: OmegaSpec, mode: str, model: MilpModel, values) -> np.ndarray:
-    """The budget vector a solved master picks, read from its blocks; a
-    solver's -0.0 comes back as 0.0."""
-    if mode == "variant":
-        return values[model.blocks["gamma"]] + 0.0
-    if omega.kind == "interval":
-        pi = np.round(values[model.blocks["pi"]])
-        return omega.lower * pi + omega.upper * (1.0 - pi)
-    if omega.kind == "segment":
-        return (values[model.blocks["position"]][0] + 0.0) * omega.gamma0
-    return omega.gamma_base + values[model.blocks["beta"]]
+def _master_gamma(omega: OmegaSpec, model: MilpModel, values) -> np.ndarray:
+    """The budget vector a solved master picks, read from its blocks: its
+    ``gamma`` columns wherever it has them, else the domain's own columns,
+    else (the 0-1 interval master) the vertex its ``pi`` picks; a solver's
+    -0.0 comes back as 0.0."""
+    blocks = model.blocks
+    if "gamma" in blocks:
+        return values[blocks["gamma"]] + 0.0
+    if "position" in blocks:
+        return (values[blocks["position"]][0] + 0.0) * omega.gamma0
+    if "beta" in blocks:
+        return omega.gamma_base + values[blocks["beta"]]
+    pi = np.round(values[blocks["pi"]])
+    return omega.lower * pi + omega.upper * (1.0 - pi)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +482,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
                                             _time_left(config, budget, t0))
             status = sol.status
             gamma_star = (None if sol.values is None
-                          else _master_gamma(omega, mode, model, sol.values))
+                          else _master_gamma(omega, model, sol.values))
             vq = _master_value(sol)
             nodes, bound = sol.nodes, sol.best_bound
             size = (model.num_vars, model.num_rows, int(np.count_nonzero(model.row_coeffs)))
@@ -608,7 +637,8 @@ class NominalMprsResult:
 
 
 def build_nominal_q_plus(x_model: MilpModel, lower, upper, history) -> MilpModel:
-    """Appendix-style pure 0-1 master for a cost box over binary variables."""
+    """Appendix-style pure 0-1 master for a cost box over binary variables:
+    the costs sit at the box vertex that the candidate x picks."""
     history = _require_history(history)
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
@@ -616,47 +646,8 @@ def build_nominal_q_plus(x_model: MilpModel, lower, upper, history) -> MilpModel
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
     x = [b.add_binary(f"x{j}", obj=-float(lower[j]), block="x")
          for j in range(x_model.num_vars)]
-    for i in range(x_model.num_rows):
-        coeffs = {x[j]: float(x_model.row_coeffs[i, j])
-                  for j in np.flatnonzero(x_model.row_coeffs[i])}
-        b.add_row(coeffs, int(x_model.row_senses[i]), float(x_model.row_rhs[i]))
-    rows = []
-    for xi in history:
-        row = {sigma: 1.0}
-        for j in range(x_model.num_vars):
-            f = (upper[j] - lower[j]) * xi[j]
-            if f:
-                row[x[j]] = row.get(x[j], 0.0) + float(f)
-        rows.append((row, float(upper @ xi)))
-    _add_history_rows(b, rows)
-    return b.build(maximize=True)
-
-
-def build_nominal_q_general(x_model: MilpModel, lower, upper, history) -> MilpModel:
-    """Master with explicit cost variables and the product linearization."""
-    history = _require_history(history)
-    lower = np.asarray(lower, float)
-    upper = np.asarray(upper, float)
-    n = x_model.num_vars
-    b = ModelBuilder("nominal_q")
-    sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    cvars = [b.add_continuous(f"c{j}", float(lower[j]), float(upper[j]))
-             for j in range(n)]
-    w = [b.add_continuous(f"w{j}", 0.0, np.inf, obj=-1.0) for j in range(n)]
-    x = [b.add_binary(f"x{j}", block="x") for j in range(n)]
-    for i in range(x_model.num_rows):
-        coeffs = {x[j]: float(x_model.row_coeffs[i, j])
-                  for j in np.flatnonzero(x_model.row_coeffs[i])}
-        b.add_row(coeffs, int(x_model.row_senses[i]), float(x_model.row_rhs[i]))
-    for xi in history:
-        row = {sigma: 1.0}
-        for j in range(n):
-            if xi[j]:
-                row[cvars[j]] = row.get(cvars[j], 0.0) - float(xi[j])
-        b.add_row(row, "<=", 0.0)
-    for j in range(n):
-        b.add_row({w[j]: 1.0, cvars[j]: -1.0, x[j]: -float(upper[j])},
-                  ">=", -float(upper[j]))
+    b.add_rows(x, x_model.row_coeffs, x_model.row_senses, x_model.row_rhs)
+    add_vertex_caps(b, sigma, x, lower, upper, [(0.0, xi) for xi in history])
     return b.build(maximize=True)
 
 

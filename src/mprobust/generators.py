@@ -33,6 +33,7 @@ from .milp import EQ, GE, LE
 from .uncertainty import Instance, OmegaSpec
 
 SP_REMOVAL_FRACTION = 0.7
+SP_MAX_RETRIES = 100        # seeds gen_sp tries before it gives up
 DEVIATION_RATIO = 0.5
 
 
@@ -121,11 +122,11 @@ class GenerationError(RuntimeError):
     """A generator found no instance for its parameters within its retries."""
 
 
-def gen_sp(params: SpParams, max_retries: int = 100) -> Instance:
+def gen_sp(params: SpParams) -> Instance:
     """Random shortest-path instance; reseeds until the target is reachable,
-    and raises GenerationError after ``max_retries`` failed seeds."""
+    and raises GenerationError after ``SP_MAX_RETRIES`` failed seeds."""
     seed = params.seed
-    for _ in range(max_retries):
+    for _ in range(SP_MAX_RETRIES):
         got = _sp_attempt(params.num_nodes, seed)
         if got is not None:
             break
@@ -295,6 +296,6 @@ def build_omega(inst: Instance, kind: str, delta: float = 0.0,
     if kind == "budgeted":
         base = beta1 * M
         spread = beta2 * base
-        return OmegaSpec.budgeted(base, spread, delta * float(spread.max()))
+        return OmegaSpec.budgeted(base, spread, delta * float(spread.max(initial=0.0)))
     raise ValueError(f"unknown omega kind {kind!r}")
 

@@ -12,10 +12,10 @@ solution by block name instead of by position.
 ``solve_milp(model, config)`` dispatches to a named backend.  The one
 shipped, ``scipy``, is HiGHS through ``scipy.optimize.milp``, run to a zero
 relative gap with presolve and the feasibility-jump heuristic off; its
-points are polished so that they meet ``SolverConfig.feas_tol`` (the
-binaries rounded, the continuous columns re-solved as an LP with the
-binaries fixed).  Other solvers attach through ``register_backend``; every
-backend's point is checked against the rows.
+points are polished so that they meet ``FEAS_TOL`` (the binaries rounded,
+the continuous columns re-solved as an LP with the binaries fixed).
+Other solvers attach through ``register_backend``; every backend's point
+is checked against the rows.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 LE, EQ, GE = -1, 0, 1
+
+FEAS_TOL = 1e-7     # row tolerance of every returned point (scaled per row)
+INT_TOL = 1e-6      # largest distance of a returned binary from 0 or 1
 
 _SENSE_FROM_STR = {"<=": LE, "=": EQ, "==": EQ, ">=": GE}
 _SENSE_TO_STR = {LE: "<=", EQ: "==", GE: ">="}
@@ -166,8 +169,9 @@ class ModelBuilder:
             self._blocks.setdefault(block, []).append(j)
         return j
 
-    def add_row(self, coeffs, sense, rhs: float) -> int:
-        """coeffs: mapping {var index -> coefficient} or iterable of (index, coeff)."""
+    def add_row(self, coeffs: Mapping[int, float], sense, rhs: float) -> int:
+        """coeffs: mapping {var index -> coefficient}; sense: LE/EQ/GE or
+        one of "<=", "=", "==", ">="."""
         if isinstance(sense, str):
             try:
                 sense = _SENSE_FROM_STR[sense]
@@ -175,17 +179,25 @@ class ModelBuilder:
                 raise ModelError(f"bad sense {sense!r}") from None
         if sense not in (LE, EQ, GE):
             raise ModelError(f"bad sense {sense!r}")
-        if isinstance(coeffs, Mapping):
-            items = dict(coeffs)
-        else:
-            items = {}
-            for j, a in coeffs:
-                items[j] = items.get(j, 0.0) + float(a)
+        items = dict(coeffs)
         for j in items:
             if not 0 <= j < len(self._obj):
                 raise ModelError(f"constraint references undeclared variable {j}")
         self._rows.append((items, sense, float(rhs)))
         return len(self._rows) - 1
+
+    def add_rows(self, cols, A, senses, rhs) -> None:
+        """One row per row of ``A`` over the columns ``cols``, its zero
+        entries left out."""
+        for a, sense, r in zip(A, senses, rhs):
+            self.add_row({cols[j]: float(a[j]) for j in np.flatnonzero(a)}, int(sense),
+                         float(r))
+
+    def declare_block(self, *names: str) -> None:
+        """Record the named blocks now, so that a model has them even when
+        no column joins them (a block over no groups, say)."""
+        for name in names:
+            self._blocks.setdefault(name, [])
 
     def build(self, maximize: bool = False) -> MilpModel:
         n = len(self._obj)
@@ -215,17 +227,11 @@ class ModelBuilder:
 
 @dataclass
 class SolverConfig:
-    """Tolerances and limits shared by every backend."""
+    """Limits and the backend of a solve."""
 
-    feas_tol: float = 1e-7
-    int_tol: float = 1e-6
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
     backend: str = "scipy"
-
-    def __post_init__(self):
-        if min(self.feas_tol, self.int_tol) <= 0:
-            raise ModelError("tolerances must be positive")
 
 
 @dataclass
@@ -252,20 +258,20 @@ def relax_binaries(model: MilpModel, subset: Iterable[int]) -> MilpModel:
     return replace(model, is_binary=is_bin)
 
 
-def _row_tolerances(model: MilpModel, feas_tol: float) -> np.ndarray:
+def _row_tolerances(model: MilpModel) -> np.ndarray:
     if model.num_rows == 0:
         return np.zeros(0)
     norms = np.max(np.abs(model.row_coeffs), axis=1, initial=1.0)
     big = np.abs(model.row_rhs) > 1.0
     scale = np.where(big, np.maximum(1.0, norms), 1.0)
-    return feas_tol * scale
+    return FEAS_TOL * scale
 
 
-def _check_primal(model: MilpModel, x: np.ndarray, feas_tol: float):
+def _check_primal(model: MilpModel, x: np.ndarray):
     if model.num_rows == 0:
         return
     r = model.row_coeffs @ x - model.row_rhs
-    tol = _row_tolerances(model, feas_tol)
+    tol = _row_tolerances(model)
     bad = ((model.row_senses == LE) & (r > tol)) | \
           ((model.row_senses == GE) & (r < -tol)) | \
           ((model.row_senses == EQ) & (np.abs(r) > tol))
@@ -309,7 +315,7 @@ def _scipy_submit(model: MilpModel, cfg: SolverConfig) -> MilpSolution:
     if res.x is not None:
         x = np.asarray(res.x, dtype=float)
         b = mmin.is_binary
-        if np.any(np.abs(x[b] - np.round(x[b])) > cfg.int_tol):
+        if np.any(np.abs(x[b] - np.round(x[b])) > INT_TOL):
             raise SolverNumericalError("backend returned non-integral binaries")
         x[b] = np.round(x[b])
         if not np.all(b):
@@ -377,7 +383,7 @@ def _highs_lp(mmin: MilpModel, x: np.ndarray, cfg: SolverConfig):
     min-sense model, its binaries fixed at their values in ``x``.
 
     HiGHS's MIP search accepts rows off by its own tolerance (1e-6); this
-    re-solve puts the continuous part back within ``cfg.feas_tol``.
+    re-solve puts the continuous part back within ``FEAS_TOL``.
     """
     from scipy import optimize
 
@@ -388,7 +394,7 @@ def _highs_lp(mmin: MilpModel, x: np.ndarray, cfg: SolverConfig):
     le, ge, eq = senses == LE, senses == GE, senses == EQ
     A_ub = np.vstack([A[le], -A[ge]])
     b_ub = np.concatenate([rhs[le], -rhs[ge]])
-    options = {"presolve": False, "primal_feasibility_tolerance": cfg.feas_tol}
+    options = {"presolve": False, "primal_feasibility_tolerance": FEAS_TOL}
     if cfg.time_limit is not None:
         options["time_limit"] = float(cfg.time_limit)
     with _native_stdout_to_stderr():
@@ -440,7 +446,7 @@ def solve_milp(model: MilpModel, config: Optional[SolverConfig] = None) -> MilpS
         raise ModelError(f"unknown solver backend {cfg.backend!r}") from None
     sol = fn(model, cfg)
     if sol.values is not None:
-        _check_primal(model, np.asarray(sol.values, dtype=float), cfg.feas_tol)
+        _check_primal(model, np.asarray(sol.values, dtype=float))
     return sol
 
 
@@ -550,8 +556,3 @@ def _write_mps(model: MilpModel, fh: io.TextIOBase) -> None:
             fh.write(f" UP BND       {cname[j]:<8}  {_mps_num(up):>12}\n")
     fh.write("ENDATA\n")
 
-
-def mps_string(model: MilpModel) -> str:
-    buf = io.StringIO()
-    _write_mps(model, buf)
-    return buf.getvalue()

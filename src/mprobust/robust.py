@@ -94,10 +94,7 @@ class RobustSolution:
 def _add_x(b: ModelBuilder, inst: Instance, obj) -> list:
     """x binaries with objective ``obj`` (block ``x``) and the rows of X."""
     x = [b.add_binary(f"x{j}", obj=float(obj[j]), block="x") for j in range(inst.n)]
-    for i in range(inst.x_coeffs.shape[0]):
-        coeffs = {x[j]: float(inst.x_coeffs[i, j])
-                  for j in np.flatnonzero(inst.x_coeffs[i])}
-        b.add_row(coeffs, int(inst.x_senses[i]), float(inst.x_rhs[i]))
+    b.add_rows(x, inst.x_coeffs, inst.x_senses, inst.x_rhs)
     return x
 
 
@@ -108,6 +105,7 @@ def add_standard_certificate(b: ModelBuilder, inst: Instance, pi_obj, rho_obj, x
     a_j x_j >= 0 (a = ``x_coeff``, or ones); pi and rho are binary, or
     continuous and nonnegative if not ``binary``.  Returns (pi, rho, x)."""
     add = b.add_binary if binary else b.add_continuous
+    b.declare_block("pi", "rho")
     pi = [add(f"pi{k}", obj=float(pi_obj[k]), block="pi") for k in range(inst.num_groups)]
     rho = {int(j): add(f"rho{j}", obj=float(rho_obj[j]), block="rho") for j in inst.covered}
     x = _add_x(b, inst, x_obj)

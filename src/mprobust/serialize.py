@@ -104,14 +104,11 @@ def _bound_in(v) -> float:
 
 
 def result_to_dict(res: MprsResult, instance_path: Optional[str] = None,
-                   epsilon_mode: Optional[dict] = None,
-                   instance_kind: Optional[str] = None) -> dict:
-    if instance_kind is None and res.instance is not None:
-        instance_kind = res.instance.kind
+                   epsilon_mode: Optional[dict] = None) -> dict:
     return {
         "format": RESULT_FORMAT,
         "mode": res.mode,
-        "instance_kind": instance_kind,
+        "instance_kind": None if res.instance is None else res.instance.kind,
         "epsilon": float(res.epsilon),
         "epsilon_mode": epsilon_mode or {"kind": "absolute", "value": float(res.epsilon)},
         "instance_path": instance_path,

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .milp import MilpModel, SolverConfig, solve_milp
+from .milp import MilpModel, solve_milp
 
 MEMBERSHIP_TOL = 1e-9
 CHUNK_ELEMS = 1 << 18       # float64 entries per temporary of the batched evaluators
@@ -102,12 +102,11 @@ class Instance:
     def with_groups(self, groups) -> "Instance":
         return replace(self, groups=tuple(tuple(g) for g in groups))
 
-    def feasible_model(self, objective: Optional[np.ndarray] = None,
-                       maximize: bool = False) -> MilpModel:
-        """X as a standalone all-binary model with the given objective."""
+    def feasible_model(self, objective: Optional[np.ndarray] = None) -> MilpModel:
+        """X as a standalone all-binary model minimizing the given objective."""
         obj = np.zeros(self.n) if objective is None else np.asarray(objective, dtype=float)
         return MilpModel(
-            objective=obj, maximize=maximize,
+            objective=obj, maximize=False,
             lower=np.zeros(self.n), upper=np.ones(self.n),
             is_binary=np.ones(self.n, dtype=bool),
             row_coeffs=self.x_coeffs, row_senses=self.x_senses, row_rhs=self.x_rhs,
@@ -146,9 +145,9 @@ def _group_owner(groups: tuple, n: int) -> np.ndarray:
             seen.add(j)
 
 
-def verify_feasible(inst: Instance, config: Optional[SolverConfig] = None) -> None:
+def verify_feasible(inst: Instance) -> None:
     """One-off feasibility solve of X; raises ValueError when X is empty."""
-    sol = solve_milp(inst.feasible_model(), config)
+    sol = solve_milp(inst.feasible_model())
     if sol.status != "optimal":
         raise ValueError(f"instance feasible set is empty (solver: {sol.status})")
 
@@ -353,13 +352,12 @@ def robustness_value_variant(inst: Instance, x, gamma) -> float:
     return total
 
 
-def contains(omega: OmegaSpec, gamma, tol: float = MEMBERSHIP_TOL) -> bool:
+def contains(omega: OmegaSpec, gamma) -> bool:
     """Membership test with scaled tolerance on equalities and bounds."""
     g = np.asarray(gamma, dtype=float)
     if g.shape != (omega.num_groups,):
         raise ValueError("gamma dimension does not match omega")
-    scale = np.maximum(1.0, omega.upper_bound)
-    eps = tol * scale
+    eps = MEMBERSHIP_TOL * np.maximum(1.0, omega.upper_bound)
     if np.any(g < -eps):
         return False
     if omega.kind == "interval":
@@ -370,13 +368,14 @@ def contains(omega: OmegaSpec, gamma, tol: float = MEMBERSHIP_TOL) -> bool:
             return bool(np.all(np.abs(g) <= eps))
         k = int(np.argmax(g0))
         alpha = g[k] / g0[k]
-        if not (omega.alpha_lo - tol <= alpha <= omega.alpha_hi + tol):
+        if not (omega.alpha_lo - MEMBERSHIP_TOL <= alpha <= omega.alpha_hi + MEMBERSHIP_TOL):
             return False
         return bool(np.all(np.abs(g - alpha * g0) <= eps))
     beta = g - omega.gamma_base
     if np.any(beta < -eps) or np.any(beta > omega.spread + eps):
         return False
-    return bool(np.sum(np.clip(beta, 0.0, None)) <= omega.budget + tol * max(1.0, omega.budget))
+    slack = omega.budget + MEMBERSHIP_TOL * max(1.0, omega.budget)
+    return bool(np.sum(np.clip(beta, 0.0, None)) <= slack)
 
 
 def _box_axes(lo: np.ndarray, hi: np.ndarray, m: int) -> list:
@@ -414,13 +413,13 @@ def interval_axes(omega: OmegaSpec, mode: str, m: int = 5) -> list:
     return _box_axes(omega.lower, omega.upper, m)
 
 
-def _within_budget(omega: OmegaSpec, P: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def _within_budget(omega: OmegaSpec, P: np.ndarray) -> np.ndarray:
     """``contains(omega, p)`` for every row p of P (N, K) on a budgeted domain."""
-    eps = tol * np.maximum(1.0, omega.upper_bound)
+    eps = MEMBERSHIP_TOL * np.maximum(1.0, omega.upper_bound)
     beta = P - omega.gamma_base
     ok = np.all((P >= -eps) & (beta >= -eps) & (beta <= omega.spread + eps), axis=1)
     total = np.sum(np.clip(beta, 0.0, None), axis=1)
-    return ok & (total <= omega.budget + tol * max(1.0, omega.budget))
+    return ok & (total <= omega.budget + MEMBERSHIP_TOL * max(1.0, omega.budget))
 
 
 def sample_gamma(omega: OmegaSpec, mode: str, m: int = 5,

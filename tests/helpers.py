@@ -8,6 +8,7 @@ history entry's certified value) stand beside the closed-form evaluators
 of ``mprobust.uncertainty`` as independent references.
 """
 
+import io
 import itertools
 from contextlib import contextmanager
 
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from mprobust.milp import (
-    _BACKENDS, GE, LE, EQ, MilpModel, ModelBuilder, SolverConfig, register_backend,
+    _BACKENDS, GE, LE, EQ, MilpModel, ModelBuilder, SolverConfig, register_backend, write_mps,
 )
 from mprobust.uncertainty import _check_gamma, _check_x
 
@@ -78,6 +79,36 @@ def enum_milp(model: MilpModel):
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+def mps_string(model: MilpModel) -> str:
+    """``write_mps``'s text for the model."""
+    buf = io.StringIO()
+    write_mps(model, buf)
+    return buf.getvalue()
+
+
+def build_nominal_q_general(x_model: MilpModel, lower, upper, history) -> MilpModel:
+    """Reference for ``engine.build_nominal_q_plus``: the cost-box master with
+    explicit cost columns c in [lower, upper] and the products w_j = c_j x_j
+    linearized, where ``build_nominal_q_plus`` puts c at a box vertex."""
+    assert history, "master problem needs at least one stored solution"
+    lower = np.asarray(lower, float)
+    upper = np.asarray(upper, float)
+    n = x_model.num_vars
+    b = ModelBuilder("nominal_q")
+    sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
+    cvars = [b.add_continuous(f"c{j}", float(lower[j]), float(upper[j])) for j in range(n)]
+    w = [b.add_continuous(f"w{j}", 0.0, np.inf, obj=-1.0) for j in range(n)]
+    x = [b.add_binary(f"x{j}", block="x") for j in range(n)]
+    b.add_rows(x, x_model.row_coeffs, x_model.row_senses, x_model.row_rhs)
+    for xi in history:
+        b.add_row({sigma: 1.0, **{cvars[j]: -float(xi[j]) for j in np.flatnonzero(xi)}},
+                  "<=", 0.0)
+    for j in range(n):
+        b.add_row({w[j]: 1.0, cvars[j]: -1.0, x[j]: -float(upper[j])},
+                  ">=", -float(upper[j]))
+    return b.build(maximize=True)
 
 
 def vertex_lp(model: MilpModel):

@@ -356,6 +356,60 @@ def test_run_epsilon_pct_takes_seed_from_pattern_table(tmp_path):
     assert d["epsilon_mode"] == {"kind": "relative", "pct": pct}
 
 
+def test_epsilon_pct_seed_after_a_timed_out_table(monkeypatch):
+    """After its pattern table times out, ``--epsilon-pct``'s seed goes
+    straight to the robust MILP with ``--time-limit`` as its limit: the
+    table is not built a second time, and the seed is not left unbounded."""
+    from types import SimpleNamespace
+
+    from mprobust import cli, oracle
+    from mprobust.engine import uses_pattern_master
+    from mprobust.generators import (
+        PartitionScheme, SpParams, apply_partition, build_omega, gen_sp,
+    )
+    from mprobust.robust import TABLE_MAX_K, TABLE_MIN_K, _solve_robust_milp
+
+    inst = apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", 6), seed=0)
+    assert TABLE_MIN_K <= inst.num_groups <= TABLE_MAX_K
+    omega = build_omega(inst, "interval", delta=0.5)
+    assert uses_pattern_master(inst, omega, "standard")
+    builds, configs = [], []
+
+    def timed_out(inst, deadline=None):
+        builds.append(deadline)
+        raise TimeoutError("pattern table unfinished at the deadline")
+
+    def robust_milp(inst, gamma, mode="standard", config=None):
+        configs.append(config)
+        return _solve_robust_milp(inst, gamma, mode, config)
+
+    monkeypatch.setattr(oracle, "PiEnumerationOracle", timed_out)
+    monkeypatch.setattr(cli, "_solve_robust_milp", robust_milp)
+    value = cli._seed_value(inst, omega, SimpleNamespace(mode="standard", time_limit=7.5))
+    assert len(builds) == 1
+    assert [c.time_limit for c in configs] == [7.5]
+    assert value == _solve_robust_milp(inst, omega.start_gamma).value
+
+
+@pytest.mark.parametrize("mode", ["standard", "variant"])
+@pytest.mark.parametrize("omega", ["interval", "segment", "budgeted"])
+def test_run_instance_without_budget_groups(tmp_path, omega, mode):
+    """A generic instance with no budget groups has one robust optimum for
+    every budget vector: the MILP seed and master read their empty blocks,
+    and the run stops after the seed."""
+    inst, out = tmp_path / "flat.json", tmp_path / "res.json"
+    save_json({"kind": "CUSTOM", "n": 3, "K": 0, "c_lower": [3.0, 2.0, 4.0],
+               "deviations": [0.0, 0.0, 0.0], "partition": [],
+               "constraints": {"rows": [[1.0, 1.0, 1.0]], "senses": ["="], "rhs": [1.0]},
+               "metadata": {}}, inst)
+    assert run_cli("run", "--instance", inst, "--omega", omega, "--mode", mode,
+                   "--out", out) == 0
+    d = load_json(out)
+    assert d["stop_reason"] == "epsilon_met" and d["iterations"] == 1
+    assert d["q_values"] == [0.0] and d["distinct_x"] == [[0, 1, 0]]
+    assert d["history"][0]["pi"] == [] and d["history"][0]["gamma"] == []
+
+
 def test_mps_export_flag(tmp_path):
     toy = tmp_path / "toy.json"
     run_cli("generate", "toy", "--n", 2, "--out", toy)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mprobust.engine import (
-    Budget, build_nominal_q_general, build_nominal_q_plus, build_q_general,
-    build_q_interval, build_q_variant, pick_best, run_aq, run_multiparametric_nominal,
+    Budget, build_nominal_q_plus, build_q_general, build_q_interval, build_q_variant, pick_best,
+    run_aq, run_multiparametric_nominal,
 )
 from mprobust.generators import PartitionScheme, SpParams, apply_partition, build_omega, gen_sp
 from mprobust.milp import solve_milp
@@ -15,7 +15,7 @@ from mprobust.uncertainty import (
     OmegaSpec, contains, robustness_value, robustness_value_variant, sample_gamma,
 )
 
-from helpers import random_instance, stored_value
+from helpers import build_nominal_q_general, random_instance, stored_value
 
 
 def _history_at(inst, gammas, mode="standard"):
@@ -194,7 +194,7 @@ def test_master_gamma_reads_the_domain_columns():
             model = build_q_general(inst, omega, _history_at(inst, [omega.start_gamma]))
             sol = solve_milp(model)
             assert sol.status == "optimal"
-            gamma = _master_gamma(omega, "standard", model, sol.values)
+            gamma = _master_gamma(omega, model, sol.values)
             assert contains(omega, gamma)
             if omega.kind == "segment":
                 alpha = sol.values[model.blocks["position"]][0]
@@ -202,21 +202,26 @@ def test_master_gamma_reads_the_domain_columns():
 
 
 def test_variant_master_product_variable_replay():
-    rng = np.random.default_rng(25)
+    """On every domain, a solved variant master's z_j is gamma_k * w_j, with
+    some product nonzero."""
+    rng = np.random.default_rng(27)
     inst = random_instance(rng, n=5, K=2)
-    K = inst.num_groups
     cov = inst.covered
     sizes = np.array([len(g) for g in inst.groups], dtype=float)
-    omega = OmegaSpec.interval(np.zeros(K), sizes)
-    hist = _history_at(inst, [omega.start_gamma], mode="variant")
-    sol = solve_milp(build_q_variant(inst, omega, hist))
-    gamma = sol.values[1:1 + K]
-    nc = cov.size
-    z = sol.values[1 + K:1 + K + nc]
-    w = np.round(sol.values[1 + K + nc:1 + K + 2 * nc])
     kof = inst.group_of()
-    want = np.array([gamma[kof[j]] * w[i] for i, j in enumerate(cov)])
-    assert np.allclose(z, want, atol=1e-7)
+    for omega in (OmegaSpec.interval(0.1 * sizes, 0.6 * sizes),
+                  OmegaSpec.segment(sizes, 0.1, 0.9),
+                  OmegaSpec.budgeted(0.2 * sizes, 0.6 * sizes, float(0.4 * sizes.mean()))):
+        hist = _history_at(inst, [omega.start_gamma], mode="variant")
+        model = build_q_variant(inst, omega, hist)
+        sol = solve_milp(model)
+        assert sol.status == "optimal"
+        gamma = sol.values[model.blocks["gamma"]]
+        z = sol.values[[model.var_names.index(f"z{j}") for j in cov]]
+        w = np.round(sol.values[model.blocks["w"]])
+        assert [model.var_name(j) for j in model.blocks["w"]] == [f"w{j}" for j in cov]
+        assert np.allclose(z, gamma[kof[cov]] * w, atol=1e-7), omega.kind
+        assert np.any(z > 1e-6), omega.kind
 
 
 def test_variant_zero_deviation_one_iteration():
@@ -561,6 +566,8 @@ def test_nominal_engine_toy_box_three_supports():
 
 
 def test_nominal_engine_general_master_agrees():
+    """The cost-box master against the explicit-cost reference, on a toy box
+    and on the stored paths of a shortest-path run."""
     inst, _, _ = toy_instance(2)
     xm = inst.feasible_model()
     lo = np.array([10.0, 10.0, 11.5])
@@ -569,6 +576,16 @@ def test_nominal_engine_general_master_agrees():
     vp = solve_milp(build_nominal_q_plus(xm, lo, hi, hist)).objective
     vg = solve_milp(build_nominal_q_general(xm, lo, hi, hist)).objective
     assert vp == pytest.approx(vg, abs=1e-8)
+
+    inst = gen_sp(SpParams(11, seed=2))
+    xm = inst.feasible_model()
+    lo, hi = inst.c_lower, inst.c_lower + inst.deviations
+    paths = run_multiparametric_nominal(xm, lo, hi, epsilon=0.0).history
+    assert len(paths) == 9
+    for r in (1, 3, len(paths)):
+        vp = solve_milp(build_nominal_q_plus(xm, lo, hi, paths[:r])).objective
+        vg = solve_milp(build_nominal_q_general(xm, lo, hi, paths[:r])).objective
+        assert vp == pytest.approx(vg, abs=1e-6), r
 
 
 def test_nominal_engine_at_node_limit():
