@@ -24,13 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import Budget, MprsResult, _build_master, pick_best, run_aq, uses_pattern_master
+from .engine import Budget, MprsResult, _build_master, _seed_solve, pick_best, run_aq
 from .generators import (
     GenerationError, PartitionScheme, PlmParams, SpParams, apply_partition, build_omega,
     gen_plm, gen_sp,
 )
 from .milp import SolverConfig, SolverLimitError, SolverNumericalError, write_mps
-# PiEnumerationOracle stays bound here for perfbench, which hooks it by name
+# PiEnumerationOracle and solve_robust stay bound here for perfbench, which
+# hooks them by name
 from .oracle import (
     MAX_ENUM, PiEnumerationOracle, enumerate_x, has_structural_nominal, robustness_matrix,
     shared_pattern_table, toy_instance,
@@ -46,8 +47,8 @@ from .serialize import (
 # robustness_value stays bound here for perfbench, which hooks it by name
 from .uncertainty import (
     Instance, OmegaSpec, capped_grid_min, capped_values, group_deviations,
-    interval_axes, robustness_value, robustness_value_variant, robustness_values,
-    row_chunks, sample_gamma, solution_signature, verify_feasible,
+    interval_axes, robustness_value, row_chunks, sample_gamma, solution_signature,
+    verify_feasible,
 )
 
 EXIT_OK = 0
@@ -69,6 +70,22 @@ class CliError(Exception):
 # independent guarantee verification (reads only the stored x vectors)
 # ---------------------------------------------------------------------------
 
+def _set_minimum(inst: Instance, X: np.ndarray, variant: bool):
+    """``G -> (S,)``: the least worst-case cost over the rows of X at each
+    budget row of G, in row chunks outside ``variant`` mode."""
+    if variant:
+        return lambda G: np.array([robustness_matrix(inst, X, g, variant=True).min()
+                                   for g in G])
+    base, room = X @ inst.c_lower, X @ group_deviations(inst)
+
+    def minimum(G):
+        out = np.empty(G.shape[0])
+        for rows in row_chunks(G.shape[0], X.shape[0]):
+            out[rows] = capped_values(base, room, G[rows]).min(axis=1)
+        return out
+    return minimum
+
+
 def _reference_fn(inst: Instance, mode: str, config):
     """Batched robust-value reference ``ref(G) -> (S,)``: oracle when small,
     solver otherwise; returns (ref, grid_ref, route).  ``grid_ref(axes)``
@@ -87,19 +104,7 @@ def _reference_fn(inst: Instance, mode: str, config):
     try:
         X = enumerate_x(inst)
         if X.shape[0] <= MAX_ENUM:
-            if variant:
-                def by_enum(G):
-                    return np.array([np.min(robustness_matrix(inst, X, g, variant=True))
-                                     for g in G])
-            else:
-                base, room = X @ inst.c_lower, X @ group_deviations(inst)
-
-                def by_enum(G):
-                    out = np.empty(G.shape[0])
-                    for rows in row_chunks(G.shape[0], X.shape[0]):
-                        out[rows] = capped_values(base, room, G[rows]).min(axis=1)
-                    return out
-            return by_enum, None, "enumeration"
+            return _set_minimum(inst, X, variant), None, "enumeration"
     except ValueError:
         pass
 
@@ -162,17 +167,8 @@ def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
         samples.append(sample_gamma(omega, "uniform", seed=0, count=uniform))
     if samples:
         G = np.vstack(samples)
-        gap = np.empty(G.shape[0])
-        opt = np.empty(G.shape[0])
-        for rows in row_chunks(G.shape[0], X.shape[0]):
-            if variant:
-                best = np.array([min(robustness_value_variant(inst, x, g) for x in X)
-                                 for g in G[rows]])
-            else:
-                best = robustness_values(inst, X, G[rows]).min(axis=1)
-            opt[rows] = ref(G[rows])
-            gap[rows] = best - opt[rows]
-        parts.append((G, gap, opt))
+        opt = ref(G)
+        parts.append((G, _set_minimum(inst, X, variant)(G) - opt, opt))
     gap = np.concatenate([p[1] for p in parts])
     opt = np.concatenate([p[2] for p in parts])
     i = int(np.argmax(gap))
@@ -239,21 +235,13 @@ def _omega_from_args(inst: Instance, args) -> OmegaSpec:
 
 
 def _seed_value(inst: Instance, omega: OmegaSpec, args) -> float:
-    """Robust value at the domain's start vector, as ``run_aq`` will find it.
-
-    The seed gets the run's time limit, as ``run_aq``'s does.  On a
-    pattern-master run the shared pattern table is built first, with that
-    limit as its deadline, so ``solve_robust`` reads it and ``run_aq``
-    reuses it; a table unfinished at the deadline sends the seed straight
-    to the robust MILP, as in ``run_aq``."""
-    solve = solve_robust
-    if uses_pattern_master(inst, omega, args.mode):
-        try:
-            shared_pattern_table(inst, deadline=time.monotonic() + args.time_limit)
-        except TimeoutError:
-            solve = _solve_robust_milp
-    return solve(inst, omega.start_gamma, mode=args.mode,
-                 config=SolverConfig(time_limit=args.time_limit)).value
+    """Robust value at the domain's start vector, as ``run_aq`` will find it:
+    its seed decision (``engine._seed_solve``), with the run's time limit
+    as the seed's limit and the table's deadline, so ``run_aq`` reuses a
+    finished table."""
+    _, seed, _ = _seed_solve(inst, omega, args.mode, SolverConfig(time_limit=args.time_limit),
+                             time.monotonic() + args.time_limit)
+    return seed.value
 
 
 def cmd_run(args) -> int:

@@ -13,11 +13,13 @@ segments and budgeted domains, which writes each gamma_k as an affine form
 over the domain's own columns (the position alpha on a segment, the slacks
 beta on a budgeted domain); and the selector-variable master for the
 fractional uncertainty variant (any domain).  Each stored entry caps the
-master's value sigma at its certified value ``c_e + p_e . gamma``:
-``add_free_caps`` writes the caps with gamma free in the domain (general
-and variant masters), ``add_vertex_caps`` with gamma at the box vertex the
-candidate's 0-1 columns pick (interval and cost-box masters), and
-``add_product_rows`` the big-M rows for gamma_k times a 0-1 selector.
+master's value sigma at its certified value ``c_e + p_e . gamma``, and one
+writer, ``add_caps``, writes every master's caps through an affine form of
+gamma: over the domain's columns (general and variant masters), or the
+vertex form (y, diag(L - U), U), gamma_j = U_j + (L_j - U_j) y_j, that puts
+gamma at the box vertex the candidate's 0-1 columns y pick (interval and
+cost-box masters).  ``add_product_rows`` writes the big-M rows for gamma_k
+times a 0-1 selector.
 Every master names its column blocks, and one certificate reader
 (``robust.read_certificate``) turns a solved master into the next entry.
 
@@ -45,8 +47,8 @@ from .milp import (
 )
 from .oracle import PATTERN_KINDS, PATTERN_MAX_K, PiEnumerationOracle, shared_pattern_table
 from .robust import (
-    MODES, _add_x, _declares_tu, _repair_rho, _solve_robust_milp, add_standard_certificate,
-    read_certificate, relax_rho_x, solve_robust,
+    MODES, _add_x, _declares_tu, _solve_robust_milp, add_standard_certificate,
+    read_certificate, relax_rho_x, solve_robust, table_certificate,
 )
 from .uncertainty import (
     Instance, OmegaSpec, int_key, robustness_value, robustness_value_variant,
@@ -128,24 +130,20 @@ def _require_history(history) -> list:
     return list(history)
 
 
-def _add_caps(b: ModelBuilder, rows) -> None:
-    """Add the caps ``sigma + ... <= c_e``, with sigma measured from c0 = min c_e.
+def add_caps(b: ModelBuilder, sigma: int, gamma_form: tuple, entries) -> None:
+    """One cap ``sigma <= c_e + p_e . gamma`` per (c_e, p_e) in ``entries``,
+    with gamma the affine form ``gamma_form`` = (cols, coef, base):
+    ``gamma_k = base_k + sum_j coef[j, k] * cols[j]``.  The cols are the
+    domain's own columns (gamma free in the domain), or the candidate's 0-1
+    columns y in the vertex form (y, diag(L - U), U) that puts gamma at the
+    box vertex ``gamma_j = U_j + (L_j - U_j) y_j``.
 
-    The rows hold ``c_e - c0`` and a fixed last column carries c0 into the
+    sigma is measured from c0 = min of the row constants: the rows hold
+    ``c_e + base . p_e - c0`` and a fixed last column carries c0 into the
     objective, so the row constants stay near zero.  With constants near
     1e4 and presolve off, HiGHS set sigma 1e-6 above such a row and then
     rejected its own point ("Solve error") on PLM budgeted masters.
     """
-    c0 = min(rhs for _, rhs in rows)
-    for row, rhs in rows:
-        b.add_row(row, "<=", rhs - c0)
-    b.add_continuous("sigma_ref", c0, c0, obj=1.0)
-
-
-def add_free_caps(b: ModelBuilder, sigma: int, gamma_form: tuple, entries) -> None:
-    """One cap ``sigma <= c_e + p_e . gamma`` per (c_e, p_e) in ``entries``,
-    with gamma free in the domain: ``gamma_form`` = (cols, coef, base) gives
-    ``gamma_k = base_k + sum_j coef[j, k] * cols[j]``."""
     cols, coef, base = gamma_form
     rows = []
     for const, p in entries:
@@ -155,30 +153,21 @@ def add_free_caps(b: ModelBuilder, sigma: int, gamma_form: tuple, entries) -> No
             if f:
                 row[col] = -f
         rows.append((row, const + float(base @ p)))
-    _add_caps(b, rows)
+    c0 = min(rhs for _, rhs in rows)
+    for row, rhs in rows:
+        b.add_row(row, "<=", rhs - c0)
+    b.add_continuous("sigma_ref", c0, c0, obj=1.0)
 
 
-def add_vertex_caps(b: ModelBuilder, sigma: int, y, lower, upper, entries) -> None:
-    """One cap ``sigma <= c_e + p_e . gamma`` per (c_e, p_e) in ``entries``,
-    with gamma at the box vertex ``gamma_j = L_j y_j + U_j (1 - y_j)`` that
-    the candidate's own 0-1 columns ``y`` pick: the row holds
-    ``(U_j - L_j) p_j`` on y_j and the constant ``c_e + U . p_e``."""
-    y = np.asarray(y)
-    width = upper - lower
-    rows = []
-    for const, p in entries:
-        f = width * p
-        nz = np.flatnonzero(f)
-        row = {sigma: 1.0}
-        row.update(zip(y[nz].tolist(), f[nz].tolist()))
-        rows.append((row, const + float(upper @ p)))
-    _add_caps(b, rows)
+def _vertex_form(y, lower, upper) -> tuple:
+    """The vertex form (y, diag(L - U), U): gamma_j = U_j + (L_j - U_j) y_j."""
+    return y, np.diag(lower - upper), upper
 
 
 def add_product_rows(b: ModelBuilder, prods, sels, groups, upper, gamma_form: tuple) -> None:
     """``prod_i >= gamma_k - U_k (1 - sel_i)`` with k = ``groups[i]``, so that
     a maximized ``-prod_i`` reads gamma_k * sel_i for a 0-1 selector;
-    ``gamma_form`` is as in ``add_free_caps``."""
+    ``gamma_form`` is as in ``add_caps``."""
     cols, coef, base = gamma_form
     for p, s, k in zip(prods, sels, groups):
         row = {p: 1.0, s: -float(upper[k])}
@@ -258,7 +247,7 @@ def build_q_general(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
          for k in range(inst.num_groups)]
     pi, rho, x = _std_blocks(b, inst)
-    add_free_caps(b, sigma, form, [(_entry_const(inst, e), e.pi) for e in history])
+    add_caps(b, sigma, form, [(_entry_const(inst, e), e.pi) for e in history])
     add_product_rows(b, w, pi, range(inst.num_groups), omega.upper_bound, form)
     return b.build(maximize=True)
 
@@ -271,8 +260,8 @@ def build_q_interval(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     b = ModelBuilder("q_interval")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
     pi, rho, x = _std_blocks(b, inst, pi_obj=omega.lower)
-    add_vertex_caps(b, sigma, pi, omega.lower, omega.upper,
-                    [(_entry_const(inst, e), e.pi) for e in history])
+    add_caps(b, sigma, _vertex_form(pi, omega.lower, omega.upper),
+             [(_entry_const(inst, e), e.pi) for e in history])
     return b.build(maximize=True)
 
 
@@ -323,8 +312,8 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     z = {j: b.add_continuous(f"z{j}", 0.0, np.inf, obj=-float(inst.deviations[j]))
          for j in cov}
     w, alpha, rho, x = add_variant_certificate(b, inst, -np.ones(inst.n), -inst.c_lower)
-    add_free_caps(b, sigma, form, [(_entry_const(inst, e, variant=True), e.pi)
-                                   for e in history])
+    add_caps(b, sigma, form, [(_entry_const(inst, e, variant=True), e.pi)
+                              for e in history])
     add_product_rows(b, [z[j] for j in cov], [w[j] for j in cov], inst.group_of()[cov],
                      omega.upper_bound, form)
     add_selector_rows(b, inst, w, alpha, rho, x)
@@ -429,24 +418,12 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     t0 = time.monotonic()
 
     gamma_init = np.asarray(omega.start_gamma, dtype=float)
-    master = None
-    table_s = 0.0
-    solve_seed = solve_robust
-    if uses_pattern_master(inst, omega, mode):
-        try:
-            master = PatternMaster(
-                inst, omega, shared_pattern_table(inst, deadline=t0 + budget.time_limit))
-        except TimeoutError:
-            # the seed still follows, after which the loop stops on the limit;
-            # it goes straight to the MILP, not to a second build of the table
-            solve_seed = _solve_robust_milp
-        table_s = time.monotonic() - t0
-    t_seed = time.monotonic()
     # every artifact needs the seed, so it gets the whole limit even after an
-    # unfinished pattern table; a finished one serves it without a MILP
-    seed = solve_seed(inst, gamma_init, mode=mode,
-                      config=_time_left(config, budget, time.monotonic()))
-    seed_s = time.monotonic() - t_seed
+    # unfinished pattern table, after which the loop stops on the limit
+    table, seed, table_s = _seed_solve(inst, omega, mode, _time_left(config, budget, t0),
+                                       t0 + budget.time_limit)
+    seed_s = time.monotonic() - t0 - table_s
+    master = None if table is None else PatternMaster(inst, omega, table)
     init_value = seed.value
     history = [HistoryEntry(pi=seed.pi.copy(), rho=seed.rho.copy(),
                             x=seed.x.copy(), gamma=gamma_init, q_value=None)]
@@ -534,6 +511,28 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         master_s=master_total_s, instance=inst)
 
 
+def _seed_solve(inst: Instance, omega: OmegaSpec, mode: str, config: SolverConfig,
+                deadline: float) -> tuple:
+    """(table, seed, table_s): the seed decision of a run.
+
+    A pattern-master run builds the shared pattern table first, with
+    ``deadline``; a finished table serves the seed robust solve at the
+    domain's start vector without a MILP, and an unfinished one (``table``
+    None) sends the seed straight to the robust MILP, not to a second build
+    of the table.  Other runs build no table (``table_s`` 0.0) and solve
+    the seed with ``solve_robust``.  The seed solve gets ``config``.
+    """
+    table, table_s, solve = None, 0.0, solve_robust
+    if uses_pattern_master(inst, omega, mode):
+        t = time.monotonic()
+        try:
+            table = shared_pattern_table(inst, deadline=deadline)
+        except TimeoutError:
+            solve = _solve_robust_milp
+        table_s = time.monotonic() - t
+    return table, solve(inst, omega.start_gamma, mode=mode, config=config), table_s
+
+
 def _time_left(config: SolverConfig, budget: Budget, start: float) -> SolverConfig:
     """``config`` with the budget's time left after ``start`` as its limit, if smaller."""
     left = max(0.0, budget.time_limit - (time.monotonic() - start))
@@ -552,10 +551,8 @@ def _master_value(sol) -> float:
 
 def _pattern_entry(inst: Instance, master: PatternMaster, i: int, vq: float) -> HistoryEntry:
     """Entry for pattern i at its vertex, with rho rebuilt from (pi, x)."""
-    pi = master.table.patterns[i].copy()
-    x = master.table.solutions[i].astype(float)
-    return HistoryEntry(pi=pi, rho=_repair_rho(inst, pi, x), x=x,
-                        gamma=master.gammas[i].copy(), q_value=vq)
+    pi, rho, x = table_certificate(inst, master.table, i)
+    return HistoryEntry(pi=pi, rho=rho, x=x, gamma=master.gammas[i].copy(), q_value=vq)
 
 
 def _solve_milp_master(inst, omega, history, mode, config) -> tuple:
@@ -585,19 +582,14 @@ def _triple_key(e: HistoryEntry) -> tuple:
             int_key(e.x))
 
 
+def _distinct_x(xs) -> list:
+    """The distinct ``int_key``s of the 0-1 vectors, in order of first occurrence."""
+    return list(dict.fromkeys(map(int_key, xs)))
+
+
 def _distinct(inst: Instance, history) -> tuple:
-    xs, sigs = [], []
-    seen_x, seen_s = set(), set()
-    for e in history:
-        tx = int_key(e.x)
-        if tx not in seen_x:
-            seen_x.add(tx)
-            xs.append(tx)
-        ts = solution_signature(inst, e.x)
-        if ts not in seen_s:
-            seen_s.add(ts)
-            sigs.append(ts)
-    return xs, sigs
+    return (_distinct_x(e.x for e in history),
+            list(dict.fromkeys(solution_signature(inst, e.x) for e in history)))
 
 
 def pick_best(result: MprsResult, gamma=None, cost=None):
@@ -647,7 +639,7 @@ def build_nominal_q_plus(x_model: MilpModel, lower, upper, history) -> MilpModel
     x = [b.add_binary(f"x{j}", obj=-float(lower[j]), block="x")
          for j in range(x_model.num_vars)]
     b.add_rows(x, x_model.row_coeffs, x_model.row_senses, x_model.row_rhs)
-    add_vertex_caps(b, sigma, x, lower, upper, [(0.0, xi) for xi in history])
+    add_caps(b, sigma, _vertex_form(x, lower, upper), [(0.0, xi) for xi in history])
     return b.build(maximize=True)
 
 
@@ -706,13 +698,7 @@ def run_multiparametric_nominal(x_model: MilpModel, lower, upper, epsilon: float
             stop_reason = "stalled"
             break
         history.append(x)
-    dx = []
-    seen = set()
-    for h in history:
-        t = int_key(h)
-        if t not in seen:
-            seen.add(t)
-            dx.append(t)
     return NominalMprsResult(history=history, q_values=q_values, epsilon=epsilon,
-                             stop_reason=stop_reason, distinct_x=dx,
+                             stop_reason=stop_reason,
+                             distinct_x=_distinct_x(history),
                              elapsed=time.monotonic() - t0)

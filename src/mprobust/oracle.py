@@ -465,7 +465,7 @@ def cached_pattern_table(inst: Instance) -> Optional[PiEnumerationOracle]:
     return _PATTERN_TABLES.get(inst)
 
 
-def exact_mprs_by_pi_enumeration(inst: Instance, omega: Optional[OmegaSpec] = None) -> list:
+def exact_mprs_by_pi_enumeration(inst: Instance) -> list:
     """Solution set achieving gap 0 for every gamma (any omega over the groups)."""
     return shared_pattern_table(inst).solution_set()
 

@@ -214,12 +214,18 @@ def solve_robust(inst: Instance, gamma, mode: str = "standard",
             config = replace(config, time_limit=max(0.0, deadline - time.monotonic()))
         return _solve_robust_milp(inst, gamma, mode, config)
     i, value = table.best_pattern(gamma)
-    pi = table.patterns[i].copy()
-    x = table.solutions[i].astype(float)
-    out = RobustSolution(x=x, pi=pi, rho=_repair_rho(inst, pi, x), value=value,
-                         formulation=mode)
+    pi, rho, x = table_certificate(inst, table, i)
+    out = RobustSolution(x=x, pi=pi, rho=rho, value=value, formulation=mode)
     _check_certificate(inst, gamma, out, robustness_value)
     return out
+
+
+def table_certificate(inst: Instance, table: PiEnumerationOracle, i: int) -> tuple:
+    """(pi, rho, x) of the table's pattern i: the pattern, its nominal
+    solution, and rho rebuilt from (pi, x)."""
+    pi = table.patterns[i].copy()
+    x = table.solutions[i].astype(float)
+    return pi, _repair_rho(inst, pi, x), x
 
 
 def _pattern_table(inst: Instance, deadline: Optional[float]) -> Optional[PiEnumerationOracle]:

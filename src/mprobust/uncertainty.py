@@ -278,9 +278,8 @@ def robustness_value(inst: Instance, x, gamma) -> float:
 def group_deviations(inst: Instance) -> np.ndarray:
     """(n, K) matrix whose column k holds the deviations of group k's indices."""
     M = np.zeros((inst.n, inst.num_groups))
-    for k, g in enumerate(inst.groups):
-        idx = list(g)
-        M[idx, k] = inst.deviations[idx]
+    cov = inst.covered
+    M[cov, inst.group_of()[cov]] = inst.deviations[cov]
     return M
 
 
@@ -384,7 +383,10 @@ def _box_axes(lo: np.ndarray, hi: np.ndarray, m: int) -> list:
 
 
 def _grid_points(axes) -> np.ndarray:
-    """The points of the axes' product grid as rows, last axis fastest."""
+    """The points of the axes' product grid as rows, last axis fastest; no
+    axes give the one empty point."""
+    if not axes:
+        return np.zeros((1, 0))
     return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
 
 

@@ -140,7 +140,7 @@ def test_criterion_3_epsilon_guarantee(sp_runs):
 def test_criterion_4_pattern_oracle(sp_runs):
     worst = 0.0
     for inst, omega, eps, res, X, gammas in sp_runs:
-        xs = exact_mprs_by_pi_enumeration(inst, omega)
+        xs = exact_mprs_by_pi_enumeration(inst)
         for gamma in gammas:
             ref = float(np.min(robustness_matrix(inst, X, gamma)))
             best = min(robustness_value(inst, x, gamma) for x in xs)
@@ -149,7 +149,7 @@ def test_criterion_4_pattern_oracle(sp_runs):
     detail_counts = []
     for n in (2, 3, 4):
         inst, omega1, omega2 = toy_instance(n)
-        xhat = exact_mprs_by_pi_enumeration(inst, omega2)
+        xhat = exact_mprs_by_pi_enumeration(inst)
         for omega in (omega1, omega2):
             res = run_aq(inst, omega, epsilon=0.0)
             detail_counts.append((n, len(res.distinct_x), len(xhat)))

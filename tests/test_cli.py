@@ -362,7 +362,7 @@ def test_epsilon_pct_seed_after_a_timed_out_table(monkeypatch):
     table is not built a second time, and the seed is not left unbounded."""
     from types import SimpleNamespace
 
-    from mprobust import cli, oracle
+    from mprobust import cli, engine, oracle
     from mprobust.engine import uses_pattern_master
     from mprobust.generators import (
         PartitionScheme, SpParams, apply_partition, build_omega, gen_sp,
@@ -384,7 +384,7 @@ def test_epsilon_pct_seed_after_a_timed_out_table(monkeypatch):
         return _solve_robust_milp(inst, gamma, mode, config)
 
     monkeypatch.setattr(oracle, "PiEnumerationOracle", timed_out)
-    monkeypatch.setattr(cli, "_solve_robust_milp", robust_milp)
+    monkeypatch.setattr(engine, "_solve_robust_milp", robust_milp)
     value = cli._seed_value(inst, omega, SimpleNamespace(mode="standard", time_limit=7.5))
     assert len(builds) == 1
     assert [c.time_limit for c in configs] == [7.5]
@@ -408,6 +408,22 @@ def test_run_instance_without_budget_groups(tmp_path, omega, mode):
     assert d["stop_reason"] == "epsilon_met" and d["iterations"] == 1
     assert d["q_values"] == [0.0] and d["distinct_x"] == [[0, 1, 0]]
     assert d["history"][0]["pi"] == [] and d["history"][0]["gamma"] == []
+
+
+def test_verify_budgeted_result_without_budget_groups(tmp_path, capsys):
+    """A budgeted domain over no groups samples the one empty budget
+    vector, so verify checks a result of an instance with K = 0."""
+    inst, out = tmp_path / "flat.json", tmp_path / "res.json"
+    save_json({"kind": "CUSTOM", "n": 3, "K": 0, "c_lower": [3.0, 2.0, 4.0],
+               "deviations": [0.0, 0.0, 0.0], "partition": [],
+               "constraints": {"rows": [[1.0, 1.0, 1.0]], "senses": ["="], "rhs": [1.0]},
+               "metadata": {}}, inst)
+    assert run_cli("run", "--instance", inst, "--omega", "budgeted", "--epsilon", 0,
+                   "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--result", out) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["max_gap"] == 0.0 and report["checked"] > 0
 
 
 def test_mps_export_flag(tmp_path):

@@ -126,6 +126,56 @@ def test_budgeted_with_slack_budget_equals_interval():
     assert vb == pytest.approx(vi, abs=1e-6)
 
 
+def _cap_values(model, cand, y):
+    """The value sigma + c0 that each cap row of a master allows at the 0-1
+    setting ``y`` of the candidate columns ``cand`` (c0 is the fixed
+    ``sigma_ref`` column); checks that the caps touch no other column."""
+    from mprobust.milp import LE
+
+    names = list(model.var_names)
+    sigma, ref = names.index("sigma"), names.index("sigma_ref")
+    c0 = model.lower[ref]
+    assert model.upper[ref] == c0 and model.objective[ref] == 1.0
+    caps = np.flatnonzero(model.row_coeffs[:, sigma])
+    A = model.row_coeffs[caps]
+    assert np.all(A[:, sigma] == 1.0) and np.all(model.row_senses[caps] == LE)
+    rest = np.setdiff1d(np.arange(model.num_vars), np.append(cand, [sigma, ref]))
+    assert not A[:, rest].any()
+    return model.row_rhs[caps] - A[:, cand] @ y + c0
+
+
+@pytest.mark.parametrize("case", ["toy2", "toy3", "random"])
+def test_vertex_caps_read_back_at_every_vertex(case):
+    """At every 0-1 setting of the candidate columns, each cap row of the
+    interval master and of the cost-box master allows exactly c_e + p_e .
+    gamma at the box vertex those columns pick: gamma_j = L_j where the
+    column is 1 and U_j where it is 0."""
+    from itertools import product
+
+    if case == "random":
+        inst = random_instance(np.random.default_rng(0), n=6, K=3)
+    else:
+        inst = toy_instance(int(case[-1]))[0]
+    omega = build_omega(inst, "interval", delta=0.5)
+    L, U = omega.lower, omega.upper
+    history = run_aq(inst, omega, epsilon=0.0).history
+    assert len({tuple(e.pi) for e in history}) == len(history) >= 3
+    q = build_q_interval(inst, omega, history)
+    for y in product((0.0, 1.0), repeat=inst.num_groups):
+        gamma = np.where(np.array(y) == 1.0, L, U)
+        want = [inst.deviations @ e.rho + inst.c_lower @ e.x + e.pi @ gamma for e in history]
+        assert _cap_values(q, q.blocks["pi"], y) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    lower, upper = inst.c_lower, inst.c_lower + inst.deviations
+    xs = [e.x for e in history]
+    assert len({tuple(x) for x in xs}) >= 2
+    nq = build_nominal_q_plus(inst.feasible_model(), lower, upper, xs)
+    for y in product((0.0, 1.0), repeat=inst.n):
+        cost = np.where(np.array(y) == 1.0, lower, upper)
+        want = [x @ cost for x in xs]
+        assert _cap_values(nq, nq.blocks["x"], y) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_empty_history_rejected():
     inst, omega1, _ = toy_instance(2)
     for build in (build_q_general, build_q_interval, build_q_variant):

@@ -150,7 +150,7 @@ def test_best_solution_with_infinite_budgets():
 
 def test_exact_mprs_zero_gap_on_toy():
     inst, omega1, omega2 = toy_instance(2)
-    xs = exact_mprs_by_pi_enumeration(inst, omega2)
+    xs = exact_mprs_by_pi_enumeration(inst)
     X = enumerate_x(inst)
     for omega in (omega1, omega2):
         for gamma in sample_gamma(omega, "grid", m=5):
