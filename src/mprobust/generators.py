@@ -12,7 +12,8 @@ demands, assignment cost = distance times demand, deviation = half of it.
 
 Partition schemes label items into K budget groups (empty groups are
 dropped and the groups renumbered): ``r``/``lo`` draw labels uniformly,
-``p`` buckets arc tails by cheapest-path cost to the target, ``d`` by
+``p`` buckets arc tails by cheapest-path cost to the target (the
+Bellman-Ford kernel of ``oracle`` on the reversed arcs), ``d`` by
 straight-line distance to the target, ``g`` buckets facility rows by total
 deviation.  Buckets are half-open with the last one closed, so the maximal
 item always lands in the last group.
@@ -26,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from .milp import EQ, GE, LE
+from .oracle import distances_to_target
 from .uncertainty import Instance, OmegaSpec
 
 SP_REMOVAL_FRACTION = 0.7
@@ -236,17 +237,9 @@ def partition(inst: Instance, scheme: PartitionScheme, seed: int = 0) -> tuple:
             rng = np.random.default_rng(seed)
             labels = rng.integers(0, scheme.K, size=n)
         else:
-            nodes = int(inst.metadata["num_nodes"])
             w0 = int(inst.metadata["w0"])
             if scheme.kind == "p":
-                g = nx.DiGraph()
-                g.add_nodes_from(range(nodes))
-                for a, (u, v) in enumerate(arcs):
-                    g.add_edge(v, u, w=float(inst.c_lower[a]))  # reversed arcs
-                lengths = nx.single_source_dijkstra_path_length(g, w0, weight="w")
-                vals = np.full(nodes, np.inf)
-                for v, c in lengths.items():
-                    vals[v] = c
+                vals = distances_to_target(inst)
             else:
                 coords = np.asarray(inst.metadata["coords"])
                 vals = np.sqrt(((coords - coords[w0]) ** 2).sum(axis=1))

@@ -2,10 +2,11 @@
 
 Everything here is independent of the MILP machinery: feasible sets are
 enumerated structurally (simple paths, median subsets, unit vectors, or raw
-0-1 patterns), nominal problems are solved by Dijkstra or direct scans, and
-robust values come from the closed-form evaluators.  A pattern table over a
-shortest-path instance solves all its nominal problems at once with a
-batched Bellman-Ford pass; Dijkstra stays the single-solve route.
+0-1 patterns), nominal problems are solved by direct scans or, on
+shortest-path instances, by one batched Bellman-Ford kernel (a pattern
+table in one call, a single solve in a one-row call), and robust values come
+from the closed-form evaluators.  The kernel's values equal Dijkstra's to
+the bit; on tied costs it may pick another path of equal value.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import weakref
 from math import comb
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from .uncertainty import (
@@ -87,27 +87,8 @@ def toy_instance(n: int):
     return inst, omega1, omega2
 
 
-def _sp_graph(inst: Instance) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(range(int(inst.metadata["num_nodes"])))
-    for idx, (u, v) in enumerate(inst.metadata["arcs"]):
-        g.add_edge(int(u), int(v), index=idx)
-    return g
-
-
-# one arc graph per shortest-path instance; readers never write to it
-_SP_GRAPHS: "weakref.WeakKeyDictionary[Instance, nx.DiGraph]" = weakref.WeakKeyDictionary()
-
-
-def _shared_sp_graph(inst: Instance) -> nx.DiGraph:
-    g = _SP_GRAPHS.get(inst)
-    if g is None:
-        g = _SP_GRAPHS[inst] = _sp_graph(inst)
-    return g
-
-
 class _SpArcs:
-    """The arcs of a shortest-path instance as arrays, sorted by head.
+    """Arcs ``tail[j] -> head[j]``, kept as given and sorted by head.
 
     ``order`` sorts the arcs by head (stably, so arcs into one node keep
     their index order); ``starts`` opens each head's run in that order,
@@ -115,11 +96,10 @@ class _SpArcs:
     run.
     """
 
-    def __init__(self, inst: Instance):
-        arcs = np.asarray(inst.metadata["arcs"], dtype=np.int64).reshape(-1, 2)
-        self.tail = arcs[:, 0]
-        self.order = np.argsort(arcs[:, 1], kind="stable")
-        head = arcs[self.order, 1]
+    def __init__(self, tail: np.ndarray, head: np.ndarray):
+        self.tail, self.head = tail, head
+        self.order = np.argsort(head, kind="stable")
+        head = head[self.order]
         self.sorted_tail = self.tail[self.order]
         new_run = np.r_[True, head[1:] != head[:-1]]
         self.starts = np.flatnonzero(new_run)
@@ -133,33 +113,34 @@ _SP_ARCS: "weakref.WeakKeyDictionary[Instance, _SpArcs]" = weakref.WeakKeyDictio
 def _shared_sp_arcs(inst: Instance) -> _SpArcs:
     a = _SP_ARCS.get(inst)
     if a is None:
-        a = _SP_ARCS[inst] = _SpArcs(inst)
+        arcs = np.asarray(inst.metadata["arcs"], dtype=np.int64).reshape(-1, 2)
+        a = _SP_ARCS[inst] = _SpArcs(arcs[:, 0], arcs[:, 1])
     return a
 
 
-def _sp_paths(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> np.ndarray:
-    """A shortest v0-w0 path for every cost row of C (R, n), as (R, n) 0-1 floats.
-
-    Synchronous Bellman-Ford: each pass relaxes every arc for every row at
+def _bellman_ford(a: _SpArcs, num_nodes: int, source: int, C: np.ndarray,
+                  deadline: Optional[float]) -> tuple:
+    """(dist, pred), both (num_nodes, R): distances from ``source`` for
+    every cost row of C (R, m), inf where unreachable, and each node's
+    predecessor arc (-1 where none).  Synchronous Bellman-Ford: each pass relaxes every arc for every row at
     once and keeps each node's minimum over its in-arcs
     (``np.minimum.reduceat`` over the head-sorted arcs); the passes stop at
     the first that changes nothing.  Costs are nonnegative, so a distance is
     the left-to-right float sum along a path, as in Dijkstra.  A node's
     predecessor arc (the first in-arc reaching the minimum) changes only on a
     strict improvement, so zero-cost arcs cannot close a cycle in the walk
-    back from w0.  The arrays are node- and arc-major, so each reduction
-    runs over contiguous rows of length R.  Each pass first reads the clock
-    and raises TimeoutError once ``time.monotonic()`` is past ``deadline``.
+    back along ``pred``.  The arrays are node- and arc-major, so each
+    reduction runs over contiguous rows of length R; no row's result depends
+    on another row.  Each pass first reads the clock and raises TimeoutError
+    once ``time.monotonic()`` is past ``deadline``.
     """
-    a = _shared_sp_arcs(inst)
-    v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
     R, m = C.shape
-    dist = np.full((int(inst.metadata["num_nodes"]), R), np.inf)
-    dist[v0] = 0.0
+    dist = np.full((num_nodes, R), np.inf)
+    dist[source] = 0.0
     pred = np.full(dist.shape, -1, dtype=np.int64)
     cost = np.ascontiguousarray(C.T[a.order])
     pos = np.arange(m)[:, None]
-    for _ in range(dist.shape[0]):
+    for _ in range(num_nodes):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("pattern table unfinished at the deadline")
         cand = dist[a.sorted_tail] + cost
@@ -170,8 +151,20 @@ def _sp_paths(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> np.nd
         first = np.minimum.reduceat(np.where(cand == best[a.run], pos, m), a.starts, axis=0)
         dist[a.heads[u], r] = best[u, r]
         pred[a.heads[u], r] = a.order[first[u, r]]
+    return dist, pred
+
+
+def _sp_paths(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> np.ndarray:
+    """A shortest v0-w0 path for every cost row of C (R, n), as (R, n) 0-1
+    floats: ``_bellman_ford`` from v0, then the walk back from w0 along the
+    predecessor arcs.  Raises ValueError when w0 is unreachable and
+    TimeoutError past ``deadline``."""
+    a = _shared_sp_arcs(inst)
+    v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
+    R, m = C.shape
+    dist, pred = _bellman_ford(a, int(inst.metadata["num_nodes"]), v0, C, deadline)
     if np.isinf(dist[w0]).any():
-        raise nx.NetworkXNoPath(f"node {w0} not reachable from {v0}")
+        raise ValueError(f"node {w0} not reachable from {v0}")
     X = np.zeros((R, m))
     node = np.full(R, w0)
     live = np.flatnonzero(node != v0)
@@ -181,6 +174,15 @@ def _sp_paths(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> np.nd
         node[live] = a.tail[arc]
         live = live[node[live] != v0]
     return X
+
+
+def distances_to_target(inst: Instance) -> np.ndarray:
+    """Each node's cheapest-path cost to w0 at the nominal costs (inf where
+    w0 is unreachable): the kernel from w0 over the reversed arcs."""
+    a = _shared_sp_arcs(inst)
+    dist, _ = _bellman_ford(_SpArcs(a.head, a.tail), int(inst.metadata["num_nodes"]),
+                            int(inst.metadata["w0"]), inst.c_lower[None], None)
+    return dist[:, 0]
 
 
 def _sp_pattern_table(inst: Instance, patterns: np.ndarray, deadline: Optional[float]):
@@ -198,6 +200,29 @@ def _sp_pattern_table(inst: Instance, patterns: np.ndarray, deadline: Optional[f
     return values, solutions
 
 
+def _simple_paths(inst: Instance) -> np.ndarray:
+    """Every simple v0-w0 path as a (num, n) 0-1 matrix, by an iterative
+    depth-first search that takes each node's out-arcs in arc-index order,
+    so the rows come in preorder; each parallel arc opens its own branch."""
+    a = _shared_sp_arcs(inst)
+    v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
+    head, out = a.head.tolist(), [[] for _ in range(int(inst.metadata["num_nodes"]))]
+    for j, u in enumerate(a.tail.tolist()):
+        out[u].append(j)
+    paths, stack = [], [(v0, [])]
+    while stack:
+        u, path = stack.pop()
+        if u == w0:
+            paths.append(path)
+            continue
+        on_path = {v0, *(head[j] for j in path)}
+        stack += [(head[j], path + [j]) for j in reversed(out[u]) if head[j] not in on_path]
+    X = np.zeros((len(paths), inst.n))
+    for i, path in enumerate(paths):
+        X[i, path] = 1.0
+    return X
+
+
 def enumerate_x(inst: Instance) -> np.ndarray:
     """The feasible set as a (num, n) 0-1 matrix.
 
@@ -212,48 +237,27 @@ def enumerate_x(inst: Instance) -> np.ndarray:
     if kind == "SP":
         if int(inst.metadata["num_nodes"]) > MAX_PATH_NODES:
             raise ValueError("path enumeration limited to graphs with <= 12 nodes")
-        g = _shared_sp_graph(inst)
-        v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
-        rows = []
-        for path in nx.all_simple_paths(g, v0, w0):
-            x = np.zeros(inst.n)
-            for a, b in zip(path[:-1], path[1:]):
-                x[g.edges[a, b]["index"]] = 1.0
-            rows.append(x)
-        return np.array(rows)
+        return _simple_paths(inst)
     if kind == "PLM":
         l = int(inst.metadata["l"])
         p = int(inst.metadata["p"])
         off = int(inst.metadata["y_offset"])
         if comb(l, p) * p ** l > MAX_ENUM:
             raise ValueError("facility enumeration would exceed the size guard")
-        rows = []
+        blocks = []
         for medians in itertools.combinations(range(l), p):
-            base = np.zeros(inst.n)
-            for i in medians:
-                base[off + i] = 1.0
-            for assign in itertools.product(medians, repeat=l):
-                x = base.copy()
-                for j, i in enumerate(assign):
-                    x[i * l + j] = 1.0
-                rows.append(x)
-        return np.array(rows)
+            assign = np.array(list(itertools.product(medians, repeat=l)))
+            X = np.zeros((assign.shape[0], inst.n))
+            X[:, off + np.array(medians)] = 1.0
+            np.put_along_axis(X, assign * l + np.arange(l), 1.0, axis=1)
+            blocks.append(X)
+        return np.vstack(blocks)
     if inst.n > MAX_GENERIC_VARS:
         raise ValueError("generic enumeration limited to 24 variables")
     pats = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n)))
-    if inst.x_coeffs.shape[0] == 0:
-        return pats
-    vals = pats @ inst.x_coeffs.T
-    ok = np.ones(pats.shape[0], dtype=bool)
-    for i in range(inst.x_coeffs.shape[0]):
-        r = vals[:, i] - inst.x_rhs[i]
-        if inst.x_senses[i] < 0:
-            ok &= r <= 1e-9
-        elif inst.x_senses[i] > 0:
-            ok &= r >= -1e-9
-        else:
-            ok &= np.abs(r) <= 1e-9
-    return pats[ok]
+    r = pats @ inst.x_coeffs.T - inst.x_rhs     # a sense < 0 is <=, > 0 is >=, 0 is =
+    s = inst.x_senses
+    return pats[(((s > 0) | (r <= 1e-9)) & ((s < 0) | (r >= -1e-9))).all(axis=1)]
 
 
 def robustness_matrix(inst: Instance, X: np.ndarray, gamma, variant: bool = False) -> np.ndarray:
@@ -290,22 +294,18 @@ def has_structural_nominal(inst: Instance) -> bool:
 def nominal_minimize(inst: Instance, c, X: Optional[np.ndarray] = None):
     """min c'x over X by structure-aware enumeration; returns (value, x).
 
-    Shortest-path instances use Dijkstra (costs must be nonnegative), the
-    facility problem scans median subsets with per-location best assignment,
+    Shortest-path instances take a one-row call of the Bellman-Ford kernel
+    (costs must be nonnegative): the value equals Dijkstra's to the bit, and
+    on tied costs the path may be another of equal value.  The facility
+    problem scans median subsets with per-location best assignment,
     everything else falls back to the enumerated feasible set.
     """
     c = np.asarray(c, dtype=float)
     kind = inst.kind
     if kind == "SP":
         if np.any(c < 0):
-            raise ValueError("Dijkstra needs nonnegative costs")
-        g = _shared_sp_graph(inst)
-        cost = c.tolist()
-        v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
-        path = nx.dijkstra_path(g, v0, w0, weight=lambda u, v, d: cost[d["index"]])
-        x = np.zeros(inst.n)
-        for a, b in zip(path[:-1], path[1:]):
-            x[g[a][b]["index"]] = 1.0
+            raise ValueError("shortest paths need nonnegative costs")
+        x = _sp_paths(inst, c[None], None)[0]
         return float(c @ x), x
     if kind == "PLM":
         l = int(inst.metadata["l"])

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .milp import (
-    INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, SolverLimitError,
+    INCUMBENT_ONLY, INFEASIBLE, MilpModel, ModelBuilder, SolverConfig, SolverLimitError,
     relax_binaries, solve_milp,
 )
 from .oracle import (
@@ -276,6 +276,8 @@ def _solve_or_raise(model: MilpModel, config):
     if sol.status == INCUMBENT_ONLY:
         raise SolverLimitError("robust solve stopped at a solver limit before proving "
                                f"optimality (best bound {sol.best_bound})")
+    if sol.status == INFEASIBLE:
+        raise ValueError("robust solve found an empty feasible set")
     if sol.status != "optimal":
         raise RuntimeError(f"robust solve failed with status {sol.status}")
     return sol

@@ -2,7 +2,8 @@
 
 LP references go through scipy (HiGHS) or plain linear algebra (vertex
 enumeration); MILP references enumerate binary assignments exhaustively and
-complete each with a scipy LP solve.  The worst-case cross-checks (a
+complete each with a scipy LP solve.  Shortest-path references (Dijkstra,
+simple-path enumeration) go through networkx.  The worst-case cross-checks (a
 replayed worst-case cost vector, the primal and dual worst-case LPs, and a
 history entry's certified value) stand beside the closed-form evaluators
 of ``mprobust.uncertainty`` as independent references.
@@ -11,7 +12,9 @@ of ``mprobust.uncertainty`` as independent references.
 import io
 import itertools
 from contextlib import contextmanager
+from dataclasses import replace
 
+import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
 
@@ -301,3 +304,53 @@ def build_dw_lp(inst, x, gamma, variant: bool = False) -> MilpModel:
             rhs = inst.deviations[j] * x[j] if variant else x[j]
             b.add_row({pi[k]: 1.0, rho[j]: 1.0}, ">=", rhs)
     return b.build(maximize=False)
+
+
+def nx_arc_graph(inst, costs):
+    """The arcs of a shortest-path instance as a networkx DiGraph; each edge
+    holds its arc ``index`` and its cost ``w``.  A DiGraph keeps one edge
+    per node pair: of parallel arcs, the last one."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(int(inst.metadata["num_nodes"])))
+    for j, (u, v) in enumerate(inst.metadata["arcs"]):
+        g.add_edge(int(u), int(v), index=j, w=float(costs[j]))
+    return g
+
+
+def _path_x(inst, g, path):
+    x = np.zeros(inst.n)
+    for a, b in zip(path[:-1], path[1:]):
+        x[g[a][b]["index"]] = 1.0
+    return x
+
+
+def nx_shortest_path(inst, c):
+    """(c @ x, x) for networkx Dijkstra's v0-w0 path x at arc costs c."""
+    c = np.asarray(c, dtype=float)
+    g = nx_arc_graph(inst, c)
+    path = nx.dijkstra_path(g, inst.metadata["v0"], inst.metadata["w0"], weight="w")
+    x = _path_x(inst, g, path)
+    return float(c @ x), x
+
+
+def nx_simple_paths(inst):
+    """Every simple v0-w0 path, in ``nx.all_simple_paths`` order, as (num, n)."""
+    g = nx_arc_graph(inst, inst.c_lower)
+    rows = [_path_x(inst, g, path)
+            for path in nx.all_simple_paths(g, inst.metadata["v0"], inst.metadata["w0"])]
+    return np.array(rows).reshape(-1, inst.n)
+
+
+def sp_with_arcs(inst, cols):
+    """The shortest-path instance restricted to arcs ``cols`` (in that order;
+    an index may repeat, to add a parallel copy).  Each kept arc keeps its
+    costs and its budget group."""
+    cols = np.asarray(cols, dtype=int)
+    label = inst.group_of()[cols]
+    groups = tuple(g for g in (tuple(np.flatnonzero(label == k).tolist())
+                               for k in range(inst.num_groups)) if g)
+    arcs = [tuple(inst.metadata["arcs"][j]) for j in cols]
+    return replace(inst, c_lower=inst.c_lower[cols], deviations=inst.deviations[cols],
+                   groups=groups, x_coeffs=inst.x_coeffs[:, cols],
+                   metadata={**inst.metadata, "arcs": arcs},
+                   var_names=tuple(f"e{u}_{v}" for u, v in arcs))

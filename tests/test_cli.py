@@ -8,7 +8,7 @@ import pytest
 from mprobust.cli import main
 from mprobust.serialize import load_json, save_json
 
-from helpers import wrapped_default_backend
+from helpers import sp_with_arcs, wrapped_default_backend
 
 
 def _strip_timing(d):
@@ -328,6 +328,28 @@ def test_generate_unconnectable_sp_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("generate", "sp", "--nodes", 3, "--out", out) == 4
     assert capsys.readouterr().err == "error: could not generate a connected instance\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("omega,mode", [("interval", "standard"), ("segment", "standard"),
+                                        ("interval", "variant")])
+def test_run_without_a_feasible_point_exit_code(tmp_path, capsys, omega, mode):
+    """An SP instance with no arc into the target has no feasible point:
+    the pattern-table route, the robust MILP and the variant MILP each end
+    `run` with one line and exit 4."""
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+    from mprobust.serialize import instance_to_dict
+
+    base = apply_partition(gen_sp(SpParams(8, seed=0)), PartitionScheme("r", 2), seed=0)
+    w0 = base.metadata["w0"]
+    inst = sp_with_arcs(base, [j for j, (_, v) in enumerate(base.metadata["arcs"]) if v != w0])
+    sp, out = tmp_path / "sp.json", tmp_path / "res.json"
+    save_json(instance_to_dict(inst), sp)
+    capsys.readouterr()
+    assert run_cli("run", "--instance", sp, "--omega", omega, "--mode", mode,
+                   "--epsilon", 0, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

@@ -5,20 +5,14 @@ import numpy as np
 import pytest
 
 from mprobust.generators import (
-    PartitionScheme, PlmParams, SpParams, apply_partition, build_omega,
+    GenerationError, PartitionScheme, PlmParams, SpParams, apply_partition, build_omega,
     gen_plm, gen_sp, partition,
 )
 from mprobust.milp import solve_lp, solve_milp
-from mprobust.oracle import nominal_minimize
+from mprobust.oracle import distances_to_target, nominal_minimize
 from mprobust.uncertainty import contains, sample_gamma, solution_signature, verify_feasible
 
-
-def _nx_graph(inst, costs):
-    g = nx.DiGraph()
-    g.add_nodes_from(range(inst.metadata["num_nodes"]))
-    for a, (u, v) in enumerate(inst.metadata["arcs"]):
-        g.add_edge(u, v, w=float(costs[a]))
-    return g
+from helpers import nx_arc_graph
 
 
 def test_sp_arc_count_and_costs():
@@ -43,12 +37,33 @@ def test_sp_determinism():
 def test_sp_nominal_matches_dijkstra():
     for seed in range(5):
         inst = gen_sp(SpParams(9, seed=seed))
-        g = _nx_graph(inst, inst.c_lower)
+        g = nx_arc_graph(inst, inst.c_lower)
         ref = nx.dijkstra_path_length(g, inst.metadata["v0"], inst.metadata["w0"], weight="w")
         sol = solve_milp(inst.feasible_model(inst.c_lower))
         assert sol.objective == pytest.approx(ref, abs=1e-8)
         val, _ = nominal_minimize(inst, inst.c_lower)
         assert val == pytest.approx(ref, abs=1e-8)
+
+
+def test_p_partition_distances_match_dijkstra():
+    """The ``p`` partition's distances to the target against networkx
+    Dijkstra on the reversed arcs: equal to the bit, inf where unreachable."""
+
+    checked = 0
+    for nodes in range(2, 31):
+        for seed in range(3):
+            try:
+                inst = gen_sp(SpParams(nodes, seed=seed))
+            except GenerationError:
+                continue
+            g = nx_arc_graph(inst, inst.c_lower).reverse()
+            want = np.full(nodes, np.inf)
+            for v, dist in nx.single_source_dijkstra_path_length(
+                    g, inst.metadata["w0"], weight="w").items():
+                want[v] = dist
+            assert np.array_equal(distances_to_target(inst), want), (nodes, seed)
+            checked += 1
+    assert checked >= 80
 
 
 def test_sp_two_nodes_single_arc():

@@ -10,7 +10,7 @@ from mprobust.oracle import (
 )
 from mprobust.uncertainty import contains, robustness_value, sample_gamma
 
-from helpers import random_instance
+from helpers import nx_shortest_path, nx_simple_paths, random_instance, sp_with_arcs
 
 
 def test_toy_fixture_data():
@@ -96,6 +96,35 @@ def test_plm_enumeration_median_sets():
             i = pair[int(np.argmin(cmat[list(pair), j]))]
             x[i * 4 + j] = 1.0
         assert tuple(x) in rows
+
+
+def test_generic_enumeration_keeps_exactly_the_feasible_patterns():
+    """The generic scan against a per-row, per-pattern check of every 0-1
+    pattern, with rows of all three senses; and on small facility
+    instances, the structural enumeration gives the scan's set, each row
+    once."""
+    from dataclasses import replace
+    from itertools import product
+
+    from mprobust.generators import PlmParams, gen_plm
+
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n=7, K=2)
+        A = rng.integers(-1, 3, size=(3, inst.n)).astype(float)
+        senses = np.array([-1, 1, 0], dtype=np.int8)
+        pick = rng.integers(0, 2, size=inst.n).astype(float)
+        inst = replace(inst, x_coeffs=A, x_senses=senses, x_rhs=A @ pick)
+        want = [x for x in product((0.0, 1.0), repeat=inst.n)
+                if A[0] @ x <= inst.x_rhs[0] and A[1] @ x >= inst.x_rhs[1]
+                and A[2] @ x == inst.x_rhs[2]]
+        assert np.array_equal(enumerate_x(inst), np.array(want)), seed
+    for p in (1, 2):
+        inst = gen_plm(PlmParams(3, p, seed=p))
+        X = enumerate_x(inst)
+        generic = enumerate_x(replace(inst, metadata={"kind": "CUSTOM"}))
+        assert len({tuple(x) for x in X}) == X.shape[0] == generic.shape[0]
+        assert {tuple(x) for x in X} == {tuple(x) for x in generic}
 
 
 def test_pattern_oracle_group_guard():
@@ -209,56 +238,39 @@ def test_piecewise_f_properties_random():
                 assert abs(left - right) <= 1e-6
 
 
-def test_sp_graph_built_once_per_instance(monkeypatch):
-    """The pattern table and the pattern master build no arc graph;
-    ``nominal_minimize`` and ``enumerate_x`` share one per instance."""
-    from mprobust import oracle
-    from mprobust.engine import run_aq
-    from mprobust.generators import (
-        PartitionScheme, SpParams, apply_partition, build_omega, gen_sp,
-    )
+def test_package_imports_without_networkx():
+    """networkx is a test reference only: importing the package and its
+    command line loads no networkx."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
 
-    builds = []
-    inner = oracle._sp_graph
-
-    def counted(inst):
-        builds.append(inst)
-        return inner(inst)
-
-    monkeypatch.setattr(oracle, "_sp_graph", counted)
-    inst = apply_partition(gen_sp(SpParams(10, seed=4)), PartitionScheme("r", 3), seed=4)
-    omega = build_omega(inst, "interval", delta=0.5)
-    ref = PiEnumerationOracle(inst)
-    res = run_aq(inst, omega, epsilon=0.0)
-    assert res.stop_reason == "epsilon_met"
-    assert builds == []
-    nominal_minimize(inst, inst.c_lower)
-    X = enumerate_x(inst)
-    assert len(builds) == 1 and builds[0] is inst
-    for gamma in sample_gamma(omega, "vertices"):
-        want, _ = brute_robust(inst, gamma, X=X)
-        assert ref.robust_value(gamma) == pytest.approx(want, abs=1e-9)
-    assert len(builds) == 1
-    # another instance gets its own graph
-    other = apply_partition(gen_sp(SpParams(10, seed=5)), PartitionScheme("r", 3), seed=5)
-    nominal_minimize(other, other.c_lower)
-    assert len(builds) == 2 and builds[1] is other
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mprobust, mprobust.cli; print('networkx' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _dijkstra_table(inst, patterns):
-    """Per-pattern ``nominal_minimize`` (Dijkstra): the table's reference."""
+    """One networkx Dijkstra per pattern: the table's reference."""
     from mprobust.oracle import cost_for_pi
 
-    solved = [nominal_minimize(inst, cost_for_pi(inst, p)) for p in patterns]
+    solved = [nx_shortest_path(inst, cost_for_pi(inst, p)) for p in patterns]
     return np.array([v for v, _ in solved]), np.array([x for _, x in solved])
 
 
 def test_sp_table_matches_dijkstra_bit_for_bit():
     """The batched kernel against one Dijkstra per pattern: equal values to
-    the bit and identical paths, over sizes, partitions and K = 1..10."""
+    the bit and identical paths, over sizes, partitions and K = 1..10; so
+    are ``nominal_minimize``'s one-row solves of the same patterns."""
     from itertools import product
 
     from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+    from mprobust.oracle import cost_for_pi
 
     cases = list(product((8, 14, 20, 25, 30), "rdp"))
     for i, (nodes, part) in enumerate(cases):
@@ -269,6 +281,9 @@ def test_sp_table_matches_dijkstra_bit_for_bit():
         values, X = _dijkstra_table(inst, table.patterns)
         assert np.array_equal(table.nominal_values, values), (nodes, part, K)
         assert np.array_equal(table.solutions, X), (nodes, part, K)
+        solved = [nominal_minimize(inst, cost_for_pi(inst, p)) for p in table.patterns]
+        assert np.array_equal([v for v, _ in solved], values), (nodes, part, K)
+        assert np.array_equal([x for _, x in solved], X), (nodes, part, K)
 
 
 def test_sp_table_with_zero_cost_arcs():
@@ -292,6 +307,92 @@ def test_sp_table_with_zero_cost_arcs():
     assert np.array_equal(table.nominal_values, values)
     X = table.solutions.astype(float)
     assert np.array_equal(X @ inst.x_coeffs.T, np.tile(inst.x_rhs, (X.shape[0], 1)))
+
+
+def test_sp_nominal_matches_networkx_dijkstra():
+    """``nominal_minimize`` against networkx Dijkstra on random and on
+    integer (tied) costs: equal values to the bit, and a v0-w0 path (the
+    flow rows hold) of that value; on ties the path may differ."""
+    from mprobust.generators import SpParams, gen_sp
+
+    rng = np.random.default_rng(11)
+    for nodes in (8, 12, 16, 20, 25, 30):
+        for seed in range(3):
+            inst = gen_sp(SpParams(nodes, seed=seed))
+            for t in range(10):
+                c = (rng.uniform(0.0, 10.0, inst.n) if t % 2
+                     else rng.integers(0, 4, inst.n).astype(float))
+                value, x = nominal_minimize(inst, c)
+                want, _ = nx_shortest_path(inst, c)
+                assert value == want, (nodes, seed, t)
+                assert np.array_equal(x @ inst.x_coeffs.T, inst.x_rhs)
+                assert float(c @ x) == value
+
+
+def test_enumerate_x_matches_networkx_simple_paths():
+    """Path enumeration against ``nx.all_simple_paths``: the same rows in the
+    same order, over SP 2-12 nodes and seeds 0-3."""
+    from mprobust.generators import GenerationError, SpParams, gen_sp
+
+    checked = 0
+    for nodes in range(2, 13):
+        for seed in range(4):
+            try:
+                inst = gen_sp(SpParams(nodes, seed=seed))
+            except GenerationError:
+                continue
+            X = enumerate_x(inst)
+            assert np.array_equal(X, nx_simple_paths(inst)), (nodes, seed)
+            checked += 1
+    assert checked >= 30
+
+
+def test_sp_parallel_arcs_are_all_read():
+    """A copy of an arc beside the original: the nominal solve, the pattern
+    table and the path enumeration all see both copies, the cheaper one
+    at the lower index."""
+    from dataclasses import replace
+
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+    from mprobust.oracle import cost_for_pi
+
+    base = apply_partition(gen_sp(SpParams(8, seed=1)), PartitionScheme("r", 2), seed=1)
+    _, x = nominal_minimize(base, cost_for_pi(base, np.zeros(base.num_groups)))
+    v0 = base.metadata["v0"]
+    first = next(j for j in np.flatnonzero(x) if base.metadata["arcs"][j][0] == v0)
+    inst = sp_with_arcs(base, list(range(base.n)) + [first])
+    dup = base.n
+    c, d = inst.c_lower.copy(), inst.deviations.copy()
+    c[dup], d[dup] = c[first] + 1.0, d[first] + 0.5     # the copy costs more
+    inst = replace(inst, c_lower=c, deviations=d)
+
+    table = PiEnumerationOracle(inst)
+    cost = cost_for_pi(inst, table.patterns[0])
+    value, x = nominal_minimize(inst, cost)
+    assert value == table.nominal_values[0]
+    assert x[first] == 1.0 and x[dup] == 0.0
+    X = enumerate_x(inst)
+    assert X[:, first].any() and X[:, dup].any()
+    assert not (X[:, first] * X[:, dup]).any()
+    assert (X @ cost).min() == pytest.approx(value, rel=1e-12)
+
+
+def test_sp_without_a_path():
+    """No v0-w0 path: enumeration gives a (0, n) set, which brute force
+    refuses, and the kernel raises ValueError."""
+    from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp
+
+    base = apply_partition(gen_sp(SpParams(8, seed=0)), PartitionScheme("r", 2), seed=0)
+    w0 = base.metadata["w0"]
+    inst = sp_with_arcs(base, [j for j, (_, v) in enumerate(base.metadata["arcs"]) if v != w0])
+    X = enumerate_x(inst)
+    assert X.shape == (0, inst.n)
+    with pytest.raises(ValueError, match="empty feasible set"):
+        brute_robust(inst, np.zeros(inst.num_groups), X=X)
+    with pytest.raises(ValueError, match="not reachable"):
+        nominal_minimize(inst, inst.c_lower)
+    with pytest.raises(ValueError, match="not reachable"):
+        PiEnumerationOracle(inst)
 
 
 def test_sp_table_unchanged_across_chunk_boundaries(monkeypatch):
