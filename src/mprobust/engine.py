@@ -11,15 +11,18 @@ stops once the certified worst-case gap drops to epsilon.
 Masters: a pure 0-1 master for interval domains; ``build_q_general`` for
 segments and budgeted domains, which writes each gamma_k as an affine form
 over the domain's own columns (the position alpha on a segment, the slacks
-beta on a budgeted domain); and the selector-variable master for the
-fractional uncertainty variant (any domain).  Each stored entry caps the
-master's value sigma at its certified value ``c_e + p_e . gamma``, and one
-writer, ``add_caps``, writes every master's caps through an affine form of
-gamma: over the domain's columns (general and variant masters), or the
-vertex form (y, diag(L - U), U), gamma_j = U_j + (L_j - U_j) y_j, that puts
-gamma at the box vertex the candidate's 0-1 columns y pick (interval and
-cost-box masters).  ``add_product_rows`` writes the big-M rows for gamma_k
-times a 0-1 selector.
+beta on a budgeted domain); and, for the fractional uncertainty variant on
+any domain, ``build_q_variant``: the variant robust counterpart's
+continuous certificate with each theta_k held to one breakpoint, 0 or one
+d_j of its group, by one-hot 0-1 selectors.  All three write the
+candidate's certificate through ``robust.add_standard_certificate``.  Each
+stored entry caps the master's value sigma at its certified value ``c_e +
+p_e . gamma``, and one writer, ``add_caps``, writes every master's caps
+through an affine form of gamma: over the domain's columns (general and
+variant masters), or the vertex form (y, diag(L - U), U), gamma_j = U_j +
+(L_j - U_j) y_j, that puts gamma at the box vertex the candidate's 0-1
+columns y pick (interval and cost-box masters).  ``add_product_rows``
+writes the big-M rows for gamma_k times a 0-1 selector.
 Every master names its column blocks, and one certificate reader
 (``robust.read_certificate``) turns a solved master into the next entry.
 
@@ -47,7 +50,7 @@ from .milp import (
 )
 from .oracle import PATTERN_KINDS, PATTERN_MAX_K, PiEnumerationOracle, shared_pattern_table
 from .robust import (
-    MODES, _add_x, _declares_tu, _solve_robust_milp, add_standard_certificate,
+    MODES, _declares_tu, _solve_robust_milp, add_standard_certificate,
     read_certificate, relax_rho_x, solve_robust, table_certificate,
 )
 from .uncertainty import (
@@ -106,8 +109,9 @@ class MprsResult:
 
     @property
     def first_bound_pct(self) -> float:
+        """The first master's bound in percent; inf when no master ran."""
         if not self.relative_error_bounds:
-            return 0.0
+            return np.inf
         return 100.0 * self.relative_error_bounds[0]
 
     def solutions(self) -> list:
@@ -265,41 +269,18 @@ def build_q_interval(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     return b.build(maximize=True)
 
 
-def add_variant_certificate(b: ModelBuilder, inst: Instance, rho_obj, x_obj):
-    """Blocks ``w`` and ``alpha`` (selector binaries), ``rho`` (continuous),
-    each per covered index, and ``x``, with the rows of X.  Returns
-    (w, alpha, rho, x) column indices; ``add_selector_rows`` links them."""
-    cov = [int(j) for j in inst.covered]
-    b.declare_block("w", "alpha", "rho")
-    w = {j: b.add_binary(f"w{j}", block="w") for j in cov}
-    alpha = {j: b.add_binary(f"a{j}", block="alpha") for j in cov}
-    rho = {j: b.add_continuous(f"rho{j}", 0.0, np.inf, obj=float(rho_obj[j]), block="rho")
-           for j in cov}
-    return w, alpha, rho, _add_x(b, inst, x_obj)
-
-
-def add_selector_rows(b: ModelBuilder, inst: Instance, w, alpha, rho, x) -> None:
-    """Per group, rho_j + sum_s d_s w_s >= d_j x_j for each index and at most
-    one alpha; per covered index, w_j >= alpha_j + x_j - 1."""
-    for k, g in enumerate(inst.groups):
-        wsum = {w[j]: float(inst.deviations[j]) for j in g}
-        for j in g:
-            row = dict(wsum)
-            row[rho[j]] = row.get(rho[j], 0.0) + 1.0
-            row[x[j]] = row.get(x[j], 0.0) - float(inst.deviations[j])
-            b.add_row(row, ">=", 0.0)
-        b.add_row({alpha[j]: 1.0 for j in g}, "<=", 1.0)
-    for j in inst.covered:
-        j = int(j)
-        b.add_row({w[j]: 1.0, alpha[j]: -1.0, x[j]: -1.0}, ">=", -1.0)
-
-
 def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
-    """Variant master: budgets multiply the 0-1 selector variables.
+    """Variant master: the variant robust counterpart's certificate with
+    theta held to one breakpoint per group.
 
-    History certificates enter through their per-group breakpoint values;
-    the bilinear gamma-times-selector terms of the new candidate are
-    linearized with the domain upper bound as the big constant.
+    The candidate is ``add_standard_certificate`` in its continuous form
+    (theta in ``pi``, rho and x, as in ``build_robust_variant_milp``), with
+    theta_k = sum_{j in G_k} d_j w_j over 0-1 selectors w (block ``w``), at
+    most one per group.  For fixed (gamma, x) some optimal theta_k is 0 or
+    one d_j x_j, so the one-hot selector keeps every optimum.  The cost
+    gamma_k theta_k enters as sum_j d_j z_j with z_j = gamma_k w_j, linearized
+    by ``add_product_rows`` with the domain upper bound as the big constant;
+    stored entries enter the caps through their per-group breakpoint values.
     """
     history = _require_history(history)
     K = inst.num_groups
@@ -311,12 +292,20 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     form = (_omega_gamma_block(b, omega), np.eye(K), np.full(K, -0.0))
     z = {j: b.add_continuous(f"z{j}", 0.0, np.inf, obj=-float(inst.deviations[j]))
          for j in cov}
-    w, alpha, rho, x = add_variant_certificate(b, inst, -np.ones(inst.n), -inst.c_lower)
+    b.declare_block("w")
+    w = {j: b.add_binary(f"w{j}", block="w") for j in cov}
+    theta, _, _ = add_standard_certificate(b, inst, np.zeros(K), -np.ones(inst.n),
+                                           -inst.c_lower, binary=False,
+                                           x_coeff=inst.deviations)
     add_caps(b, sigma, form, [(_entry_const(inst, e, variant=True), e.pi)
                               for e in history])
     add_product_rows(b, [z[j] for j in cov], [w[j] for j in cov], inst.group_of()[cov],
                      omega.upper_bound, form)
-    add_selector_rows(b, inst, w, alpha, rho, x)
+    for k, g in enumerate(inst.groups):
+        row = {w[j]: -float(inst.deviations[j]) for j in g}
+        row[theta[k]] = 1.0
+        b.add_row(row, "==", 0.0)
+        b.add_row({w[j]: 1.0 for j in g}, "<=", 1.0)
     return b.build(maximize=True)
 
 

@@ -91,24 +91,24 @@ class RobustSolution:
     formulation: str
 
 
-def _add_x(b: ModelBuilder, inst: Instance, obj) -> list:
-    """x binaries with objective ``obj`` (block ``x``) and the rows of X."""
-    x = [b.add_binary(f"x{j}", obj=float(obj[j]), block="x") for j in range(inst.n)]
-    b.add_rows(x, inst.x_coeffs, inst.x_senses, inst.x_rhs)
-    return x
-
-
 def add_standard_certificate(b: ModelBuilder, inst: Instance, pi_obj, rho_obj, x_obj,
                              binary: bool = True, x_coeff=None):
     """Blocks ``pi`` (per group), ``rho`` (per covered index, in sorted index
-    order) and ``x``, with the rows of X and the coupling rows pi_k + rho_j -
-    a_j x_j >= 0 (a = ``x_coeff``, or ones); pi and rho are binary, or
-    continuous and nonnegative if not ``binary``.  Returns (pi, rho, x)."""
+    order) and ``x`` (binary, with the rows of X), and the coupling rows pi_k
+    + rho_j - a_j x_j >= 0 (a = ``x_coeff``, or ones); pi and rho are binary,
+    or continuous and nonnegative if not ``binary``.  Returns (pi, rho, x).
+
+    The one writer of the certificate: the robust counterparts
+    (``build_robust_milp``, ``build_robust_variant_milp``) and every MILP
+    master (``engine.build_q_interval`` and ``build_q_general`` in the 0-1
+    form, ``engine.build_q_variant`` in the continuous one) call it.
+    """
     add = b.add_binary if binary else b.add_continuous
     b.declare_block("pi", "rho")
     pi = [add(f"pi{k}", obj=float(pi_obj[k]), block="pi") for k in range(inst.num_groups)]
     rho = {int(j): add(f"rho{j}", obj=float(rho_obj[j]), block="rho") for j in inst.covered}
-    x = _add_x(b, inst, x_obj)
+    x = [b.add_binary(f"x{j}", obj=float(x_obj[j]), block="x") for j in range(inst.n)]
+    b.add_rows(x, inst.x_coeffs, inst.x_senses, inst.x_rhs)
     for k, g in enumerate(inst.groups):
         for j in g:
             a = 1.0 if x_coeff is None else float(x_coeff[j])
@@ -150,11 +150,13 @@ def read_certificate(inst: Instance, model: MilpModel, values, mode: str) -> tup
     """(pi, rho, x) from a solved robust counterpart or master of ``mode``.
 
     x is rounded; rho is spread over all n indices (zero outside the
-    groups).  The variant master has selectors ``w`` in place of ``pi`` and
-    gives pi_k = sum_{j in P_k} d_j w_j; other variant models give the
-    continuous dual.  Elsewhere pi and rho are rounded, and a ``tu_relaxed``
-    solve must return an integral x (else TuIntegralityError), with rho
-    rebuilt from (pi, x).
+    groups).  The variant master gives pi_k = sum_{j in G_k} d_j w_j from
+    its rounded one-hot selectors ``w``: exactly one breakpoint, 0 or one
+    d_j, per group (its ``pi`` block holds the same theta up to the
+    solver's rounding).  Other variant models give the continuous dual.
+    Elsewhere pi and rho are rounded, and a ``tu_relaxed`` solve must
+    return an integral x (else TuIntegralityError), with rho rebuilt from
+    (pi, x).
     """
     values = np.asarray(values, dtype=float)
 

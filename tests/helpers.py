@@ -114,6 +114,48 @@ def build_nominal_q_general(x_model: MilpModel, lower, upper, history) -> MilpMo
     return b.build(maximize=True)
 
 
+def build_q_variant_free_selectors(inst, omega, history) -> MilpModel:
+    """Reference for ``engine.build_q_variant``: the variant master with free
+    0-1 selectors, theta_k = sum_{j in G_k} d_j w_j over any subset of the
+    group, written straight into rho_j + sum_{s in G_k} d_s w_s >= d_j x_j.
+    ``build_q_variant`` holds w to at most one per group; the optimum is the
+    same, since for fixed (gamma, x) some optimal theta_k is 0 or one d_j.
+    The gamma columns, caps and products z_j = gamma_k w_j are written out
+    here, without the engine's row writers."""
+    assert history, "master problem needs at least one stored solution"
+    K, U, d = inst.num_groups, omega.upper_bound, inst.deviations
+    b = ModelBuilder("q_variant_free")
+    sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
+    if omega.kind == "interval":
+        g = [b.add_continuous(f"g{k}", float(omega.lower[k]), float(U[k])) for k in range(K)]
+    elif omega.kind == "segment":
+        g = [b.add_continuous(f"g{k}", 0.0, float(U[k])) for k in range(K)]
+        a = b.add_continuous("alpha", omega.alpha_lo, omega.alpha_hi)
+        for k in range(K):
+            b.add_row({g[k]: 1.0, a: -float(omega.gamma0[k])}, "==", 0.0)
+    else:
+        g = [b.add_continuous(f"g{k}", float(omega.gamma_base[k]), float(U[k]))
+             for k in range(K)]
+        b.add_row({gk: 1.0 for gk in g}, "<=", float(omega.gamma_base.sum() + omega.budget))
+    cov = [int(j) for j in inst.covered]
+    z = {j: b.add_continuous(f"z{j}", 0.0, np.inf, obj=-float(d[j])) for j in cov}
+    w = {j: b.add_binary(f"w{j}") for j in cov}
+    rho = {j: b.add_continuous(f"rho{j}", 0.0, np.inf, obj=-1.0) for j in cov}
+    x = [b.add_binary(f"x{j}", obj=-float(inst.c_lower[j])) for j in range(inst.n)]
+    b.add_rows(x, inst.x_coeffs, inst.x_senses, inst.x_rhs)
+    for e in history:
+        b.add_row({sigma: 1.0, **{g[k]: -float(e.pi[k]) for k in range(K)}}, "<=",
+                  float(e.rho.sum() + inst.c_lower @ e.x))
+    for k, grp in enumerate(inst.groups):
+        for j in grp:
+            b.add_row({z[j]: 1.0, g[k]: -1.0, w[j]: -float(U[k])}, ">=", -float(U[k]))
+            row = {w[s]: float(d[s]) for s in grp}
+            row[rho[j]] = 1.0
+            row[x[j]] = -float(d[j])
+            b.add_row(row, ">=", 0.0)
+    return b.build(maximize=True)
+
+
 def vertex_lp(model: MilpModel):
     """Vertex enumeration for tiny LPs with finite bounds on every variable.
 

@@ -257,6 +257,25 @@ def test_report_aggregation(tmp_path, capsys):
     assert row[5] == row[6] == "1.0"
 
 
+def test_run_without_a_master_reports_no_bound(tmp_path, capsys):
+    """A run that solves no master has no first bound: the result stores
+    first_bound_pct "inf" (not 0.0), and report leaves eps1_avg empty."""
+    toy = tmp_path / "toy.json"
+    run_cli("generate", "toy", "--n", 2, "--out", toy)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    res = batch / "res.json"
+    assert run_cli("run", "--instance", toy, "--omega", "toy2", "--epsilon", 0,
+                   "--max-iters", 0, "--out", res) == 2
+    d = load_json(res)
+    assert d["q_values"] == []
+    assert d["first_bound_pct"] == "inf"
+    assert "first_bound_pct=inf" in capsys.readouterr().out
+    assert run_cli("report", "--dir", batch) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert row.split(",")[header.split(",").index("eps1_avg")] == ""
+
+
 def test_report_layer_time_columns(tmp_path, capsys):
     """``seed_s``, ``table_s`` and ``master_s`` are the mean totals of the
     results' timing blocks; a result without them counts 0."""

@@ -15,7 +15,9 @@ from mprobust.uncertainty import (
     OmegaSpec, contains, robustness_value, robustness_value_variant, sample_gamma,
 )
 
-from helpers import build_nominal_q_general, random_instance, stored_value
+from helpers import (
+    build_nominal_q_general, build_q_variant_free_selectors, random_instance, stored_value,
+)
 
 
 def _history_at(inst, gammas, mode="standard"):
@@ -272,6 +274,15 @@ def test_variant_master_product_variable_replay():
         assert [model.var_name(j) for j in model.blocks["w"]] == [f"w{j}" for j in cov]
         assert np.allclose(z, gamma[kof[cov]] * w, atol=1e-7), omega.kind
         assert np.any(z > 1e-6), omega.kind
+        # theta (block pi) is one breakpoint per group: at most one selector
+        # is 1, and theta_k = sum_{j in G_k} d_j w_j
+        theta = sol.values[model.blocks["pi"]]
+        wn = np.zeros(inst.n)
+        wn[cov] = w
+        for k, g in enumerate(inst.groups):
+            g = list(g)
+            assert wn[g].sum() <= 1.0, omega.kind
+            assert theta[k] == pytest.approx(inst.deviations[g] @ wn[g], abs=1e-9)
 
 
 def test_variant_zero_deviation_one_iteration():
@@ -287,20 +298,45 @@ def test_variant_master_matches_grid_scan():
     rng = np.random.default_rng(27)
     inst = random_instance(rng, n=5, K=2)
     sizes = np.array([len(g) for g in inst.groups], dtype=float)
-    omega = OmegaSpec.interval(np.zeros(2), sizes)
-    hist = _history_at(inst, [omega.start_gamma], mode="variant")
-    vq = solve_milp(build_q_variant(inst, omega, hist)).objective
     X = enumerate_x(inst)
-    grid = sample_gamma(omega, "grid", m=17)
-    gaps = []
-    for gamma in grid:
-        stored = min(stored_value(inst, e, gamma, variant=True) for e in hist)
-        ref, _ = brute_robust(inst, gamma, variant=True, X=X)
-        gaps.append(stored - ref)
-    grid_max = max(gaps)
-    spacing = float(np.max(sizes) / 16)
-    assert vq >= grid_max - 1e-9
-    assert vq <= grid_max + 2 * spacing * np.sum(hist[0].pi + 1.0)
+    # (domain, spacing): each domain point lies within ``spacing`` of a
+    # grid point in every coordinate
+    for omega, spacing in (
+            (OmegaSpec.interval(np.zeros(2), sizes), np.max(sizes) / 16),
+            (OmegaSpec.segment(sizes, 0.1, 0.9), np.max(sizes) * 0.8 / 16),
+            (OmegaSpec.budgeted(0.2 * sizes, 0.8 * sizes, float(0.5 * sizes.sum())),
+             np.max(0.8 * sizes) / 16)):
+        hist = _history_at(inst, [omega.start_gamma], mode="variant")
+        vq = solve_milp(build_q_variant(inst, omega, hist)).objective
+        gaps = []
+        for gamma in sample_gamma(omega, "grid", m=17):
+            stored = min(stored_value(inst, e, gamma, variant=True) for e in hist)
+            ref, _ = brute_robust(inst, gamma, variant=True, X=X)
+            gaps.append(stored - ref)
+        grid_max = max(gaps)
+        assert vq >= grid_max - 1e-9, omega.kind
+        assert vq <= grid_max + 2 * float(spacing) * np.sum(hist[0].pi + 1.0), omega.kind
+
+
+@pytest.mark.parametrize("kind", ["interval", "segment", "budgeted"])
+def test_variant_master_matches_free_selector_reference(kind):
+    """On the same histories, the one-hot master's value equals that of the
+    free-selector reference (``helpers.build_q_variant_free_selectors``)."""
+    rng = np.random.default_rng(43)
+    insts = [toy_instance(2)[0], toy_instance(3)[0], random_instance(rng, n=6, K=2)]
+    for inst in insts:
+        M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.3
+        omega = {"interval": OmegaSpec.interval(0.2 * M, 1.2 * M),
+                 "segment": OmegaSpec.segment(1.5 * M),
+                 "budgeted": OmegaSpec.budgeted(0.3 * M, 0.9 * M, float(M.mean()))}[kind]
+        res = run_aq(inst, omega, epsilon=0.0, mode="variant")
+        hist = res.history
+        tol = 1e-6 * max(1.0, abs(res.init_value))
+        for r in sorted({1, min(2, len(hist)), len(hist)}):
+            want = solve_milp(build_q_variant_free_selectors(inst, omega, hist[:r]))
+            got = solve_milp(build_q_variant(inst, omega, hist[:r]))
+            assert want.status == got.status == "optimal"
+            assert got.objective == pytest.approx(want.objective, abs=tol), (inst.n, r)
 
 
 def test_first_master_value_bounds_grid_gap():
@@ -680,7 +716,7 @@ def test_model_blocks():
 
     standard = {"pi": True, "rho": True, "x": True}
     robust_variant = {"pi": False, "rho": False, "x": True}
-    variant = {"w": True, "alpha": True, "rho": False, "x": True}
+    variant = {"w": True, "pi": False, "rho": False, "x": True}
     relaxed = {"pi": True, "rho": False, "x": False}
     rng = np.random.default_rng(21)
     for inst in (toy_instance(3)[0], random_instance(rng, n=6, K=2, cover_all=False)):
@@ -705,8 +741,7 @@ def test_model_blocks():
                 cases.append((relax_rho_x(general), {**relaxed, domain[kind]: False}))
         interval = build_q_interval(inst, omegas["interval"], hist)
         cases += [(interval, standard), (relax_rho_x(interval), relaxed)]
-        sizes = {"pi": K, "rho": nc, "x": n, "w": nc, "gamma": K, "beta": K,
-                 "alpha": nc, "position": 1}
+        sizes = {"pi": K, "rho": nc, "x": n, "w": nc, "gamma": K, "beta": K, "position": 1}
         prefix = {"pi": "pi", "rho": "rho", "x": "x", "w": "w", "gamma": "g", "beta": "b",
                   "position": "alpha"}
         for model, want in cases:

@@ -337,15 +337,17 @@ def test_robust_solves_match_enumeration():
 
 def test_highs_native_output_stays_off_stdout(capfd):
     """HiGHS prints a line from native code during one of this run's
-    variant master solves; it must reach file descriptor 2, not 1."""
+    variant master solves (the last, over four entries: it repairs a new
+    incumbent, and ``solve_milp``'s row check accepts the point); the line
+    must reach file descriptor 2, not 1."""
     from mprobust.engine import run_aq
-    from mprobust.generators import PartitionScheme, SpParams, apply_partition, build_omega, gen_sp
-    from mprobust.robust import solve_robust
+    from mprobust.oracle import toy_instance
+    from mprobust.uncertainty import OmegaSpec
 
-    inst = apply_partition(gen_sp(SpParams(8, seed=0)), PartitionScheme("r", 4), seed=0)
-    omega = build_omega(inst, "budgeted", delta=1.0)
-    eps = 0.01 * abs(solve_robust(inst, omega.start_gamma, mode="variant").value)
-    assert run_aq(inst, omega, epsilon=eps, mode="variant").stop_reason == "epsilon_met"
+    inst = toy_instance(3)[0]
+    M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.3
+    res = run_aq(inst, OmegaSpec.interval(0.2 * M, 1.2 * M), epsilon=0.0, mode="variant")
+    assert res.stop_reason == "epsilon_met"
     out, err = capfd.readouterr()
     assert "HighsMipSolverData" in err
     assert "HighsMipSolverData" not in out
