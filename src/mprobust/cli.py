@@ -33,7 +33,7 @@ from .milp import SolverConfig, SolverLimitError, SolverNumericalError, write_mp
 # PiEnumerationOracle and solve_robust stay bound here for perfbench, which
 # hooks them by name
 from .oracle import (
-    MAX_ENUM, PiEnumerationOracle, enumerate_x, has_structural_nominal, robustness_matrix,
+    MAX_ENUM, PiEnumerationOracle, admits_pattern_table, enumerate_x, robustness_matrix,
     shared_pattern_table, toy_instance,
 )
 from .robust import (
@@ -87,20 +87,17 @@ def _set_minimum(inst: Instance, X: np.ndarray, variant: bool):
 
 
 def _reference_fn(inst: Instance, mode: str, config):
-    """Batched robust-value reference ``ref(G) -> (S,)``: oracle when small,
-    solver otherwise; returns (ref, grid_ref, route).  ``grid_ref(axes)``
-    evaluates a product grid whole (``PiEnumerationOracle.robust_grid``);
-    it is None outside the pattern route.  The pattern route reads the
-    instance's shared table, which ``run_aq`` may already have built; the
-    solver route solves the robust MILP, never that table."""
+    """Batched robust-value reference ``ref(G) -> (S,)``: the pattern table
+    where the oracle admits one, else enumeration when small, else the
+    solver; returns (ref, grid_ref, route).  ``grid_ref(axes)`` evaluates a
+    product grid whole (``PiEnumerationOracle.robust_grid``); it is None
+    outside the pattern route.  The pattern route reads the instance's
+    shared table, which ``run_aq`` may already have built; the solver route
+    solves the robust MILP, never that table."""
     variant = mode == "variant"
-    if not variant and inst.num_groups <= 12:
-        try:
-            if has_structural_nominal(inst) or inst.n <= 24:
-                oracle = shared_pattern_table(inst)
-                return oracle.robust_values, oracle.robust_grid, "pattern-oracle"
-        except ValueError:
-            pass
+    if not variant and admits_pattern_table(inst):
+        oracle = shared_pattern_table(inst)
+        return oracle.robust_values, oracle.robust_grid, "pattern-oracle"
     try:
         X = enumerate_x(inst)
         if X.shape[0] <= MAX_ENUM:

@@ -26,12 +26,12 @@ writes the big-M rows for gamma_k times a 0-1 selector.
 Every master names its column blocks, and one certificate reader
 (``robust.read_certificate``) turns a solved master into the next entry.
 
-On an interval domain with few enough groups (see ``uses_pattern_master``)
-the 0-1 master is replaced by the pattern master: once the activation
-pattern pi is fixed, the interval master's optimum is ``min_e [const_e +
-pi_e . gamma(pi)] - L . pi - nom(c(pi))``, and ``nom(c(pi))`` does not
-depend on the history, so the pattern oracle's table of 2^K nominal solves
-(``oracle.PiEnumerationOracle``) turns every master into a numpy argmax.
+On an interval domain of an instance the oracle admits (see
+``uses_pattern_master``) the 0-1 master is replaced by the pattern master:
+once the activation pattern pi is fixed, the interval master's optimum is
+``min_e [const_e + pi_e . gamma(pi)] - L . pi - nom(c(pi))``, and
+``nom(c(pi))`` does not depend on the history, so the pattern oracle's
+table of 2^K nominal solves turns every master into a numpy argmax.
 The table is the instance's shared one (``oracle.shared_pattern_table``),
 so ``solve_robust`` answers the seed from it and a later ``verify`` of the
 same instance in the process reuses it.
@@ -48,7 +48,7 @@ import numpy as np
 from .milp import (
     INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, SolverLimitError, solve_milp,
 )
-from .oracle import PATTERN_KINDS, PATTERN_MAX_K, PiEnumerationOracle, shared_pattern_table
+from .oracle import PiEnumerationOracle, admits_pattern_table, shared_pattern_table
 from .robust import (
     MODES, _declares_tu, _solve_robust_milp, add_standard_certificate,
     read_certificate, relax_rho_x, solve_robust, table_certificate,
@@ -359,7 +359,7 @@ class PatternMaster:
 def uses_pattern_master(inst: Instance, omega: OmegaSpec, mode: str) -> bool:
     """Whether ``run_aq`` serves this domain and mode with the pattern master."""
     return (omega.kind == "interval" and mode in ("standard", "tu_relaxed")
-            and inst.kind in PATTERN_KINDS and inst.num_groups <= PATTERN_MAX_K)
+            and admits_pattern_table(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     ``tu_relaxed`` (rho and x relaxed inside both solves; network instances
     only), or ``variant`` (fractional uncertainty).  The returned history
     always starts with the robust optimum at the domain's start vector.
-    Interval domains with few enough groups use the pattern master (outside
+    Interval domains of admitted instances use the pattern master (outside
     ``variant`` mode, see ``uses_pattern_master``); every other case solves
     MILP masters.
 

@@ -2,11 +2,11 @@
 
 Everything here is independent of the MILP machinery: feasible sets are
 enumerated structurally (simple paths, median subsets, unit vectors, or raw
-0-1 patterns), nominal problems are solved by direct scans or, on
-shortest-path instances, by one batched Bellman-Ford kernel (a pattern
-table in one call, a single solve in a one-row call), and robust values come
-from the closed-form evaluators.  The kernel's values equal Dijkstra's to
-the bit; on tied costs it may pick another path of equal value.
+0-1 patterns), robust values come from the closed-form evaluators, and
+nominal problems go through one batched kernel per family, ``(values, X) =
+kernel(inst, C, deadline)`` over a block of cost rows: Bellman-Ford on
+shortest-path instances, one scan of the median subsets on p-median
+instances, a scan of the enumerated feasible set elsewhere.
 """
 
 from __future__ import annotations
@@ -26,19 +26,31 @@ from .uncertainty import (
 MAX_PATH_NODES = 12
 MAX_GENERIC_VARS = 24
 MAX_ENUM = 2_000_000
-MAX_MEDIAN_SUBSETS = 200_000    # median subsets the facility scan may visit
 # Largest group count of a pattern table, which pays 2^K nominal solves
 # (on shortest-path instances one batched kernel, about 1.8 s at K = 16 on
 # SP 20).  The engine's pattern master shares the limit: measured against
 # the MILP master on shortest-path instances (CHANGES.md), the pattern
 # master still won at K = 16.
 PATTERN_MAX_K = 16
-# Instance kinds whose 2^K nominal problems the pattern table solves at a
-# measured cost: one batched Bellman-Ford kernel on shortest-path instances,
-# enumeration on the toy family.  The p-median scan costs comb(l, p) passes
-# per pattern and has no measured crossover yet, so those instances stay on
-# the MILP routes.
-PATTERN_KINDS = ("SP", "TOY")
+# Largest 2^K * comb(l, p), the (pattern, median subset) pairs its kernel
+# scans, of a p-median pattern table: within it every measured table beat
+# one robust MILP or lost by at most 0.1 s (PLM l = 10-40, p = 2-4, K = 4-12;
+# the measurements are in CHANGES.md).
+PLM_MAX_WORK = 1 << 22
+# median subsets the p-median kernel scans between two reads of the clock
+SUBSET_STRIDE = 64
+
+
+def admits_pattern_table(inst: Instance) -> bool:
+    """Whether the pattern routes build this instance's table: shortest-path
+    and toy instances with K <= ``PATTERN_MAX_K``, p-median ones within
+    ``PLM_MAX_WORK``; generic instances keep the MILP routes."""
+    if inst.num_groups > PATTERN_MAX_K:
+        return False
+    if inst.kind == "PLM":
+        l, p = int(inst.metadata["l"]), int(inst.metadata["p"])
+        return comb(l, p) << inst.num_groups <= PLM_MAX_WORK
+    return inst.kind in ("SP", "TOY")
 
 
 def cost_for_pi(inst: Instance, pi) -> np.ndarray:
@@ -53,8 +65,8 @@ def _pattern_costs(inst: Instance, patterns: np.ndarray) -> np.ndarray:
     """c(pi) of every row of ``patterns`` (P, K), a group counting as active
     where pi_k > 0.5.  Indices outside every group (group -1) read a trailing
     active column; they carry no deviation, so they keep their nominal cost.
-    The rows are C-contiguous: a dot product with one must take BLAS's route,
-    as ``nominal_minimize``'s do, for pattern values to agree to the bit."""
+    The rows are C-contiguous: a dot product with one takes BLAS's route, as
+    a one-row kernel call's does, so pattern values agree to the bit."""
     on = np.hstack([patterns > 0.5, np.ones((patterns.shape[0], 1), dtype=bool)])
     return np.ascontiguousarray(
         inst.c_lower + inst.deviations * (1.0 - on[:, inst.group_of()]))
@@ -154,11 +166,21 @@ def _bellman_ford(a: _SpArcs, num_nodes: int, source: int, C: np.ndarray,
     return dist, pred
 
 
-def _sp_paths(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> np.ndarray:
-    """A shortest v0-w0 path for every cost row of C (R, n), as (R, n) 0-1
-    floats: ``_bellman_ford`` from v0, then the walk back from w0 along the
-    predecessor arcs.  Raises ValueError when w0 is unreachable and
-    TimeoutError past ``deadline``."""
+def distances_to_target(inst: Instance) -> np.ndarray:
+    """Each node's cheapest-path cost to w0 at the nominal costs (inf where
+    w0 is unreachable): the kernel from w0 over the reversed arcs."""
+    a = _shared_sp_arcs(inst)
+    dist, _ = _bellman_ford(_SpArcs(a.head, a.tail), int(inst.metadata["num_nodes"]),
+                            int(inst.metadata["w0"]), inst.c_lower[None], None)
+    return dist[:, 0]
+
+
+def _sp_kernel(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> tuple:
+    """(values, X) of every cost row of C (R, n) on a shortest-path instance:
+    ``_bellman_ford`` from v0, the walk back from w0 along the predecessor
+    arcs to a 0-1 path per row, and each row's value as its dot product with
+    its path.  Raises ValueError when w0 is unreachable and TimeoutError
+    past ``deadline``."""
     a = _shared_sp_arcs(inst)
     v0, w0 = int(inst.metadata["v0"]), int(inst.metadata["w0"])
     R, m = C.shape
@@ -173,31 +195,54 @@ def _sp_paths(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> np.nd
         X[live, arc] = 1.0
         node[live] = a.tail[arc]
         live = live[node[live] != v0]
-    return X
+    return np.array([float(C[r] @ X[r]) for r in range(R)]), X
 
 
-def distances_to_target(inst: Instance) -> np.ndarray:
-    """Each node's cheapest-path cost to w0 at the nominal costs (inf where
-    w0 is unreachable): the kernel from w0 over the reversed arcs."""
-    a = _shared_sp_arcs(inst)
-    dist, _ = _bellman_ford(_SpArcs(a.head, a.tail), int(inst.metadata["num_nodes"]),
-                            int(inst.metadata["w0"]), inst.c_lower[None], None)
-    return dist[:, 0]
+def _plm_kernel(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> tuple:
+    """(values, X) of every cost row of C on a p-median instance, by one
+    scan of the median subsets that evaluates every row per subset.  A row
+    keeps the first subset unless a later one improves by more than 1e-15,
+    and a location goes to its first cheapest median of the subset.  The
+    clock is read every ``SUBSET_STRIDE`` subsets, TimeoutError past
+    ``deadline``."""
+    l, p, off = (int(inst.metadata[key]) for key in ("l", "p", "y_offset"))
+    R = C.shape[0]
+    A = C[:, :l * l].reshape(R, l, l)       # A[r, i, j]: location j served by median i
+    Y = C[:, off:off + l]
+    values = np.full(R, np.inf)
+    best = np.zeros((R, p), dtype=np.int64)
+    for i, S in enumerate(itertools.combinations(range(l), p)):
+        if i % SUBSET_STRIDE == 0 and deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("pattern table unfinished at the deadline")
+        S = list(S)
+        # take() keeps the (R, p) block C-ordered, so each row sums as a 1-d array does
+        v = A[:, S, :].min(axis=1).sum(axis=1) + Y.take(S, axis=1).sum(axis=1)
+        better = v < values - 1e-15
+        values[better] = v[better]
+        best[better] = S
+    r = np.arange(R)[:, None]
+    median = best[r, A[r[:, :, None], best[:, :, None], np.arange(l)].argmin(axis=1)]
+    X = np.zeros((R, inst.n))
+    X[r, median * l + np.arange(l)] = 1.0
+    X[r, off + best] = 1.0
+    return values, X
 
 
-def _sp_pattern_table(inst: Instance, patterns: np.ndarray, deadline: Optional[float]):
-    """(values, solutions) of every pattern's nominal problem on a
-    shortest-path instance, one ``_sp_paths`` call per row chunk, which
-    checks ``deadline`` once per Bellman-Ford pass."""
-    P, n = patterns.shape[0], inst.n
-    values = np.empty(P)
-    solutions = np.empty((P, n), dtype=np.uint8)
-    for rows in row_chunks(P, n):
-        C = _pattern_costs(inst, patterns[rows])
-        X = _sp_paths(inst, C, deadline)
-        values[rows] = [float(C[p] @ X[p]) for p in range(C.shape[0])]
-        solutions[rows] = X
-    return values, solutions
+def _enumerated_kernel(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> tuple:
+    """(values, X) of every cost row c of C: the first minimum of ``X @ c``
+    over the enumerated set X, the clock read before each row."""
+    X = enumerate_x(inst)
+    values, best = np.empty(C.shape[0]), np.empty(C.shape[0], dtype=np.int64)
+    for r, c in enumerate(C):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("pattern table unfinished at the deadline")
+        v = X @ c
+        best[r] = np.argmin(v)
+        values[r] = v[best[r]]
+    return values, X[best]
+
+
+_KERNELS = {"SP": _sp_kernel, "PLM": _plm_kernel}      # any other kind: _enumerated_kernel
 
 
 def _simple_paths(inst: Instance) -> np.ndarray:
@@ -284,52 +329,15 @@ def brute_robust(inst: Instance, gamma, variant: bool = False,
     return float(vals[i]), X[i].copy()
 
 
-def has_structural_nominal(inst: Instance) -> bool:
-    """Whether ``nominal_minimize`` solves this instance without enumerating X."""
-    return inst.kind in ("SP", "TOY") or (
-        inst.kind == "PLM"
-        and comb(int(inst.metadata["l"]), int(inst.metadata["p"])) <= MAX_MEDIAN_SUBSETS)
-
-
-def nominal_minimize(inst: Instance, c, X: Optional[np.ndarray] = None):
-    """min c'x over X by structure-aware enumeration; returns (value, x).
-
-    Shortest-path instances take a one-row call of the Bellman-Ford kernel
-    (costs must be nonnegative): the value equals Dijkstra's to the bit, and
-    on tied costs the path may be another of equal value.  The facility
-    problem scans median subsets with per-location best assignment,
-    everything else falls back to the enumerated feasible set.
-    """
+def nominal_minimize(inst: Instance, c):
+    """min c'x over X, as (value, x): a one-row call of the family's kernel.
+    Shortest-path costs must be nonnegative; the value equals Dijkstra's to
+    the bit, and on tied costs the path may be another of equal value."""
     c = np.asarray(c, dtype=float)
-    kind = inst.kind
-    if kind == "SP":
-        if np.any(c < 0):
-            raise ValueError("shortest paths need nonnegative costs")
-        x = _sp_paths(inst, c[None], None)[0]
-        return float(c @ x), x
-    if kind == "PLM":
-        l = int(inst.metadata["l"])
-        p = int(inst.metadata["p"])
-        off = int(inst.metadata["y_offset"])
-        cmat = c[: l * l].reshape(l, l)
-        best = None
-        for medians in itertools.combinations(range(l), p):
-            rows = cmat[list(medians), :]
-            pick = np.argmin(rows, axis=0)
-            val = float(rows[pick, np.arange(l)].sum() + c[off:][list(medians)].sum())
-            if best is None or val < best[0] - 1e-15:
-                x = np.zeros(inst.n)
-                for j in range(l):
-                    x[medians[pick[j]] * l + j] = 1.0
-                for i in medians:
-                    x[off + i] = 1.0
-                best = (val, x)
-        return best
-    if X is None:
-        X = enumerate_x(inst)
-    vals = X @ c
-    i = int(np.argmin(vals))
-    return float(vals[i]), X[i].copy()
+    if inst.kind == "SP" and np.any(c < 0):
+        raise ValueError("shortest paths need nonnegative costs")
+    values, X = _KERNELS.get(inst.kind, _enumerated_kernel)(inst, c[None], None)
+    return float(values[0]), X[0]
 
 
 class PiEnumerationOracle:
@@ -341,8 +349,8 @@ class PiEnumerationOracle:
     ``gamma @ pi + nominal(c(pi))``.  Row i holds pattern ``patterns[i]``
     (a (P, K) 0-1 array in ``itertools.product((0, 1), repeat=K)`` order),
     the nominal optimum ``nominal_values[i]`` of ``c(pi)`` and its solution
-    ``solutions[i]`` (a (P, n) uint8 array).  Building the table raises
-    TimeoutError once ``time.monotonic()`` passes ``deadline``.
+    ``solutions[i]`` (a (P, n) uint8 array), from the family's kernel on
+    row chunks.  The build raises TimeoutError past ``deadline``.
     """
 
     def __init__(self, inst: Instance, deadline: Optional[float] = None):
@@ -353,20 +361,12 @@ class PiEnumerationOracle:
         P = 1 << K
         bits = np.arange(K - 1, -1, -1)
         self.patterns = ((np.arange(P)[:, None] >> bits) & 1).astype(float)
-        if inst.kind == "SP":
-            self.nominal_values, self.solutions = _sp_pattern_table(
-                inst, self.patterns, deadline)
-        else:
-            X = enumerate_x(inst) if inst.kind != "PLM" else None
-            self.nominal_values = np.empty(P)
-            self.solutions = np.empty((P, inst.n), dtype=np.uint8)
-            for rows in row_chunks(P, inst.n):
-                C = _pattern_costs(inst, self.patterns[rows])
-                for i, c in zip(range(rows.start, rows.stop), C):
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise TimeoutError("pattern table unfinished at the deadline")
-                    self.nominal_values[i], x = nominal_minimize(inst, c, X=X)
-                    self.solutions[i] = np.round(x)
+        kernel = _KERNELS.get(inst.kind, _enumerated_kernel)
+        self.nominal_values = np.empty(P)
+        self.solutions = np.empty((P, inst.n), dtype=np.uint8)
+        for rows in row_chunks(P, inst.n):
+            self.nominal_values[rows], self.solutions[rows] = kernel(
+                inst, _pattern_costs(inst, self.patterns[rows]), deadline)
         self.build_s = time.monotonic() - t0
 
     def robust_value(self, gamma) -> float:

@@ -18,14 +18,13 @@ R(gamma) is a minimum over the 2^K patterns (the locally budgeted form of
 Bertsimas & Sim's "n + 1 nominal problems").  So ``solve_robust`` in
 ``standard`` and ``tu_relaxed`` mode answers from the instance's pattern
 table (``oracle.shared_pattern_table``) whenever one is cached, and builds
-it first on ``PATTERN_KINDS`` instances with ``TABLE_MIN_K`` to
-``TABLE_MAX_K`` groups (the upper bound is a measured crossover against
-one robust MILP).  The answer is the pattern with the smallest nominal
-value plus each active gamma_k, added in group order
+it first on instances that ``oracle.admits_pattern_table`` admits with
+``TABLE_MIN_K`` to ``TABLE_MAX_K`` groups (the upper bound is a measured
+crossover against one robust MILP).  The answer is the pattern with the
+smallest nominal value plus each active gamma_k, added in group order
 (``PiEnumerationOracle.best_pattern``; ties go to the first pattern), so
-its value equals the table's ``robust_value`` to the bit.  The ``variant`` mode, p-median and generic
-instances, and K outside those bounds without a cached table solve the
-MILP.
+its value equals the table's ``robust_value`` to the bit.  The ``variant``
+mode, and other instances without a cached table, solve the MILP.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .milp import (
     relax_binaries, solve_milp,
 )
 from .oracle import (
-    PATTERN_KINDS, PiEnumerationOracle, cached_pattern_table, shared_pattern_table,
+    PiEnumerationOracle, admits_pattern_table, cached_pattern_table, shared_pattern_table,
 )
 from .uncertainty import (
     Instance, _check_gamma, robustness_value, robustness_value_variant,
@@ -233,7 +232,7 @@ def table_certificate(inst: Instance, table: PiEnumerationOracle, i: int) -> tup
 def _pattern_table(inst: Instance, deadline: Optional[float]) -> Optional[PiEnumerationOracle]:
     """The shared pattern table ``solve_robust`` reads, or None for the MILP."""
     table = cached_pattern_table(inst)
-    if (table is not None or inst.kind not in PATTERN_KINDS
+    if (table is not None or not admits_pattern_table(inst)
             or not TABLE_MIN_K <= inst.num_groups <= TABLE_MAX_K):
         return table
     try:

@@ -396,3 +396,47 @@ def sp_with_arcs(inst, cols):
                    groups=groups, x_coeffs=inst.x_coeffs[:, cols],
                    metadata={**inst.metadata, "arcs": arcs},
                    var_names=tuple(f"e{u}_{v}" for u, v in arcs))
+
+
+def per_pattern_table(inst, patterns):
+    """Reference for the batched nominal kernels: one scan per pattern, as
+    the pattern table once solved them.  A p-median pattern scans the
+    median subsets in order, keeps the first unless a later one improves by
+    more than 1e-15, and sends each location to its first cheapest median;
+    any other instance takes the first minimum of ``X @ c`` over the
+    enumerated feasible set.  Returns (values, solutions), the solutions as
+    a (P, n) uint8 array."""
+    from mprobust.oracle import cost_for_pi, enumerate_x
+
+    X = None if inst.kind == "PLM" else enumerate_x(inst)
+    values = np.empty(len(patterns))
+    solutions = np.empty((len(patterns), inst.n), dtype=np.uint8)
+    for i, pi in enumerate(patterns):
+        c = cost_for_pi(inst, pi)
+        values[i], x = _plm_scan(inst, c) if X is None else _enumerated_scan(X, c)
+        solutions[i] = np.round(x)
+    return values, solutions
+
+
+def _enumerated_scan(X, c):
+    vals = X @ c
+    i = int(np.argmin(vals))
+    return float(vals[i]), X[i].copy()
+
+
+def _plm_scan(inst, c):
+    l, p, off = (int(inst.metadata[k]) for k in ("l", "p", "y_offset"))
+    cmat = c[: l * l].reshape(l, l)
+    best = None
+    for medians in itertools.combinations(range(l), p):
+        rows = cmat[list(medians), :]
+        pick = np.argmin(rows, axis=0)
+        val = float(rows[pick, np.arange(l)].sum() + c[off:][list(medians)].sum())
+        if best is None or val < best[0] - 1e-15:
+            x = np.zeros(inst.n)
+            for j in range(l):
+                x[medians[pick[j]] * l + j] = 1.0
+            for i in medians:
+                x[off + i] = 1.0
+            best = (val, x)
+    return best

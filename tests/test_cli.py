@@ -740,24 +740,22 @@ def test_run_solver_fault_exit_code(tmp_path, capsys):
 
 
 def test_verify_solver_reference_solves_the_milp():
-    """Above 12 groups verify's reference is the robust MILP, one backend
-    call per checked point, even after ``run_aq``'s pattern master has
-    cached the instance's table: the reference never reads that table."""
+    """Above ``PATTERN_MAX_K`` groups no pattern table serves: verify's
+    reference is the robust MILP, one backend call per checked point."""
     from mprobust.cli import verify_solution_set
-    from mprobust.engine import run_aq, uses_pattern_master
+    from mprobust.engine import Budget, run_aq, uses_pattern_master
     from mprobust.generators import (
         PartitionScheme, SpParams, apply_partition, build_omega, gen_sp,
     )
-    from mprobust.oracle import cached_pattern_table
-    from mprobust.robust import _solve_robust_milp
+    from mprobust.oracle import PATTERN_MAX_K, cached_pattern_table
 
-    inst = apply_partition(gen_sp(SpParams(14, seed=0)), PartitionScheme("r", 13), seed=0)
-    assert inst.num_groups == 13
+    K = PATTERN_MAX_K + 1
+    inst = apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", K), seed=0)
+    assert inst.num_groups == K
     omega = build_omega(inst, "interval", delta=0.5)
-    assert uses_pattern_master(inst, omega, "standard")
-    eps = 0.05 * _solve_robust_milp(inst, omega.start_gamma).value
-    res = run_aq(inst, omega, epsilon=eps)
-    assert cached_pattern_table(inst) is not None
+    assert not uses_pattern_master(inst, omega, "standard")
+    res = run_aq(inst, omega, epsilon=0.0, budget=Budget(max_iters=0))
+    assert cached_pattern_table(inst) is None
     calls = []
 
     def counted(original):

@@ -475,6 +475,14 @@ def _agreement_cases():
                                PartitionScheme(kind, K), seed=seed)
         for delta in (0.0, 1.0):
             yield inst, build_omega(inst, "interval", delta=delta), 0.0, "standard"
+    # p-median instances, zero tolerance
+    from mprobust.generators import PlmParams, gen_plm
+
+    for seed, (l, K) in enumerate([(8, 2), (10, 4)]):
+        inst = apply_partition(gen_plm(PlmParams(l, 2, seed=seed)),
+                               PartitionScheme("lo", K), seed=seed)
+        for delta in (0.5, 1.0):
+            yield inst, build_omega(inst, "interval", delta=delta), 0.0, "standard"
 
 
 def test_pattern_master_agrees_with_milp_master():
@@ -494,12 +502,15 @@ def test_pattern_master_agrees_with_milp_master():
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(vq, abs=1e-6)
         runs += 1
-    assert runs == 20 + 8 + 8
+    assert runs == 20 + 8 + 8 + 4
 
 
 def test_pattern_master_routing():
-    from mprobust.engine import PATTERN_MAX_K, uses_pattern_master
+    from math import comb
+
+    from mprobust.engine import uses_pattern_master
     from mprobust.generators import PlmParams, gen_plm
+    from mprobust.oracle import PATTERN_MAX_K, PLM_MAX_WORK
 
     sp = apply_partition(gen_sp(SpParams(8, seed=0)), PartitionScheme("d", 3), seed=0)
     box = build_omega(sp, "interval", delta=0.5)
@@ -510,9 +521,14 @@ def test_pattern_master_routing():
     big = apply_partition(gen_sp(SpParams(20, seed=0)),
                           PartitionScheme("r", PATTERN_MAX_K + 1), seed=0)
     assert not uses_pattern_master(big, build_omega(big, "interval", delta=0.5), "standard")
-    # p-median and generic instances keep the MILP master
+    # p-median instances take the pattern master below the kernel's work
+    # bound, and keep the MILP master above it
     plm = apply_partition(gen_plm(PlmParams(4, 2, seed=0)), PartitionScheme("lo", 2), seed=0)
+    assert uses_pattern_master(plm, build_omega(plm, "interval", delta=0.5), "standard")
+    plm = apply_partition(gen_plm(PlmParams(30, 3, seed=0)), PartitionScheme("lo", 11), seed=0)
+    assert comb(30, 3) << plm.num_groups > PLM_MAX_WORK
     assert not uses_pattern_master(plm, build_omega(plm, "interval", delta=0.5), "standard")
+    # generic instances keep the MILP master
     inst = random_instance(np.random.default_rng(0), n=6, K=2)
     M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.3
     assert not uses_pattern_master(inst, OmegaSpec.interval(0.1 * M, 1.1 * M), "standard")
@@ -549,13 +565,13 @@ def test_pattern_table_stops_at_time_limit(monkeypatch):
     inst = apply_partition(gen_sp(SpParams(20, seed=0)), PartitionScheme("r", 16), seed=0)
     omega = build_omega(inst, "interval", delta=0.5)
     chunks = []
-    inner = oracle._sp_paths
+    inner = oracle._bellman_ford
 
-    def counted(inst, C, deadline):
+    def counted(*args):
         chunks.append(1)
-        return inner(inst, C, deadline)
+        return inner(*args)
 
-    monkeypatch.setattr(oracle, "_sp_paths", counted)
+    monkeypatch.setattr(oracle, "_bellman_ford", counted)
     records = []
     res = run_aq(inst, omega, epsilon=0.0, budget=Budget(time_limit=0.05),
                  trace=records.append)

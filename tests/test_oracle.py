@@ -10,7 +10,9 @@ from mprobust.oracle import (
 )
 from mprobust.uncertainty import contains, robustness_value, sample_gamma
 
-from helpers import nx_shortest_path, nx_simple_paths, random_instance, sp_with_arcs
+from helpers import (
+    nx_shortest_path, nx_simple_paths, per_pattern_table, random_instance, sp_with_arcs,
+)
 
 
 def test_toy_fixture_data():
@@ -125,6 +127,82 @@ def test_generic_enumeration_keeps_exactly_the_feasible_patterns():
         generic = enumerate_x(replace(inst, metadata={"kind": "CUSTOM"}))
         assert len({tuple(x) for x in X}) == X.shape[0] == generic.shape[0]
         assert {tuple(x) for x in X} == {tuple(x) for x in generic}
+
+
+def _kernel_cases():
+    """Instances of every kernel family, with random and with tied integer
+    costs."""
+    from dataclasses import replace
+
+    from mprobust.generators import PartitionScheme, PlmParams, apply_partition, gen_plm
+
+    for seed in range(3):
+        for l, p, K in ((6, 2, 2), (10, 2, 8), (12, 3, 6), (20, 3, 4)):
+            inst = apply_partition(gen_plm(PlmParams(l, p, seed=seed)),
+                                   PartitionScheme("lo", K), seed=seed)
+            yield inst
+            # a few cost levels: many subsets and medians tie
+            q = inst.c_lower.max() / 4
+            yield replace(inst, c_lower=np.floor(inst.c_lower / q),
+                          deviations=np.floor(inst.deviations / q))
+        inst = random_instance(np.random.default_rng(seed), n=8, K=3)
+        yield inst
+        yield replace(inst, c_lower=np.round(inst.c_lower / 4), deviations=np.ones(inst.n))
+    for n in (1, 3, 6):
+        yield toy_instance(n)[0]
+
+
+def test_kernels_match_per_pattern_scan():
+    """The p-median, toy and generic tables against one scan per pattern
+    (``helpers.per_pattern_table``): equal values to the bit and identical
+    solutions, also on tied costs; one-row ``nominal_minimize`` calls give
+    the same rows."""
+    from mprobust.oracle import cost_for_pi
+
+    kinds = set()
+    for inst in _kernel_cases():
+        table = PiEnumerationOracle(inst)
+        values, solutions = per_pattern_table(inst, table.patterns)
+        assert np.array_equal(table.nominal_values, values), inst.kind
+        assert np.array_equal(table.solutions, solutions), inst.kind
+        for i in (0, len(values) // 2, len(values) - 1):
+            value, x = nominal_minimize(inst, cost_for_pi(inst, table.patterns[i]))
+            assert value == values[i] and np.array_equal(x, solutions[i])
+        kinds.add(inst.kind)
+    assert kinds == {"PLM", "CUSTOM", "TOY"}
+
+
+def test_plm_table_deadline_reads_the_clock_every_stride(monkeypatch):
+    """The p-median kernel reads the clock once every ``SUBSET_STRIDE``
+    median subsets, and stops at the first reading past the deadline; each
+    reading below advances the clock by one."""
+    import itertools
+    from math import ceil, comb
+    from types import SimpleNamespace
+
+    from mprobust import oracle
+    from mprobust.generators import PartitionScheme, PlmParams, apply_partition, gen_plm
+
+    inst = apply_partition(gen_plm(PlmParams(12, 3, seed=0)), PartitionScheme("lo", 4), seed=0)
+    C = oracle._pattern_costs(inst, PiEnumerationOracle(inst).patterns)
+
+    def tick_clock():
+        ticks = itertools.count(1)
+        reads = []
+        monkeypatch.setattr(oracle, "time", SimpleNamespace(
+            monotonic=lambda: reads.append(1) or float(next(ticks))))
+        return reads
+
+    reads = tick_clock()
+    oracle._plm_kernel(inst, C, deadline=float("inf"))
+    assert len(reads) == ceil(comb(12, 3) / oracle.SUBSET_STRIDE) >= 3
+    reads = tick_clock()
+    with pytest.raises(TimeoutError):
+        oracle._plm_kernel(inst, C, deadline=1.5)
+    assert len(reads) == 2
+    with pytest.raises(TimeoutError):
+        oracle.shared_pattern_table(inst, deadline=0.5)
+    assert oracle.cached_pattern_table(inst) is None
 
 
 def test_pattern_oracle_group_guard():
@@ -507,6 +585,7 @@ def test_sp_table_deadline_cuts_inside_a_chunk(monkeypatch):
     inst = _sp20_r6()
     patterns = PiEnumerationOracle(inst).patterns
     assert len(row_chunks(patterns.shape[0], inst.n)) == 1
+    C = oracle._pattern_costs(inst, patterns)
 
     def tick_clock():
         ticks = itertools.count(1)
@@ -516,14 +595,14 @@ def test_sp_table_deadline_cuts_inside_a_chunk(monkeypatch):
         return reads
 
     reads = tick_clock()
-    oracle._sp_pattern_table(inst, patterns, deadline=float("inf"))
+    oracle._sp_kernel(inst, C, deadline=float("inf"))
     passes = len(reads)
     assert passes >= 3
     reads = tick_clock()
     with pytest.raises(TimeoutError):
         # read 1 (1.0) lets pass 1 run; the deadline passes during it, and
         # read 2 (2.0), before pass 2, raises
-        oracle._sp_pattern_table(inst, patterns, deadline=1.5)
+        oracle._sp_kernel(inst, C, deadline=1.5)
     assert len(reads) == 2 < passes
 
 
@@ -556,12 +635,12 @@ def test_run_aq_and_verify_build_one_table(monkeypatch):
 
     builds = []
 
-    def counted(inst, patterns, deadline):
+    def counted(inst, deadline=None):
         builds.append(inst)
-        return table_of(inst, patterns, deadline)
+        return table_of(inst, deadline=deadline)
 
-    table_of = oracle._sp_pattern_table
-    monkeypatch.setattr(oracle, "_sp_pattern_table", counted)
+    table_of = oracle.PiEnumerationOracle
+    monkeypatch.setattr(oracle, "PiEnumerationOracle", counted)
     inst = _sp20_r6()
     omega = build_omega(inst, "interval", delta=0.5)
     res = run_aq(inst, omega, epsilon=1.0)

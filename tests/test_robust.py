@@ -246,23 +246,28 @@ def test_repair_rho_matches_group_loop():
 
 def test_table_route_matches_milp_route():
     """The pattern-table route of ``solve_robust`` against the robust MILP
-    on SP 8-20 and the toy family: values within 1e-9 relative and equal to
-    the table's ``robust_value`` to the bit, with a tight 0-1 certificate."""
-    from mprobust.generators import build_omega
+    on SP 8-20, PLM 8-12 and the toy family: values within 1e-9 relative
+    and equal to the table's ``robust_value`` to the bit, with a tight 0-1
+    certificate."""
+    from mprobust.generators import (
+        PartitionScheme, PlmParams, apply_partition, build_omega, gen_plm,
+    )
     from mprobust.oracle import shared_pattern_table
     from mprobust.robust import TABLE_MAX_K
 
     rng = np.random.default_rng(29)
     cases = []
-    for nodes, scheme in ((8, "r"), (14, "p"), (20, "d"), (20, "r")):
-        for K in range(1, TABLE_MAX_K + 1):
-            inst = _sp(nodes, scheme, K, seed=K)
-            K = inst.num_groups     # a partition may come out with fewer groups
-            omega = build_omega(inst, "interval", delta=0.5)
-            corners = np.where(rng.random((2, K)) < 0.5, omega.lower, omega.upper)
-            gammas = np.vstack([np.zeros(K), omega.lower, omega.upper, corners,
-                                omega.lower + rng.random((2, K)) * (omega.upper - omega.lower)])
-            cases.append((inst, gammas))
+    sp = [_sp(nodes, scheme, K, seed=K) for nodes, scheme in
+          ((8, "r"), (14, "p"), (20, "d"), (20, "r")) for K in range(1, TABLE_MAX_K + 1)]
+    plm = [apply_partition(gen_plm(PlmParams(l, p, seed=K)), PartitionScheme("lo", K), seed=K)
+           for l, p, K in ((8, 2, 2), (10, 2, 4), (12, 3, 6))]
+    for inst in sp + plm:
+        K = inst.num_groups     # a partition may come out with fewer groups
+        omega = build_omega(inst, "interval", delta=0.5)
+        corners = np.where(rng.random((2, K)) < 0.5, omega.lower, omega.upper)
+        gammas = np.vstack([np.zeros(K), omega.lower, omega.upper, corners,
+                            omega.lower + rng.random((2, K)) * (omega.upper - omega.lower)])
+        cases.append((inst, gammas))
     for n in (1, 3, 6):
         inst, omega1, omega2 = toy_instance(n)
         cases.append((inst, np.vstack([np.zeros(n + 1), omega1.lower, omega1.upper,
@@ -285,10 +290,10 @@ def test_table_route_matches_milp_route():
 
 
 def test_milp_calls_by_route():
-    """No robust MILP on pattern kinds with TABLE_MIN_K to TABLE_MAX_K groups
-    or on a cached table; one on ``variant``, on p-median, outside those K
-    bounds without a table and after a table unfinished at the time limit,
-    which then gets only the time left."""
+    """No robust MILP on admitted instances with TABLE_MIN_K to TABLE_MAX_K
+    groups, p-median ones included, or on a cached table; one on
+    ``variant``, outside those K bounds without a table and after a table
+    unfinished at the time limit, which then gets only the time left."""
     from dataclasses import replace
 
     from mprobust import oracle
@@ -315,8 +320,8 @@ def test_milp_calls_by_route():
                                           rel=1e-9)
         return len(calls)
 
-    def plm():
-        return apply_partition(gen_plm(PlmParams(4, 2, seed=0)), PartitionScheme("lo", 2),
+    def plm(l=4, K=2):
+        return apply_partition(gen_plm(PlmParams(l, 2, seed=0)), PartitionScheme("lo", K),
                                seed=0)
 
     register_backend("counted", counted)
@@ -326,6 +331,7 @@ def test_milp_calls_by_route():
         assert count(toy_instance(4)[0]) == 0
         assert count(_sp(12, "r", 3), mode="variant") == 1
         assert count(plm()) == 1
+        assert count(plm(10, TABLE_MIN_K)) == 0
         big = _sp(12, "r", TABLE_MAX_K + 1)
         small = _sp(12, "r", TABLE_MIN_K - 1)
         for inst in (big, small):
