@@ -46,7 +46,7 @@ from .serialize import (
 )
 # robustness_value stays bound here for perfbench, which hooks it by name
 from .uncertainty import (
-    Instance, OmegaSpec, capped_grid_min, capped_values, group_deviations,
+    GRID_MAX_POINTS, Instance, OmegaSpec, capped_grid_min, capped_values, group_deviations,
     interval_axes, robustness_value, row_chunks, sample_gamma, solution_signature,
     verify_feasible,
 )
@@ -123,6 +123,17 @@ def _nth_point(parts, i: int) -> list:
     raise IndexError(i)
 
 
+def _grid_size(omega: OmegaSpec, m: int) -> Optional[int]:
+    """The grid's points per axis: ``m`` on a segment, elsewhere the largest
+    count up to ``m``, and at least 2, whose grid fits ``GRID_MAX_POINTS``;
+    None, for no grid, when even 2 points per axis do not fit."""
+    if omega.kind == "segment":
+        return m
+    while m > 2 and m ** omega.num_groups > GRID_MAX_POINTS:
+        m -= 1
+    return None if m ** omega.num_groups > GRID_MAX_POINTS else m
+
+
 def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
                         mode: str = "standard", grid_m: int = 5,
                         uniform: int = 100, config: Optional[SolverConfig] = None) -> dict:
@@ -136,6 +147,10 @@ def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
     so checking every vertex against an exact reference proves the
     guarantee.  Only the solution vectors are consulted.
 
+    The grid has ``grid_m`` points per axis, fewer where that grid would
+    exceed ``GRID_MAX_POINTS`` and none where even 2 per axis would (the
+    report's ``grid_m`` gives the count used, or None).
+
     On an interval domain with the pattern reference, the grid and vertex
     samples are product grids and are evaluated axis by axis
     (``PiEnumerationOracle.robust_grid``, ``capped_grid_min``) without
@@ -148,7 +163,8 @@ def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
     variant = mode == "variant"
     ref, grid_ref, route = _reference_fn(inst, mode, config)
     vertices = omega.kind != "segment" and omega.num_groups <= 20
-    kinds = ["grid", "vertices"] if vertices else ["grid"]
+    grid_m = _grid_size(omega, grid_m)
+    kinds = ["grid"] * (grid_m is not None) + ["vertices"] * vertices
     product = grid_ref is not None and omega.kind == "interval"
     # (points, gap, opt) per part, in sample order; a product grid's points
     # are its axes
@@ -166,6 +182,8 @@ def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
         G = np.vstack(samples)
         opt = ref(G)
         parts.append((G, _set_minimum(inst, X, variant)(G) - opt, opt))
+    if not parts:
+        raise CliError("no budget vectors to check: no grid or vertices fit, and --uniform 0")
     gap = np.concatenate([p[1] for p in parts])
     opt = np.concatenate([p[2] for p in parts])
     i = int(np.argmax(gap))
@@ -177,6 +195,7 @@ def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
         "max_relative_gap": worst_rel,
         "witness_gamma": _nth_point(parts, i),
         "checked": int(gap.shape[0]),
+        "grid_m": grid_m,
         "reference": route,
         "exact": bool(omega.kind == "interval" and vertices and not variant
                       and route in ("pattern-oracle", "enumeration")),
@@ -242,6 +261,7 @@ def _seed_value(inst: Instance, omega: OmegaSpec, args) -> float:
 
 
 def cmd_run(args) -> int:
+    t0 = time.monotonic()
     inst = _load_instance(args.instance)
     omega = _omega_from_args(inst, args)
 
@@ -260,9 +280,11 @@ def cmd_run(args) -> int:
             trace_fh.write(json.dumps(rec) + "\n")
 
     try:
+        # --time-limit bounds the whole command: the loop gets what the
+        # seed of --epsilon-pct left
+        left = max(0.0, args.time_limit - (time.monotonic() - t0))
         res = run_aq(inst, omega, epsilon, mode=args.mode,
-                     budget=Budget(max_iters=args.max_iters,
-                                   time_limit=args.time_limit),
+                     budget=Budget(max_iters=args.max_iters, time_limit=left),
                      trace=trace)
     finally:
         if trace_fh is not None:

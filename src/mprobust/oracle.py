@@ -134,17 +134,17 @@ def _bellman_ford(a: _SpArcs, num_nodes: int, source: int, C: np.ndarray,
                   deadline: Optional[float]) -> tuple:
     """(dist, pred), both (num_nodes, R): distances from ``source`` for
     every cost row of C (R, m), inf where unreachable, and each node's
-    predecessor arc (-1 where none).  Synchronous Bellman-Ford: each pass relaxes every arc for every row at
-    once and keeps each node's minimum over its in-arcs
-    (``np.minimum.reduceat`` over the head-sorted arcs); the passes stop at
-    the first that changes nothing.  Costs are nonnegative, so a distance is
-    the left-to-right float sum along a path, as in Dijkstra.  A node's
-    predecessor arc (the first in-arc reaching the minimum) changes only on a
-    strict improvement, so zero-cost arcs cannot close a cycle in the walk
-    back along ``pred``.  The arrays are node- and arc-major, so each
-    reduction runs over contiguous rows of length R; no row's result depends
-    on another row.  Each pass first reads the clock and raises TimeoutError
-    once ``time.monotonic()`` is past ``deadline``.
+    predecessor arc (-1 where none).  Synchronous Bellman-Ford: each pass
+    relaxes every arc for every row at once and keeps each node's minimum
+    over its in-arcs (``np.minimum.reduceat`` over the head-sorted arcs);
+    the passes stop at the first that changes nothing.  Costs are
+    nonnegative, so a distance is the left-to-right float sum along a path,
+    as in Dijkstra.  A node's predecessor arc (the first in-arc reaching the
+    minimum) changes only on a strict improvement, so zero-cost arcs cannot
+    close a cycle in the walk back along ``pred``.  The arrays are node- and
+    arc-major, so each reduction runs over contiguous rows of length R; no
+    row's result depends on another row.  Each pass first reads the clock
+    and raises TimeoutError once ``time.monotonic()`` is past ``deadline``.
     """
     R, m = C.shape
     dist = np.full((num_nodes, R), np.inf)
@@ -268,13 +268,22 @@ def _simple_paths(inst: Instance) -> np.ndarray:
     return X
 
 
+def _binary_rows(rows: slice, width: int) -> np.ndarray:
+    """Rows ``rows`` of the (2^width, width) 0-1 float matrix whose row i is
+    i in binary, most significant bit first: the order of
+    ``itertools.product((0, 1), repeat=width)``."""
+    bits = np.arange(width - 1, -1, -1)
+    return ((np.arange(rows.start, rows.stop)[:, None] >> bits) & 1).astype(float)
+
+
 def enumerate_x(inst: Instance) -> np.ndarray:
     """The feasible set as a (num, n) 0-1 matrix.
 
     Shortest-path instances enumerate simple source-target paths (feasible
     points with extra zero-cost-irrelevant cycles are dominated and skipped);
     facility instances enumerate median subsets crossed with all assignments;
-    generic instances check every 0-1 pattern up to the size guard.
+    generic instances check every 0-1 pattern up to the size guard, in row
+    chunks, so only the feasible rows are kept whole.
     """
     kind = inst.kind
     if kind == "TOY":
@@ -299,10 +308,12 @@ def enumerate_x(inst: Instance) -> np.ndarray:
         return np.vstack(blocks)
     if inst.n > MAX_GENERIC_VARS:
         raise ValueError("generic enumeration limited to 24 variables")
-    pats = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n)))
-    r = pats @ inst.x_coeffs.T - inst.x_rhs     # a sense < 0 is <=, > 0 is >=, 0 is =
-    s = inst.x_senses
-    return pats[(((s > 0) | (r <= 1e-9)) & ((s < 0) | (r >= -1e-9))).all(axis=1)]
+    s, keep = inst.x_senses, []
+    for rows in row_chunks(1 << inst.n, inst.n):
+        pats = _binary_rows(rows, inst.n)
+        r = pats @ inst.x_coeffs.T - inst.x_rhs     # a sense < 0 is <=, > 0 is >=, 0 is =
+        keep.append(pats[(((s > 0) | (r <= 1e-9)) & ((s < 0) | (r >= -1e-9))).all(axis=1)])
+    return np.vstack(keep)
 
 
 def robustness_matrix(inst: Instance, X: np.ndarray, gamma, variant: bool = False) -> np.ndarray:
@@ -359,8 +370,7 @@ class PiEnumerationOracle:
             raise ValueError(f"pattern enumeration refused for K > {PATTERN_MAX_K}")
         t0 = time.monotonic()
         P = 1 << K
-        bits = np.arange(K - 1, -1, -1)
-        self.patterns = ((np.arange(P)[:, None] >> bits) & 1).astype(float)
+        self.patterns = _binary_rows(slice(0, P), K)
         kernel = _KERNELS.get(inst.kind, _enumerated_kernel)
         self.nominal_values = np.empty(P)
         self.solutions = np.empty((P, inst.n), dtype=np.uint8)

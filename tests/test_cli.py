@@ -219,6 +219,67 @@ def test_verify_on_sp_run(tmp_path, capsys):
     assert report["max_gap"] <= rel_eps + 1e-6
 
 
+def test_verify_default_grid_at_ten_groups(tmp_path, capsys):
+    """With the default ``--grid 5``, verify of a K = 10 interval result
+    lowers the grid to the 4 points per axis that fit ``GRID_MAX_POINTS``
+    and says so in ``grid_m``, instead of refusing the grid."""
+    sp, res = tmp_path / "sp.json", tmp_path / "res.json"
+    run_cli("generate", "sp", "--nodes", 12, "--seed", 0, "--partition", "r", "--k", 10,
+            "--out", sp)
+    assert run_cli("run", "--instance", sp, "--omega", "interval", "--delta", 0.5,
+                   "--epsilon-pct", 1, "--out", res) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--result", res) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["grid_m"] == 4 and report["checked"] == 4 ** 10 + 2 ** 10 + 100
+    assert report["ok"] is True and report["exact"] is True
+
+
+def test_verify_leaves_out_a_grid_that_cannot_fit():
+    """Past 20 groups not even 2 points per axis fit: verify checks the
+    uniform sample alone, with ``grid_m`` None, as it already leaves out
+    the vertices there; with no uniform sample either it refuses."""
+    from mprobust.cli import CliError, verify_solution_set
+    from mprobust.oracle import toy_instance
+
+    inst, omega, _ = toy_instance(20)
+    assert omega.num_groups == 21
+    report = verify_solution_set(inst, omega, [np.eye(inst.n)[-1]], 0.0, uniform=7)
+    assert report["grid_m"] is None and report["checked"] == 7
+    assert report["exact"] is False and report["ok"] is True
+    with pytest.raises(CliError):
+        verify_solution_set(inst, omega, [np.eye(inst.n)[-1]], 0.0, uniform=0)
+
+
+def test_time_limit_bounds_the_whole_run(tmp_path, monkeypatch):
+    """``--time-limit`` covers the ``--epsilon-pct`` seed too: ``run_aq``
+    gets the time the seed left, not the whole limit again."""
+    import time
+
+    from mprobust import cli
+
+    sp, out = tmp_path / "sp.json", tmp_path / "res.json"
+    run_cli("generate", "sp", "--nodes", 10, "--seed", 0, "--partition", "r", "--k", 4,
+            "--out", sp)
+    seed_value, run_aq = cli._seed_value, cli.run_aq
+    budgets = []
+
+    def slow_seed(*args):
+        time.sleep(0.2)
+        return seed_value(*args)
+
+    def recorded(*args, budget=None, **kwargs):
+        budgets.append(budget)
+        return run_aq(*args, budget=budget, **kwargs)
+
+    monkeypatch.setattr(cli, "_seed_value", slow_seed)
+    monkeypatch.setattr(cli, "run_aq", recorded)
+    assert run_cli("run", "--instance", sp, "--omega", "interval", "--delta", 0.5,
+                   "--epsilon-pct", 1, "--time-limit", 30, "--out", out) == 0
+    (budget,) = budgets
+    assert 0 < budget.time_limit <= 30 - 0.2
+
+
 def test_report_aggregation(tmp_path, capsys):
     batch = tmp_path / "batch"
     batch.mkdir()
