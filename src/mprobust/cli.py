@@ -88,12 +88,13 @@ def _set_minimum(inst: Instance, X: np.ndarray, variant: bool):
 
 def _reference_fn(inst: Instance, mode: str, config):
     """Batched robust-value reference ``ref(G) -> (S,)``: the pattern table
-    where the oracle admits one, else enumeration when small, else the
-    solver; returns (ref, grid_ref, route).  ``grid_ref(axes)`` evaluates a
-    product grid whole (``PiEnumerationOracle.robust_grid``); it is None
-    outside the pattern route.  The pattern route reads the instance's
-    shared table, which ``run_aq`` may already have built; the solver route
-    solves the robust MILP, never that table."""
+    wherever one can be built (``oracle.admits_pattern_table``), else
+    enumeration when small, else the solver; returns (ref, grid_ref,
+    route).  ``grid_ref(axes)`` evaluates a product grid whole
+    (``PiEnumerationOracle.robust_grid``); it is None outside the pattern
+    route.  The pattern route reads the instance's shared table, which
+    ``run_aq`` may already have built; the solver route solves the robust
+    MILP, never that table."""
     variant = mode == "variant"
     if not variant and admits_pattern_table(inst):
         oracle = shared_pattern_table(inst)
@@ -124,14 +125,17 @@ def _nth_point(parts, i: int) -> list:
 
 
 def _grid_size(omega: OmegaSpec, m: int) -> Optional[int]:
-    """The grid's points per axis: ``m`` on a segment, elsewhere the largest
-    count up to ``m``, and at least 2, whose grid fits ``GRID_MAX_POINTS``;
-    None, for no grid, when even 2 points per axis do not fit."""
-    if omega.kind == "segment":
+    """The grid's points per axis: ``m`` on a segment or where its grid fits
+    ``GRID_MAX_POINTS``, else the largest smaller count, at least 3, that
+    fits; None, for no grid, when 3 points per axis do not fit.  A grid of
+    2 points per axis is the box's corners, which the vertex sample lists
+    already (2^K fits only at K <= 20, where vertices are checked)."""
+    K = omega.num_groups
+    if omega.kind == "segment" or m ** K <= GRID_MAX_POINTS:
         return m
-    while m > 2 and m ** omega.num_groups > GRID_MAX_POINTS:
+    while m > 3 and m ** K > GRID_MAX_POINTS:
         m -= 1
-    return None if m ** omega.num_groups > GRID_MAX_POINTS else m
+    return m if m ** K <= GRID_MAX_POINTS else None
 
 
 def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
@@ -148,7 +152,7 @@ def verify_solution_set(inst: Instance, omega: OmegaSpec, xs, epsilon: float,
     guarantee.  Only the solution vectors are consulted.
 
     The grid has ``grid_m`` points per axis, fewer where that grid would
-    exceed ``GRID_MAX_POINTS`` and none where even 2 per axis would (the
+    exceed ``GRID_MAX_POINTS`` and none where even 3 per axis would (the
     report's ``grid_m`` gives the count used, or None).
 
     On an interval domain with the pattern reference, the grid and vertex
@@ -281,7 +285,7 @@ def cmd_run(args) -> int:
 
     try:
         # --time-limit bounds the whole command: the loop gets what the
-        # seed of --epsilon-pct left
+        # seed of --epsilon-pct left, and reuses that seed
         left = max(0.0, args.time_limit - (time.monotonic() - t0))
         res = run_aq(inst, omega, epsilon, mode=args.mode,
                      budget=Budget(max_iters=args.max_iters, time_limit=left),

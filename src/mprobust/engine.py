@@ -26,7 +26,7 @@ writes the big-M rows for gamma_k times a 0-1 selector.
 Every master names its column blocks, and one certificate reader
 (``robust.read_certificate``) turns a solved master into the next entry.
 
-On an interval domain of an instance the oracle admits (see
+On an interval domain of an instance whose table beats MILP masters (see
 ``uses_pattern_master``) the 0-1 master is replaced by the pattern master:
 once the activation pattern pi is fixed, the interval master's optimum is
 ``min_e [const_e + pi_e . gamma(pi)] - L . pi - nom(c(pi))``, and
@@ -40,6 +40,7 @@ same instance in the process reuses it.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -48,7 +49,7 @@ import numpy as np
 from .milp import (
     INCUMBENT_ONLY, MilpModel, ModelBuilder, SolverConfig, SolverLimitError, solve_milp,
 )
-from .oracle import PiEnumerationOracle, admits_pattern_table, shared_pattern_table
+from .oracle import PiEnumerationOracle, pattern_table_pays, shared_pattern_table
 from .robust import (
     MODES, _declares_tu, _solve_robust_milp, add_standard_certificate,
     read_certificate, relax_rho_x, solve_robust, table_certificate,
@@ -359,7 +360,7 @@ class PatternMaster:
 def uses_pattern_master(inst: Instance, omega: OmegaSpec, mode: str) -> bool:
     """Whether ``run_aq`` serves this domain and mode with the pattern master."""
     return (omega.kind == "interval" and mode in ("standard", "tu_relaxed")
-            and admits_pattern_table(inst))
+            and pattern_table_pays(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +378,9 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
     ``tu_relaxed`` (rho and x relaxed inside both solves; network instances
     only), or ``variant`` (fractional uncertainty).  The returned history
     always starts with the robust optimum at the domain's start vector.
-    Interval domains of admitted instances use the pattern master (outside
-    ``variant`` mode, see ``uses_pattern_master``); every other case solves
-    MILP masters.
+    Interval domains of instances whose table beats MILP masters use the
+    pattern master (outside ``variant`` mode, see ``uses_pattern_master``);
+    every other case solves MILP masters.
 
     The loop stops with ``epsilon_met`` once the master value is at most
     epsilon, with ``stalled`` when the master returns an entry already
@@ -500,6 +501,12 @@ def run_aq(inst: Instance, omega: OmegaSpec, epsilon: float,
         master_s=master_total_s, instance=inst)
 
 
+# the finished seed solves of each instance, by mode, start vector and
+# backend: ``mprobust run --epsilon-pct`` takes epsilon from the seed before
+# ``run_aq`` starts, and the run reuses that seed rather than solve it again
+_SEEDS: "weakref.WeakKeyDictionary[Instance, dict]" = weakref.WeakKeyDictionary()
+
+
 def _seed_solve(inst: Instance, omega: OmegaSpec, mode: str, config: SolverConfig,
                 deadline: float) -> tuple:
     """(table, seed, table_s): the seed decision of a run.
@@ -509,7 +516,9 @@ def _seed_solve(inst: Instance, omega: OmegaSpec, mode: str, config: SolverConfi
     domain's start vector without a MILP, and an unfinished one (``table``
     None) sends the seed straight to the robust MILP, not to a second build
     of the table.  Other runs build no table (``table_s`` 0.0) and solve
-    the seed with ``solve_robust``.  The seed solve gets ``config``.
+    the seed with ``solve_robust``.  The seed solve gets ``config``.  Without
+    a table, a seed this instance already has for the mode, start vector
+    and backend is reused; a seed stopped at a limit raises and is not kept.
     """
     table, table_s, solve = None, 0.0, solve_robust
     if uses_pattern_master(inst, omega, mode):
@@ -519,7 +528,13 @@ def _seed_solve(inst: Instance, omega: OmegaSpec, mode: str, config: SolverConfi
         except TimeoutError:
             solve = _solve_robust_milp
         table_s = time.monotonic() - t
-    return table, solve(inst, omega.start_gamma, mode=mode, config=config), table_s
+    if table is not None:
+        return table, solve(inst, omega.start_gamma, mode=mode, config=config), table_s
+    seeds = _SEEDS.setdefault(inst, {})
+    key = (mode, np.asarray(omega.start_gamma, dtype=float).tobytes(), config.backend)
+    if key not in seeds:
+        seeds[key] = solve(inst, omega.start_gamma, mode=mode, config=config)
+    return None, seeds[key], table_s
 
 
 def _time_left(config: SolverConfig, budget: Budget, start: float) -> SolverConfig:

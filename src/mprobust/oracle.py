@@ -33,19 +33,32 @@ MAX_ENUM = 2_000_000
 # master still won at K = 16.
 PATTERN_MAX_K = 16
 # Largest 2^K * comb(l, p), the (pattern, median subset) pairs its kernel
-# scans, of a p-median pattern table: within it every measured table beat
-# one robust MILP or lost by at most 0.1 s (PLM l = 10-40, p = 2-4, K = 4-12;
-# the measurements are in CHANGES.md).
+# scans, of a p-median table that serves the engine's pattern master.
+# Measured against one robust MILP (PLM l = 10-40, p = 2-4, K = 4-12; the
+# measurements are in CHANGES.md): within the bound the table won or lost
+# by at most 0.13 s (l = 30, p = 3, K = 8: 0.21 against 0.08 s), and a run
+# solves many MILP masters, not one; above it the table lost (l = 40,
+# p = 4, K = 8: 8.4 against 2.3 s).
 PLM_MAX_WORK = 1 << 22
 # median subsets the p-median kernel scans between two reads of the clock
 SUBSET_STRIDE = 64
 
 
 def admits_pattern_table(inst: Instance) -> bool:
-    """Whether the pattern routes build this instance's table: shortest-path
-    and toy instances with K <= ``PATTERN_MAX_K``, p-median ones within
-    ``PLM_MAX_WORK``; generic instances keep the MILP routes."""
-    if inst.num_groups > PATTERN_MAX_K:
+    """Whether ``PiEnumerationOracle`` builds this instance's table: at most
+    ``PATTERN_MAX_K`` groups, and on generic instances at most
+    ``MAX_GENERIC_VARS`` variables to enumerate.  Verify reads the table
+    wherever one is admitted: its other exact reference evaluates every
+    sampled point, at least the 2^K vertices, over the whole feasible set."""
+    return inst.num_groups <= PATTERN_MAX_K and (
+        inst.kind in ("SP", "TOY", "PLM") or inst.n <= MAX_GENERIC_VARS)
+
+
+def pattern_table_pays(inst: Instance) -> bool:
+    """Whether the table beats MILP masters, so the engine's pattern master
+    serves the instance: admitted shortest-path and toy instances, p-median
+    ones within ``PLM_MAX_WORK``; generic instances keep the MILP masters."""
+    if not admits_pattern_table(inst):
         return False
     if inst.kind == "PLM":
         l, p = int(inst.metadata["l"]), int(inst.metadata["p"])
@@ -228,10 +241,18 @@ def _plm_kernel(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> tup
     return values, X
 
 
+# the enumerated feasible set of each toy or generic instance a kernel reads
+_FEASIBLE_SETS: "weakref.WeakKeyDictionary[Instance, np.ndarray]" = weakref.WeakKeyDictionary()
+
+
 def _enumerated_kernel(inst: Instance, C: np.ndarray, deadline: Optional[float]) -> tuple:
     """(values, X) of every cost row c of C: the first minimum of ``X @ c``
-    over the enumerated set X, the clock read before each row."""
-    X = enumerate_x(inst)
+    over the enumerated set X, the clock read before each row.  X is
+    enumerated once per instance and shared by every call after."""
+    X = _FEASIBLE_SETS.get(inst)
+    if X is None:
+        X = _FEASIBLE_SETS[inst] = enumerate_x(inst)
+        X.flags.writeable = False
     values, best = np.empty(C.shape[0]), np.empty(C.shape[0], dtype=np.int64)
     for r, c in enumerate(C):
         if deadline is not None and time.monotonic() > deadline:

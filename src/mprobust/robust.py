@@ -18,10 +18,10 @@ R(gamma) is a minimum over the 2^K patterns (the locally budgeted form of
 Bertsimas & Sim's "n + 1 nominal problems").  So ``solve_robust`` in
 ``standard`` and ``tu_relaxed`` mode answers from the instance's pattern
 table (``oracle.shared_pattern_table``) whenever one is cached, and builds
-it first on instances that ``oracle.admits_pattern_table`` admits with
-``TABLE_MIN_K`` to ``TABLE_MAX_K`` groups (the upper bound is a measured
-crossover against one robust MILP).  The answer is the pattern with the
-smallest nominal value plus each active gamma_k, added in group order
+it first on ``TABLE_KINDS`` instances with ``TABLE_MIN_K`` to
+``TABLE_MAX_K`` groups (the upper bound is a measured crossover against one
+robust MILP).  The answer is the pattern with the smallest nominal value
+plus each active gamma_k, added in group order
 (``PiEnumerationOracle.best_pattern``; ties go to the first pattern), so
 its value equals the table's ``robust_value`` to the bit.  The ``variant``
 mode, and other instances without a cached table, solve the MILP.
@@ -40,7 +40,7 @@ from .milp import (
     relax_binaries, solve_milp,
 )
 from .oracle import (
-    PiEnumerationOracle, admits_pattern_table, cached_pattern_table, shared_pattern_table,
+    PiEnumerationOracle, cached_pattern_table, shared_pattern_table,
 )
 from .uncertainty import (
     Instance, _check_gamma, robustness_value, robustness_value_variant,
@@ -67,6 +67,14 @@ TABLE_MAX_K = 9
 # that hook moves to a layer every solve reaches, these instances keep the
 # MILP unless their table is already cached.
 TABLE_MIN_K = 4
+
+# Families on which ``solve_robust`` builds a missing table in that K range:
+# shortest-path instances, where the range was measured, and the one-hot toy
+# family, whose kernel is cheaper still.  A p-median table lost to one
+# robust MILP inside the range (l = 20, p = 3, K = 9: 0.11 against
+# 0.03-0.10 s), so p-median instances solve the MILP unless a pattern-master
+# run has cached their table.
+TABLE_KINDS = ("SP", "TOY")
 
 
 class TuIntegralityError(RuntimeError):
@@ -232,7 +240,7 @@ def table_certificate(inst: Instance, table: PiEnumerationOracle, i: int) -> tup
 def _pattern_table(inst: Instance, deadline: Optional[float]) -> Optional[PiEnumerationOracle]:
     """The shared pattern table ``solve_robust`` reads, or None for the MILP."""
     table = cached_pattern_table(inst)
-    if (table is not None or not admits_pattern_table(inst)
+    if (table is not None or inst.kind not in TABLE_KINDS
             or not TABLE_MIN_K <= inst.num_groups <= TABLE_MAX_K):
         return table
     try:

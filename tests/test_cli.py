@@ -251,6 +251,50 @@ def test_verify_leaves_out_a_grid_that_cannot_fit():
         verify_solution_set(inst, omega, [np.eye(inst.n)[-1]], 0.0, uniform=0)
 
 
+@pytest.mark.parametrize("n, grid_m", [(12, 3), (13, None), (16, None)])
+def test_verify_grid_keeps_three_points_per_axis(n, grid_m):
+    """Lowered to fit ``GRID_MAX_POINTS``, the default grid keeps at least
+    3 points per axis: 2 per axis would list the box's corners, which the
+    vertex sample checks already, so past K = 13 only the vertices and the
+    uniform sample are checked, one point each (at K = 17 against the
+    enumeration reference, above ``PATTERN_MAX_K``)."""
+    from mprobust.cli import verify_solution_set
+    from mprobust.oracle import PATTERN_MAX_K, toy_instance
+
+    inst, omega, _ = toy_instance(n)
+    K = omega.num_groups
+    report = verify_solution_set(inst, omega, list(np.eye(inst.n)), 0.0)
+    assert report["grid_m"] == grid_m
+    assert report["checked"] == (grid_m or 0) ** K + 2 ** K + 100
+    assert report["reference"] == ("pattern-oracle" if K <= PATTERN_MAX_K else "enumeration")
+    assert report["exact"] is True and report["ok"] is True
+
+
+def test_verify_reads_a_plm_table_above_the_pattern_master_bound():
+    """Verify's reference is the pattern table wherever one can be built: a
+    p-median instance whose table is too large for the pattern master
+    (2^K comb(l, p) > ``PLM_MAX_WORK``, MILP masters) still gets it, and
+    the check is a proof."""
+    from math import comb
+
+    from mprobust.cli import verify_solution_set
+    from mprobust.engine import uses_pattern_master
+    from mprobust.generators import (
+        PartitionScheme, PlmParams, apply_partition, build_omega, gen_plm,
+    )
+    from mprobust.oracle import PLM_MAX_WORK, shared_pattern_table
+
+    inst = apply_partition(gen_plm(PlmParams(25, 4, seed=0)), PartitionScheme("lo", 9),
+                           seed=0)
+    assert comb(25, 4) << inst.num_groups > PLM_MAX_WORK
+    omega = build_omega(inst, "interval", delta=0.5)
+    assert not uses_pattern_master(inst, omega, "standard")
+    xs = shared_pattern_table(inst).solution_set()
+    report = verify_solution_set(inst, omega, xs, 0.0, grid_m=3, uniform=10)
+    assert report["reference"] == "pattern-oracle" and report["exact"] is True
+    assert report["ok"] is True
+
+
 def test_time_limit_bounds_the_whole_run(tmp_path, monkeypatch):
     """``--time-limit`` covers the ``--epsilon-pct`` seed too: ``run_aq``
     gets the time the seed left, not the whole limit again."""
@@ -278,6 +322,40 @@ def test_time_limit_bounds_the_whole_run(tmp_path, monkeypatch):
                    "--epsilon-pct", 1, "--time-limit", 30, "--out", out) == 0
     (budget,) = budgets
     assert 0 < budget.time_limit <= 30 - 0.2
+
+
+def test_epsilon_pct_seed_is_solved_once(tmp_path, monkeypatch):
+    """``run_aq`` reuses the seed ``--epsilon-pct`` took epsilon from: one
+    robust MILP in all, so a seed that spends the whole ``--time-limit``
+    still leaves a one-entry ``budget_exceeded`` result."""
+    import time
+
+    from mprobust import cli
+
+    sp, out = tmp_path / "sp.json", tmp_path / "res.json"
+    run_cli("generate", "sp", "--nodes", 10, "--seed", 0, "--partition", "r", "--k", 3,
+            "--out", sp)
+    seed_value, calls = cli._seed_value, []
+
+    def slow_seed(*args):
+        value = seed_value(*args)
+        time.sleep(0.3)
+        return value
+
+    def counted(original):
+        def backend(model, cfg):
+            calls.append(model.name)
+            return original(model, cfg)
+        return backend
+
+    monkeypatch.setattr(cli, "_seed_value", slow_seed)
+    with wrapped_default_backend(counted):
+        assert run_cli("run", "--instance", sp, "--omega", "segment", "--epsilon-pct", 1,
+                       "--time-limit", 0.2, "--out", out) == 2
+    assert calls == ["robust"]
+    d = load_json(out)
+    assert d["stop_reason"] == "budget_exceeded"
+    assert d["iterations"] == 1 and d["q_values"] == []
 
 
 def test_report_aggregation(tmp_path, capsys):

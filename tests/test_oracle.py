@@ -492,6 +492,34 @@ def test_sp_without_a_path():
         PiEnumerationOracle(inst)
 
 
+def test_enumerated_kernel_enumerates_once_per_instance(monkeypatch):
+    """The toy and generic kernel reads one enumeration of X per instance,
+    however many row chunks a table takes and however many one-row
+    ``nominal_minimize`` calls follow; the table still equals the
+    per-pattern scan."""
+    from mprobust import oracle, uncertainty
+
+    import itertools
+
+    inst = random_instance(np.random.default_rng(3), n=8, K=4)
+    want = per_pattern_table(inst, np.array(list(itertools.product((0, 1), repeat=4))))
+    calls, inner = [], oracle.enumerate_x
+
+    def counted(inst):
+        calls.append(1)
+        return inner(inst)
+
+    monkeypatch.setattr(oracle, "enumerate_x", counted)
+    monkeypatch.setattr(uncertainty, "CHUNK_ELEMS", 3 * inst.n + 1)
+    assert len(uncertainty.row_chunks(2 ** 4, inst.n)) > 1
+    table = PiEnumerationOracle(inst)
+    nominal_minimize(inst, inst.c_lower)
+    PiEnumerationOracle(inst)
+    assert len(calls) == 1
+    assert np.array_equal(table.nominal_values, want[0])
+    assert np.array_equal(table.solutions, want[1])
+
+
 def test_sp_table_unchanged_across_chunk_boundaries(monkeypatch):
     from mprobust import uncertainty
     from mprobust.generators import PartitionScheme, SpParams, apply_partition, gen_sp

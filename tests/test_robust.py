@@ -290,10 +290,11 @@ def test_table_route_matches_milp_route():
 
 
 def test_milp_calls_by_route():
-    """No robust MILP on admitted instances with TABLE_MIN_K to TABLE_MAX_K
-    groups, p-median ones included, or on a cached table; one on
-    ``variant``, outside those K bounds without a table and after a table
-    unfinished at the time limit, which then gets only the time left."""
+    """No robust MILP on ``TABLE_KINDS`` instances with TABLE_MIN_K to
+    TABLE_MAX_K groups or on a cached table; one on ``variant``, on
+    p-median instances without a cached table (in those K bounds too),
+    outside those K bounds without a table and after a table unfinished at
+    the time limit, which then gets only the time left."""
     from dataclasses import replace
 
     from mprobust import oracle
@@ -331,7 +332,7 @@ def test_milp_calls_by_route():
         assert count(toy_instance(4)[0]) == 0
         assert count(_sp(12, "r", 3), mode="variant") == 1
         assert count(plm()) == 1
-        assert count(plm(10, TABLE_MIN_K)) == 0
+        assert count(plm(10, TABLE_MIN_K)) == 1
         big = _sp(12, "r", TABLE_MAX_K + 1)
         small = _sp(12, "r", TABLE_MIN_K - 1)
         for inst in (big, small):
