@@ -9,22 +9,22 @@ gamma it returns, so each iteration appends one certified entry; the loop
 stops once the certified worst-case gap drops to epsilon.
 
 Masters: a pure 0-1 master for interval domains; ``build_q_general`` for
-segments and budgeted domains, which writes each gamma_k as an affine form
-over the domain's own columns (the position alpha on a segment, the slacks
-beta on a budgeted domain); and, for the fractional uncertainty variant on
-any domain, ``build_q_variant``: the variant robust counterpart's
+segments and budgeted domains; and, for the fractional uncertainty variant
+on any domain, ``build_q_variant``: the variant robust counterpart's
 continuous certificate with each theta_k held to one breakpoint, 0 or one
-d_j of its group, by one-hot 0-1 selectors.  All three write the
-candidate's certificate through ``robust.add_standard_certificate``.  Each
-stored entry caps the master's value sigma at its certified value ``c_e +
-p_e . gamma``, and one writer, ``add_caps``, writes every master's caps
-through an affine form of gamma: over the domain's columns (general and
-variant masters), or the vertex form (y, diag(L - U), U), gamma_j = U_j +
-(L_j - U_j) y_j, that puts gamma at the box vertex the candidate's 0-1
-columns y pick (interval and cost-box masters).  ``add_product_rows``
-writes the big-M rows for gamma_k times a 0-1 selector.
-Every master names its column blocks, and one certificate reader
-(``robust.read_certificate``) turns a solved master into the next entry.
+d_j of its group, by one-hot 0-1 selectors.  All three write the candidate's
+certificate through ``robust.add_standard_certificate``.  All but the 0-1
+interval master write gamma as an affine form over the domain's own columns
+(``_domain_form``: g_k per group on an interval, the position alpha on a
+segment, the slacks beta on a budgeted domain), which ``_master_gamma``
+reads back.  Each stored entry caps the master's value sigma at its
+certified value ``c_e + p_e . gamma``; ``add_caps`` writes every master's
+caps through that form, or through the vertex form (y, diag(L - U), U),
+gamma_j = U_j + (L_j - U_j) y_j, of the box vertex the candidate's 0-1
+columns y pick (interval and cost-box masters).  ``add_product_rows`` writes
+the big-M rows for gamma_k times a 0-1 selector.  One certificate reader
+(``robust.read_certificate``) turns a solved master into the next entry
+through its named column blocks.
 
 On an interval domain of an instance whose table beats MILP masters (see
 ``uses_pattern_master``) the 0-1 master is replaced by the pattern master:
@@ -182,59 +182,33 @@ def add_product_rows(b: ModelBuilder, prods, sels, groups, upper, gamma_form: tu
         b.add_row(row, ">=", float(base[k] - upper[k]))
 
 
-def _std_blocks(b: ModelBuilder, inst: Instance, pi_obj=None):
-    """The candidate's certificate in a maximizing master: the robust
-    counterpart's columns and rows with its objective negated (pi pays
-    ``-pi_obj``, nothing if None)."""
-    pi_cost = np.zeros(inst.num_groups) if pi_obj is None else -pi_obj
-    return add_standard_certificate(b, inst, pi_cost, -inst.deviations, -inst.c_lower)
-
-
-def _omega_gamma_block(b: ModelBuilder, omega: OmegaSpec):
-    """Continuous gamma variables (block ``gamma``) constrained to the domain."""
+def _domain_form(omega: OmegaSpec) -> tuple:
+    """(block, names, lower, upper, coef, base, cap): the domain's own columns
+    t, with gamma = base + coef^T t and sum t <= cap unless cap is None.  An
+    interval has a column ``g_k`` per group (block ``gamma``), a segment the
+    position alpha (block ``position``, coef gamma0), and a budgeted domain
+    the slacks ``b_k`` (block ``beta``, base ``gamma_base``, cap ``budget``)."""
     K = omega.num_groups
-    U = omega.upper_bound
-    b.declare_block("gamma")
-    if omega.kind == "interval":
-        return [b.add_continuous(f"g{k}", float(omega.lower[k]), float(U[k]), block="gamma")
-                for k in range(K)]
     if omega.kind == "segment":
-        gam = [b.add_continuous(f"g{k}", 0.0, float(U[k]), block="gamma") for k in range(K)]
-        a = b.add_continuous("alpha", omega.alpha_lo, omega.alpha_hi)
-        for k in range(K):
-            b.add_row({gam[k]: 1.0, a: -float(omega.gamma0[k])}, "==", 0.0)
-        return gam
-    gam = [b.add_continuous(f"g{k}", float(omega.gamma_base[k]), float(U[k]), block="gamma")
-           for k in range(K)]
-    b.add_row({g: 1.0 for g in gam}, "<=",
-              float(omega.gamma_base.sum() + omega.budget))
-    return gam
+        return ("position", ["alpha"], [omega.alpha_lo], [omega.alpha_hi],
+                omega.gamma0[None, :], np.zeros(K), None)
+    if omega.kind == "interval":
+        return ("gamma", [f"g{k}" for k in range(K)], omega.lower, omega.upper,
+                np.eye(K), np.zeros(K), None)
+    return ("beta", [f"b{k}" for k in range(K)], np.zeros(K), omega.spread,
+            np.eye(K), omega.gamma_base, omega.budget)
 
 
 def _omega_affine_block(b: ModelBuilder, omega: OmegaSpec) -> tuple:
-    """The domain's own columns, with gamma an affine form over them.
-
-    Returns (cols, coef, base) with ``gamma_k = base_k + sum_j coef[j, k]
-    * cols[j]``: an interval has a column ``g_k`` per group (block
-    ``gamma``), a segment the one position column alpha (block
-    ``position``) with gamma = alpha * gamma0, and a budgeted domain the
-    slacks ``b_k`` (block ``beta``) with gamma = base + beta under the row
-    sum beta <= budget.
-    """
-    K = omega.num_groups
-    if omega.kind == "segment":
-        a = b.add_continuous("alpha", omega.alpha_lo, omega.alpha_hi, block="position")
-        return [a], omega.gamma0[None, :], np.zeros(K)
-    if omega.kind == "interval":
-        b.declare_block("gamma")
-        cols = [b.add_continuous(f"g{k}", float(omega.lower[k]), float(omega.upper[k]),
-                                 block="gamma") for k in range(K)]
-        return cols, np.eye(K), np.zeros(K)
-    b.declare_block("beta")
-    cols = [b.add_continuous(f"b{k}", 0.0, float(omega.spread[k]), block="beta")
-            for k in range(K)]
-    b.add_row({c: 1.0 for c in cols}, "<=", float(omega.budget))
-    return cols, np.eye(K), omega.gamma_base
+    """Writes the domain's own columns (``_domain_form``); returns gamma's
+    affine form (cols, coef, base) over them, as ``add_caps`` takes it."""
+    block, names, lower, upper, coef, base, cap = _domain_form(omega)
+    b.declare_block(block)
+    cols = [b.add_continuous(name, float(lo), float(hi), block=block)
+            for name, lo, hi in zip(names, lower, upper)]
+    if cap is not None:
+        b.add_row({c: 1.0 for c in cols}, "<=", float(cap))
+    return cols, coef, base
 
 
 def build_q_general(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
@@ -251,7 +225,8 @@ def build_q_general(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     form = _omega_affine_block(b, omega)
     w = [b.add_continuous(f"w{k}", 0.0, np.inf, obj=-1.0)
          for k in range(inst.num_groups)]
-    pi, rho, x = _std_blocks(b, inst)
+    pi, rho, x = add_standard_certificate(b, inst, np.zeros(inst.num_groups),
+                                          -inst.deviations, -inst.c_lower)
     add_caps(b, sigma, form, [(_entry_const(inst, e), e.pi) for e in history])
     add_product_rows(b, w, pi, range(inst.num_groups), omega.upper_bound, form)
     return b.build(maximize=True)
@@ -264,7 +239,8 @@ def build_q_interval(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     history = _require_history(history)
     b = ModelBuilder("q_interval")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    pi, rho, x = _std_blocks(b, inst, pi_obj=omega.lower)
+    pi, rho, x = add_standard_certificate(b, inst, -omega.lower, -inst.deviations,
+                                          -inst.c_lower)
     add_caps(b, sigma, _vertex_form(pi, omega.lower, omega.upper),
              [(_entry_const(inst, e), e.pi) for e in history])
     return b.build(maximize=True)
@@ -284,19 +260,16 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
     stored entries enter the caps through their per-group breakpoint values.
     """
     history = _require_history(history)
-    K = inst.num_groups
     cov = [int(j) for j in inst.covered]
     b = ModelBuilder("q_variant")
     sigma = b.add_continuous("sigma", -np.inf, np.inf, obj=1.0)
-    # gamma is its own columns; a base of -0.0, the exact additive identity
-    # (0.0 would turn a -U_k of U_k = 0 into 0.0), leaves every constant as is
-    form = (_omega_gamma_block(b, omega), np.eye(K), np.full(K, -0.0))
+    form = _omega_affine_block(b, omega)
     z = {j: b.add_continuous(f"z{j}", 0.0, np.inf, obj=-float(inst.deviations[j]))
          for j in cov}
     b.declare_block("w")
     w = {j: b.add_binary(f"w{j}", block="w") for j in cov}
-    theta, _, _ = add_standard_certificate(b, inst, np.zeros(K), -np.ones(inst.n),
-                                           -inst.c_lower, binary=False,
+    theta, _, _ = add_standard_certificate(b, inst, np.zeros(inst.num_groups),
+                                           -np.ones(inst.n), -inst.c_lower, binary=False,
                                            x_coeff=inst.deviations)
     add_caps(b, sigma, form, [(_entry_const(inst, e, variant=True), e.pi)
                               for e in history])
@@ -311,18 +284,17 @@ def build_q_variant(inst: Instance, omega: OmegaSpec, history) -> MilpModel:
 
 
 def _master_gamma(omega: OmegaSpec, model: MilpModel, values) -> np.ndarray:
-    """The budget vector a solved master picks, read from its blocks: its
-    ``gamma`` columns wherever it has them, else the domain's own columns,
-    else (the 0-1 interval master) the vertex its ``pi`` picks; a solver's
-    -0.0 comes back as 0.0."""
-    blocks = model.blocks
-    if "gamma" in blocks:
-        return values[blocks["gamma"]] + 0.0
-    if "position" in blocks:
-        return (values[blocks["position"]][0] + 0.0) * omega.gamma0
-    if "beta" in blocks:
-        return omega.gamma_base + values[blocks["beta"]]
-    pi = np.round(values[blocks["pi"]])
+    """The budget vector a solved master picks: base + coef^T t over the
+    domain's own columns t wherever it has them, else (the 0-1 interval
+    master) the vertex its ``pi`` picks; a solver's -0.0 comes back as 0.0."""
+    block, _, _, _, coef, base, _ = _domain_form(omega)
+    if block in model.blocks:
+        return base + values[model.blocks[block]] @ coef + 0.0
+    return _box_vertex(omega, np.round(values[model.blocks["pi"]]))
+
+
+def _box_vertex(omega: OmegaSpec, pi: np.ndarray) -> np.ndarray:
+    """The interval vertex gamma = L pi + U (1 - pi) of 0-1 pi (or of each row)."""
     return omega.lower * pi + omega.upper * (1.0 - pi)
 
 
@@ -342,7 +314,7 @@ class PatternMaster:
     def __init__(self, inst: Instance, omega: OmegaSpec, table: PiEnumerationOracle):
         self.inst = inst
         self.table = table
-        self.gammas = omega.lower * table.patterns + omega.upper * (1.0 - table.patterns)
+        self.gammas = _box_vertex(omega, table.patterns)
         self.own = table.patterns @ omega.lower + table.nominal_values
         self.best = np.full(table.patterns.shape[0], np.inf)
 

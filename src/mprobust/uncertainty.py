@@ -429,8 +429,12 @@ def sample_gamma(omega: OmegaSpec, mode: str, m: int = 5,
     """Sample budget vectors from omega; returns an array of shape (N, K).
 
     Modes: ``grid`` (m points per axis, endpoints included), ``uniform``
-    (seeded), ``vertices`` (box corners / budgeted extreme points; refused
-    for segments and for K > 20).
+    (seeded), ``vertices`` (refused for segments and for K > 20): an
+    interval's box corners, or on a budgeted domain only the base and the K
+    points that move one coordinate by min(budget, spread_k).  A budgeted
+    domain has more extreme points when the budget exceeds a spread and K >=
+    2, such as base + (s_1, B - s_1, 0, ...); only the grid samples those,
+    which is why ``verify`` reports ``exact: false`` on budgeted domains.
     """
     K = omega.num_groups
     if omega.kind == "interval" and mode in ("grid", "vertices"):

@@ -233,8 +233,8 @@ def test_budgeted_master_product_variable_replay():
 
 
 def test_master_gamma_reads_the_domain_columns():
-    """A solved general master's gamma is alpha * gamma0 to the bit on a
-    segment, and lies in the domain on a budgeted one."""
+    """A solved general or variant master's gamma is alpha * gamma0 to the
+    bit on a segment, and lies in the domain on a budgeted one."""
     from mprobust.engine import _master_gamma
 
     rng = np.random.default_rng(23)
@@ -243,19 +243,51 @@ def test_master_gamma_reads_the_domain_columns():
         M = np.array([inst.deviations[list(g)].max() for g in inst.groups]) + 0.5
         for omega in (OmegaSpec.segment(M, 0.1, 0.9),
                       OmegaSpec.budgeted(0.4 * M, 0.8 * M, float(0.6 * M.mean()))):
-            model = build_q_general(inst, omega, _history_at(inst, [omega.start_gamma]))
-            sol = solve_milp(model)
-            assert sol.status == "optimal"
-            gamma = _master_gamma(omega, model, sol.values)
-            assert contains(omega, gamma)
-            if omega.kind == "segment":
-                alpha = sol.values[model.blocks["position"]][0]
-                assert gamma.tobytes() == (alpha * omega.gamma0).tobytes()
+            for build, mode in ((build_q_general, "standard"), (build_q_variant, "variant")):
+                model = build(inst, omega, _history_at(inst, [omega.start_gamma], mode=mode))
+                sol = solve_milp(model)
+                assert sol.status == "optimal"
+                gamma = _master_gamma(omega, model, sol.values)
+                assert contains(omega, gamma), model.name
+                if omega.kind == "segment":
+                    alpha = sol.values[model.blocks["position"]][0]
+                    assert gamma.tobytes() == (alpha * omega.gamma0).tobytes()
+
+
+def test_variant_segment_master_finds_a_small_alpha_gap():
+    """On PLM 8 p=2 `lo` K=3 (seed 0), segment Omega with gamma0 near 2e5,
+    the variant master on the run's first four entries is worth the
+    certified gap at its own gamma, and no less than the gap at alpha =
+    9.5e-7, where a scan of alpha finds about 75 (epsilon there is 1% of
+    the seed value, about 74)."""
+    from mprobust.engine import _entry_const, _master_gamma
+    from mprobust.generators import PlmParams, gen_plm
+
+    inst = apply_partition(gen_plm(PlmParams(8, 2, seed=0)), PartitionScheme("lo", 3), seed=0)
+    omega = build_omega(inst, "segment")
+    hist = run_aq(inst, omega, epsilon=0.0, mode="variant",
+                  budget=Budget(max_iters=3)).history
+    assert len(hist) == 4
+
+    def certified_gap(gamma):
+        cert = min(_entry_const(inst, e, variant=True) + e.pi @ gamma for e in hist)
+        return cert - solve_robust(inst, gamma, mode="variant").value
+
+    model = build_q_variant(inst, omega, hist)
+    sol = solve_milp(model)
+    assert sol.status == "optimal"
+    gap = certified_gap(9.5e-7 * omega.gamma0)
+    assert gap > 70.0
+    assert sol.objective >= gap - 1e-6 * abs(gap)
+    own = certified_gap(_master_gamma(omega, model, sol.values))
+    assert sol.objective == pytest.approx(own, rel=1e-6)
 
 
 def test_variant_master_product_variable_replay():
     """On every domain, a solved variant master's z_j is gamma_k * w_j, with
     some product nonzero."""
+    from mprobust.engine import _master_gamma
+
     rng = np.random.default_rng(27)
     inst = random_instance(rng, n=5, K=2)
     cov = inst.covered
@@ -268,7 +300,7 @@ def test_variant_master_product_variable_replay():
         model = build_q_variant(inst, omega, hist)
         sol = solve_milp(model)
         assert sol.status == "optimal"
-        gamma = sol.values[model.blocks["gamma"]]
+        gamma = _master_gamma(omega, model, sol.values)
         z = sol.values[[model.var_names.index(f"z{j}") for j in cov]]
         w = np.round(sol.values[model.blocks["w"]])
         assert [model.var_name(j) for j in model.blocks["w"]] == [f"w{j}" for j in cov]
@@ -746,13 +778,13 @@ def test_model_blocks():
         robust = build_robust_milp(inst, M)
         cases = [(robust, standard), (relax_rho_x(robust), relaxed),
                  (build_robust_variant_milp(inst, M), robust_variant)]
-        # the general master's domain columns: gamma, the segment position
-        # alpha, or the budgeted slacks beta
+        # every general and variant master's domain columns: gamma, the
+        # segment position alpha, or the budgeted slacks beta
         domain = {"interval": "gamma", "segment": "position", "budgeted": "beta"}
         for kind, omega in omegas.items():
             general = build_q_general(inst, omega, hist)
             cases.append((general, {**standard, domain[kind]: False}))
-            cases.append((build_q_variant(inst, omega, vhist), {**variant, "gamma": False}))
+            cases.append((build_q_variant(inst, omega, vhist), {**variant, domain[kind]: False}))
             if kind != "interval":
                 cases.append((relax_rho_x(general), {**relaxed, domain[kind]: False}))
         interval = build_q_interval(inst, omegas["interval"], hist)

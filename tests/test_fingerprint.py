@@ -1,7 +1,9 @@
-"""Golden fingerprints of the generated benchmark families.
+"""Golden fingerprints of the generated benchmark families and of the
+standard masters built on them.
 
-Each digest is a sha256 over the canonical JSON (``serialize.dumps_canonical``
-of ``instance_to_dict``) of every generated instance in a fixed sweep.  A
+Each family digest is a sha256 over the canonical JSON
+(``serialize.dumps_canonical`` of ``instance_to_dict``) of every generated
+instance in a fixed sweep.  A
 partitioned instance differs from its base only in ``K`` and ``partition``
 (checked on every one), so the digest takes the base's JSON once and then
 the canonical JSON of those two fields per partition.  A generator that
@@ -67,3 +69,59 @@ def test_sp_fingerprint():
 
 def test_plm_fingerprint():
     assert plm_digest() == PLM_DIGEST
+
+
+# Standard masters (``build_q_general`` on each domain kind, and
+# ``build_q_interval``) on seed-0 SP instances whose K lies in the pattern
+# table's range, so every stored entry comes from the table and no MILP
+# solver's answer enters a digest.  Histories hold the robust optima at the
+# domain's start vector, then also at its upper bound and their midpoint.
+MASTER_SP_NODES = (10, 12)
+MASTER_KS = range(4, 10)
+
+MASTER_DIGEST = "9dddf86db1fa074ec9bffb59a1170da55e8714f08e0f02a65d17f2f774b479c2"
+
+
+def _model_bytes(model) -> bytes:
+    arrays = (model.objective, model.lower, model.upper, model.is_binary,
+              model.row_coeffs, model.row_senses, model.row_rhs)
+    out = [f"{model.name} {model.maximize}\n".encode()]
+    for a in arrays:
+        out += [f"{a.dtype.str}{a.shape}".encode(), a.tobytes()]
+    out.append("\n".join(model.var_names).encode())
+    for name, idx in model.blocks.items():
+        out += [f"\n{name}:".encode(), idx.tobytes()]
+    return b"".join(out)
+
+
+def master_digest() -> str:
+    from mprobust.engine import HistoryEntry, build_q_general, build_q_interval
+    from mprobust.generators import build_omega
+    from mprobust.robust import solve_robust
+
+    def history(inst, omega, size):
+        lo, hi = omega.start_gamma, omega.upper_bound
+        out = []
+        for g in [lo, hi, 0.5 * (lo + hi)][:size]:
+            sol = solve_robust(inst, g)
+            out.append(HistoryEntry(pi=sol.pi, rho=sol.rho, x=sol.x, gamma=g))
+        return out
+
+    h = hashlib.sha256()
+    for V in MASTER_SP_NODES:
+        base = gen_sp(SpParams(V, seed=0))
+        for K in MASTER_KS:
+            inst = apply_partition(base, PartitionScheme("r", K), seed=0)
+            omegas = [build_omega(inst, "interval", delta=0.5), build_omega(inst, "segment"),
+                      build_omega(inst, "budgeted", delta=1.0)]
+            for size in (1, 3):
+                for omega in omegas:
+                    h.update(_model_bytes(build_q_general(inst, omega,
+                                                          history(inst, omega, size))))
+                h.update(_model_bytes(build_q_interval(inst, omegas[0],
+                                                       history(inst, omegas[0], size))))
+    return h.hexdigest()
+
+
+def test_standard_master_fingerprint():
+    assert master_digest() == MASTER_DIGEST
